@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -745,33 +745,29 @@ def _pmf_from_tree(tree):
                     values=None if values is None else [_s2f(v) for v in values])
 
 
+#: how each EnsembleConfig field annotation is read back from an artifact;
+#: float fields are written as repr strings so they round-trip exactly
+_CONFIG_READERS = {"int": int, "str": str, "float": _s2f, "float | None": _s2f}
+
+
 def _config_to_tree(cfg):
-    return {
-        "dc": cfg.dc, "dv": cfg.dv, "w": cfg.w, "wphi": cfg.wphi,
-        "iterations": cfg.iterations, "cn_variant": cfg.cn_variant,
-        "vn_variant": cfg.vn_variant, "design_ebn0_db": _f2s(cfg.design_ebn0_db),
-        "rate": _f2s(cfg.rate), "channel_grid_size": cfg.channel_grid_size,
-        "clip_llr": None if cfg.clip_llr is None else _f2s(cfg.clip_llr),
-        "prune_tol": _f2s(cfg.prune_tol),
-        "delta_search_points": cfg.delta_search_points,
-        "uniform_grid_points": cfg.uniform_grid_points,
-        "beta": cfg.beta,
-    }
+    tree = {}
+    for f in fields(EnsembleConfig):
+        v = getattr(cfg, f.name)
+        tree[f.name] = _f2s(v) if v is not None and _CONFIG_READERS[f.type] is _s2f else v
+    return tree
 
 
 def _config_from_tree(tree):
-    return EnsembleConfig(
-        dc=int(tree["dc"]), dv=int(tree["dv"]), w=int(tree["w"]),
-        wphi=int(tree["wphi"]), iterations=int(tree["iterations"]),
-        cn_variant=tree["cn_variant"], vn_variant=tree["vn_variant"],
-        design_ebn0_db=_s2f(tree["design_ebn0_db"]), rate=_s2f(tree["rate"]),
-        channel_grid_size=int(tree["channel_grid_size"]),
-        clip_llr=None if tree["clip_llr"] is None else _s2f(tree["clip_llr"]),
-        prune_tol=_s2f(tree["prune_tol"]),
-        delta_search_points=int(tree["delta_search_points"]),
-        uniform_grid_points=int(tree["uniform_grid_points"]),
-        beta=int(tree["beta"]),
-    )
+    kwargs = {}
+    for f in fields(EnsembleConfig):
+        if f.name not in tree:
+            if f.default is MISSING:
+                raise ValidationError(f"artifact config has no {f.name!r}")
+            continue    # a field added after the file was written: its default
+        v = tree[f.name]
+        kwargs[f.name] = None if v is None else _CONFIG_READERS[f.type](v)
+    return EnsembleConfig(**kwargs)
 
 
 def _artifact_to_tree(art):

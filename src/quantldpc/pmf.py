@@ -37,6 +37,22 @@ def _xlog2x(v):
     return out
 
 
+def _cluster_scores(pa, pb):
+    """Elementwise x(pa) + x(pb) - x(pa + pb) + (pa + pb), x = _xlog2x.
+
+    ``pa`` and ``pb`` are the joint masses p(x=0, cell) and p(x=1, cell)
+    of cells on the positive half-axis of a symmetric PMF with equal
+    priors; twice the sum of the scores over a partition of that half-axis
+    is the mutual information of the partition, in bits.
+    """
+    s = pa + pb
+    out = _xlog2x(pa)
+    out += _xlog2x(pb)
+    out -= _xlog2x(s)
+    out += s
+    return out
+
+
 class JointPMF:
     """Joint mass table p(x, y) over a sorted signed integer alphabet.
 
@@ -109,9 +125,6 @@ class JointPMF:
 
     def p_y(self):
         return self.mass.sum(axis=0)
-
-    def p_x(self):
-        return self.mass.sum(axis=1)
 
     def conditional_llr(self):
         """Natural-log L(x|y) = ln p(x=0|y)/p(x=1|y) per symbol.
@@ -226,7 +239,7 @@ def folded_mutual_information(a, b):
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return float(2.0 * np.sum(_xlog2x(a) + _xlog2x(b) - _xlog2x(a + b) + (a + b)))
+    return float(2.0 * np.sum(_cluster_scores(a, b)))
 
 
 def kl_divergence(p, q) -> float:

@@ -4,7 +4,10 @@ Two quantizer families act on symbol magnitudes of a symmetric joint PMF:
 
 * non-uniform threshold quantizers, designed by dynamic programming that is
   exact over all contiguous magnitude partitions and maximizes the mutual
-  information of the quantized output;
+  information of the quantized output.  For K cells over n magnitudes it
+  takes O(K * n**2) time and O(block * n) memory, walking the magnitude
+  axis in fixed row blocks; MI ties go to the leftmost boundary, i.e. the
+  lexicographically smallest threshold vector;
 * uniform shift-and-offset quantizers (add an offset, drop the r low bits,
   saturate), whose free parameters are searched exhaustively.
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, ValidationError, _xlog2x
+from .pmf import JointPMF, ValidationError, _cluster_scores
 
 
 @dataclass(frozen=True)
@@ -255,24 +258,9 @@ def _folded_prune(mags, a, b, prune_tol, min_keep):
     return mags, a, b
 
 
-def _partition_scores(a, b):
-    """G[i, e] = MI contribution of a cluster holding folded symbols i..e-1.
-
-    The total mutual information of a partition of the positive half-axis
-    is 2 * sum of its cluster scores.  Entries with e <= i are -inf.
-    """
-    A = np.concatenate([[0.0], np.cumsum(a)])
-    B = np.concatenate([[0.0], np.cumsum(b)])
-    pa = A[None, :] - A[:, None]
-    pb = B[None, :] - B[:, None]
-    G = _xlog2x(pa)
-    G += _xlog2x(pb)
-    s = pa + pb
-    G -= _xlog2x(s)
-    G += s
-    idx = np.arange(A.size)
-    G[idx[:, None] >= idx[None, :]] = -np.inf
-    return G
+#: rows of the partition DP per block; a block's scores (rows x n floats)
+#: stay in cache while every layer of the DP runs over them
+_DP_BLOCK = 64
 
 
 def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
@@ -282,9 +270,17 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     Dynamic programming over contiguous partitions of the magnitude axis
     into exactly 2**(w-1) nonempty cells, which is no loss: refining a
     partition never lowers mutual information.  Among MI ties the
-    lexicographically smallest threshold vector wins.  A high-magnitude
-    tail of joint mass at most ``prune_tol`` is folded into the last
-    retained symbol before the search.
+    lexicographically smallest threshold vector wins: each DP step takes
+    the leftmost maximizing boundary.  A high-magnitude tail of joint mass
+    at most ``prune_tol`` is folded into the last retained symbol before
+    the search.
+
+    With K = 2**(w-1) cells and n retained magnitudes the search costs
+    O(K * n**2) time and O((block + K) * n) memory: cluster scores are
+    built for one block of ``_DP_BLOCK`` rows at a time, never as an
+    n x n matrix, and every DP layer runs on a block before the next block
+    is built.  The result is the same, bit for bit, as a DP over the full
+    score matrix (kept as the reference in the tests).
 
     Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
     """
@@ -299,27 +295,46 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     mags, a, b = _folded_prune(mags, a, b, prune_tol, K)
     n = mags.size
 
-    G = _partition_scores(a, b)
-    s = G[:, n].copy()            # one cell covering symbols j..n-1
-    rows = np.arange(n + 1)
-    choices = []
-    for _ in range(K - 1):        # grow to 2, 3, ... K cells
-        cand = G + s[None, :]
-        pick = np.argmax(cand, axis=1)   # first max: smallest boundary
-        s = cand[rows, pick]
-        choices.append(pick)
-
-    if not math.isfinite(s[0]):
+    # Cluster i..e-1 (0 <= i < e <= n) scores _cluster_scores(A[e] - A[i],
+    # B[e] - B[i]); the MI of a partition is twice its cluster-score sum.
+    # best[c, i] is the top score of symbols i..n-1 split into c + 1
+    # cells (-inf if infeasible), pick[c, i] the start of its second cell.
+    A = np.concatenate([[0.0], np.cumsum(a)])
+    B = np.concatenate([[0.0], np.cumsum(b)])
+    best = np.empty((K - 1, n + 1))
+    pick = np.zeros((K - 1, n + 1), dtype=np.intp)
+    best[0] = _cluster_scores(A[n] - A, B[n] - B)
+    best[:, n] = -np.inf
+    # Layers 1..K-2, bottom-up in row blocks: row i of layer c reads layer
+    # c-1 only at e > i, which a later block or an earlier layer of this
+    # block has already filled in.
+    if K > 2:
+        for hi in range(n, 0, -_DP_BLOCK):
+            lo = max(0, hi - _DP_BLOCK)
+            h = hi - lo
+            G = _cluster_scores(A[lo + 1:] - A[lo:hi, None], B[lo + 1:] - B[lo:hi, None])
+            G[:, :h][np.tri(h, k=-1, dtype=bool)] = -np.inf     # e <= i
+            cand = np.empty_like(G)
+            rows = np.arange(h)
+            for c in range(1, K - 1):
+                np.add(G, best[c - 1, lo + 1:], out=cand)
+                k = np.argmax(cand, axis=1)     # first max: smallest boundary
+                best[c, lo:hi] = cand[rows, k]
+                pick[c, lo:hi] = k + (lo + 1)
+    # the last layer (K cells) is only needed at row 0
+    cand = _cluster_scores(A[1:] - A[0], B[1:] - B[0]) + best[K - 2, 1:]
+    j = int(np.argmax(cand)) + 1
+    score = cand[j - 1]
+    if not math.isfinite(score):
         raise RuntimeError("partition search found no feasible solution")
 
-    bounds = []
-    j = 0
-    for pick in reversed(choices):
-        j = int(pick[j])
+    bounds = [j]
+    for c in range(K - 2, 0, -1):
+        j = int(pick[c, j])
         bounds.append(j)
     thresholds = tuple(int(mags[e]) for e in bounds)
     spec = QuantizerSpec("non_uniform", w, delta=delta, thresholds=thresholds)
-    return spec, float(2.0 * s[0])
+    return spec, float(2.0 * score)
 
 
 def design_channel_quantizer(fine: JointPMF, w: int, *, prune_tol: float = 0.0):
@@ -399,8 +414,7 @@ def _uniform_sweep(da, db, w, r_limit, kappa_search):
             np.clip(bnd, 0, M + 1, out=bnd)
             pa = cumA[bnd[1:]] - cumA[bnd[:-1]]
             pb = cumB[bnd[1:]] - cumB[bnd[:-1]]
-            mi = 2.0 * float(np.sum(
-                _xlog2x(pa) + _xlog2x(pb) - _xlog2x(pa + pb) + (pa + pb)))
+            mi = 2.0 * float(np.sum(_cluster_scores(pa, pb)))
             if mi > best[0]:
                 best = (mi, r, kappa)
     return best

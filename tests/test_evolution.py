@@ -258,6 +258,26 @@ def test_artifact_roundtrip_is_bit_exact():
         assert a.vn_tables["phi_ch"].values == b.vn_tables["phi_ch"].values
 
 
+def test_artifact_roundtrip_keeps_every_config_field():
+    cfg = base_cfg(iterations=1, uniform_warm_window=3, clip_llr=30.0, beta=2)
+    artifact, _ = design_decoder(cfg)
+    back = DesignArtifact.from_json(artifact.to_json())
+    assert back.config == artifact.config
+    assert back.config.uniform_warm_window == 3
+
+
+def test_artifact_without_newer_config_field_loads_its_default():
+    # files written before uniform_warm_window was serialized lack the key
+    artifact, _ = design_decoder(base_cfg(iterations=1))
+    tree = json.loads(artifact.to_json())
+    del tree["config"]["uniform_warm_window"]
+    back = DesignArtifact.from_json(json.dumps(tree))
+    assert back.config.uniform_warm_window == 10
+    del tree["config"]["dc"]
+    with pytest.raises(ValidationError, match="'dc'"):
+        DesignArtifact.from_json(json.dumps(tree))
+
+
 def test_artifact_roundtrip_file(tmp_path):
     cfg = base_cfg(iterations=2, cn_variant="omsq", vn_variant="omsq")
     artifact, _ = design_decoder(cfg)

@@ -5,10 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantldpc.pmf import ChannelModel, JointPMF, ValidationError, apply_quantizer, awgn_llr_pmf, mutual_information
+from quantldpc.pmf import (
+    ChannelModel,
+    JointPMF,
+    ValidationError,
+    _xlog2x,
+    apply_quantizer,
+    awgn_llr_pmf,
+    mutual_information,
+)
 from quantldpc.quantizers import (
     QuantizerSpec,
     TranslationTable,
+    _DP_BLOCK,
+    _folded_prune,
     build_delta_grid,
     build_translation_table,
     design_channel_quantizer,
@@ -18,21 +28,26 @@ from quantldpc.quantizers import (
 )
 
 
+def pmf_from_raw(rng, raw):
+    """Symmetric PMF with joint masses ``raw`` per positive magnitude and
+    p(x=0 | +m) increasing in m, so the folded axis is LLR-ordered."""
+    half = raw.size
+    frac = np.sort(rng.uniform(0.5, 1.0, size=half))
+    t = 2 * raw.sum()
+    a, b = raw * frac / t, raw * (1.0 - frac) / t
+    row0 = np.concatenate([b[::-1], a])
+    mass = np.vstack([row0, row0[::-1]])
+    alphabet = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
+    return JointPMF(alphabet, mass, llr_order=True, symmetric=True)
+
+
 def random_symmetric_pmf(rng, half, concentrated=False):
     """Symmetric message PMF with reliability growing in the magnitude."""
     if concentrated:
         raw = rng.random(half) ** 4 + 1e-9
     else:
         raw = rng.random(half) + 1e-6
-    # make p(x=0 | +m) increase with m so the folded axis is LLR-ordered
-    frac = np.sort(rng.uniform(0.5, 1.0, size=half))
-    a = raw * frac
-    b = raw * (1.0 - frac)
-    a, b = a / (2 * raw.sum()), b / (2 * raw.sum())
-    row0 = np.concatenate([b[::-1], a])
-    mass = np.vstack([row0, row0[::-1]])
-    alphabet = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
-    return JointPMF(alphabet, mass, llr_order=True, symmetric=True)
+    return pmf_from_raw(rng, raw)
 
 
 def folded_cluster_mi(a, b, boundaries):
@@ -99,6 +114,86 @@ def test_dp_tie_break_on_degenerate_mass():
     ref_mi, ref_bounds = exhaustive_best(af, bf, 2)
     assert mi == pytest.approx(ref_mi, abs=1e-12)
     assert spec.thresholds == (int(mags[min(ref_bounds)[0]]),)
+
+
+def dense_design_nonuniform(p, w, prune_tol):
+    """Reference partition DP over the full (n+1) x (n+1) score matrix.
+
+    G[i, e] scores the cluster of folded symbols i..e-1 (-inf for e <= i);
+    each of the K-1 passes adds the previous layer to every row and takes
+    the first maximum.  Returns ``(thresholds, mi)``.
+    """
+    K = 1 << (w - 1)
+    mags, a, b = p.fold_positive()
+    mags, a, b = _folded_prune(mags, a, b, prune_tol, K)
+    n = mags.size
+    A = np.concatenate([[0.0], np.cumsum(a)])
+    B = np.concatenate([[0.0], np.cumsum(b)])
+    pa = A[None, :] - A[:, None]
+    pb = B[None, :] - B[:, None]
+    G = _xlog2x(pa)
+    G += _xlog2x(pb)
+    s = pa + pb
+    G -= _xlog2x(s)
+    G += s
+    idx = np.arange(A.size)
+    G[idx[:, None] >= idx[None, :]] = -np.inf
+
+    s = G[:, n].copy()
+    rows = np.arange(n + 1)
+    choices = []
+    for _ in range(K - 1):
+        cand = G + s[None, :]
+        pick = np.argmax(cand, axis=1)
+        s = cand[rows, pick]
+        choices.append(pick)
+    bounds = []
+    j = 0
+    for pick in reversed(choices):
+        j = int(pick[j])
+        bounds.append(j)
+    return tuple(int(mags[e]) for e in bounds), float(2.0 * s[0])
+
+
+def raw_masses(rng, n, kind):
+    raw = rng.random(n) + 1e-6
+    if kind == "zero_gaps":
+        raw[rng.random(n) < 0.3] = 0.0
+        raw[n // 3: n // 3 + max(1, n // 8)] = 0.0
+    elif kind == "tiny":
+        # masses far below the ulp of the prefix sums, between normal ones
+        m = rng.random(n) < 0.4
+        raw[m] = 10.0 ** -rng.uniform(20.0, 30.0, size=int(m.sum()))
+    elif kind == "tiny_tail":
+        # a tail that prune_tol=1e-12 folds away
+        raw[-max(1, n // 4):] = 10.0 ** -rng.uniform(20.0, 30.0, size=max(1, n // 4))
+    raw[0] = max(raw[0], 0.5)
+    return raw
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+@pytest.mark.parametrize("size", ["K", "small", "block", "ragged"])
+@pytest.mark.parametrize("kind", ["plain", "zero_gaps", "tiny", "tiny_tail"])
+def test_dp_bit_identical_to_dense_reference(w, size, kind):
+    K = 1 << (w - 1)
+    n = {"K": K, "small": _DP_BLOCK // 2 + 3, "block": 2 * _DP_BLOCK,
+         "ragged": 2 * _DP_BLOCK + 17}[size]
+    rng = np.random.default_rng([w, n, sum(map(ord, kind))])
+    for _ in range(3):
+        p = pmf_from_raw(rng, raw_masses(rng, n, kind))
+        for prune_tol in (0.0, 1e-12):
+            spec, mi = design_nonuniform(p, w, prune_tol=prune_tol)
+            thresholds, ref_mi = dense_design_nonuniform(p, w, prune_tol)
+            assert spec.thresholds == thresholds
+            assert mi == ref_mi
+
+
+def test_dp_bit_identical_on_channel_grid():
+    fine = awgn_llr_pmf(ChannelModel(ebn0_db=3.0, rate=0.841, grid_size=1200))
+    for w in (2, 3, 4):
+        for prune_tol in (0.0, 1e-12):
+            spec, mi = design_nonuniform(fine, w, prune_tol=prune_tol)
+            assert (spec.thresholds, mi) == dense_design_nonuniform(fine, w, prune_tol)
 
 
 def test_nonuniform_requires_symmetric_ordered_input():
