@@ -4,9 +4,23 @@ Messages are signed integers in sign-magnitude semantics with no zero; a
 check or variable node works by translating message magnitudes through the
 iteration's integer tables, combining in a wide adder, and re-quantizing to
 w bits.  Scalar node updates (cn_update_comp, cn_update_min, vn_update)
-define the semantics one node at a time; DecoderState/decode run the same
-arithmetic vectorized over all edges and a batch of frames under a flooding
-schedule.  cn_exact_llr is the high-precision reference used only by tests.
+define the semantics one node at a time; decode_batch and the offset-min-sum
+baseline omsq_decode_batch run the same arithmetic over all edges and a
+batch of frames in one flooding loop.  cn_exact_llr is the high-precision
+reference used only by tests.
+
+The loop's edges are stored in check order and permuted to variable order
+and back.  A node side whose nodes share one degree d holds a frame's edges
+as a (d, nodes) block reduced over its short leading axis; an irregular side
+is node-major and uses ``reduceat``.  Quantizing is a table lookup: messages
+travel as offset codes t + 2^(w-1), and DecoderState tabulates per iteration,
+over the adder range, the CN input by code, the signed VN addend by extrinsic
+CN value (CN quantizer and VN translation fused) and the next message by
+extrinsic VN sum and node type (VN quantizer and zero-sum tie sign folded
+in).  The cost model's adder widths (complexity.cn_input_width and
+vn_input_width) bound every value the loop forms, the full CN sum and the
+table indices included; it runs in int16 when they fit (14 bits at the paper
+point dc=32, dv=6, wphi=8) and in int32 or int64 otherwise.
 """
 
 from __future__ import annotations
@@ -16,20 +30,12 @@ from bisect import bisect_right
 
 import numpy as np
 
+from .complexity import cn_input_width, vn_input_width
 from .pmf import ValidationError
 from .quantizers import QuantizerSpec
 
-__all__ = [
-    "cn_update_comp",
-    "cn_update_min",
-    "vn_update",
-    "cn_exact_llr",
-    "DecoderState",
-    "decode",
-    "decode_batch",
-    "omsq_decode",
-    "omsq_decode_batch",
-]
+__all__ = ["cn_update_comp", "cn_update_min", "vn_update", "cn_exact_llr", "DecoderState",
+           "decode", "decode_batch", "omsq_decode", "omsq_decode_batch"]
 
 
 # ---------------------------------------------------------------------------
@@ -151,71 +157,193 @@ def cn_exact_llr(llrs):
 # batched decoder
 # ---------------------------------------------------------------------------
 
-class DecoderState:
-    """Immutable edge layout and per-iteration tables for one decoder.
+_SUM_CN = ("comp", "comp_uni")
 
-    Precomputes the CSR-style edge orderings of the parity-check matrix
-    and converts every iteration's tables into flat integer arrays, so
-    repeated decode calls only pay for the message arithmetic.  vn_type
-    alternates with node index; ``vn_phase=1`` swaps the two roles.
+
+class _Side:
+    """Edge order and per-node reductions of one node side (see module doc)."""
+
+    def __init__(self, deg):
+        self.n, self.deg = len(deg), int(deg.max())
+        self.regular = bool(np.all(deg == self.deg))
+        self.ptr = np.concatenate([[0], np.cumsum(deg)[:-1]])
+        self.rep = np.repeat(np.arange(self.n), deg)
+
+    def order(self, node_major):
+        """This side's order of an edge array given node-major."""
+        return node_major.reshape(self.n, self.deg).T.ravel() if self.regular else node_major
+
+    def view(self, x):
+        return x.reshape(len(x), self.deg, self.n) if self.regular else x
+
+    def reduce(self, ufunc, xv):
+        """(frames, nodes) reduction of a view over each node's edges."""
+        if self.regular:
+            return ufunc.reduce(xv, axis=1, dtype=xv.dtype)
+        return ufunc.reduceat(xv, self.ptr, axis=1, dtype=xv.dtype)
+
+    def spread(self, y):
+        """(frames, nodes) values broadcast against a view."""
+        return y[:, None, :] if self.regular else np.take(y, self.rep, axis=1)
+
+
+def _cell_table(spec: QuantizerSpec, size):
+    """Quantizer cell 1..2^(w-1) of every magnitude 0..size-1."""
+    mag = np.arange(size)
+    if spec.kind == "non_uniform":
+        return 1 + np.searchsorted(np.asarray(spec.thresholds), mag, side="right")
+    return 1 + np.minimum((mag + spec.offset_kappa) >> spec.shift_r, spec.n_cells - 1)
+
+
+class DecoderState:
+    """Edge layout and per-iteration lookup tables of one decoder.
+
+    Built once per code and decoder, so repeated decode calls only pay for
+    the message arithmetic.  vn_type alternates with node index;
+    ``vn_phase=1`` swaps the two roles.  The offset-min-sum baseline has no
+    artifact; :meth:`offset_min_sum` builds its state.
     """
 
     def __init__(self, code, artifact, *, vn_phase=0):
-        if not artifact.per_iteration and artifact.config.iterations > 0:
+        cfg = artifact.config
+        if not artifact.per_iteration and cfg.iterations > 0:
             raise ValidationError("artifact carries no designed iterations")
-        self.code = code
-        self.artifact = artifact
-        self.w = artifact.config.w
-        self.cn_variant = artifact.config.cn_variant
-        if self.cn_variant == "omsq":
+        if cfg.cn_variant == "omsq":
             raise ValidationError("the omsq baseline runs through omsq_decode")
+        self.cn_variant = cfg.cn_variant
+        recs = artifact.per_iteration
+        wphi = max([cfg.w] + [t.width_wphi for r in recs
+                              for t in (r.cn_tables, *r.vn_tables.values()) if t])
+        self._layout(code, cfg.w, wphi, vn_phase)
+        self.tables = [self._designed(r) for r in recs]
 
-        # edges in check-major order
-        self.edge_var = np.concatenate([np.asarray(r, dtype=np.int64)
-                                        for r in code.row_adjacency])
-        deg_c = np.array([len(r) for r in code.row_adjacency], dtype=np.int64)
+    @classmethod
+    def offset_min_sum(cls, code, w, beta):
+        """State of the offset-min-sum baseline on w-bit messages."""
+        if beta < 0:
+            raise ValidationError("beta must be nonnegative")
+        self = cls.__new__(cls)
+        self.cn_variant, self.beta = "omsq", beta
+        self._layout(code, w, w, 0)      # messages are their own VN addends
+        H, S = self.half, self.vn_range
+        t = np.arange(-H, H + 1)
+        sat = np.clip(np.arange(-S, S + 1), 1 - H, H - 1) + H
+        self.tables = [self._cast(t, np.abs(t), np.maximum(np.arange(H + 1) - beta, 0),
+                                  np.concatenate([sat, sat]))]
+        return self
+
+    def _layout(self, code, w, wphi, vn_phase):
+        rows = [np.asarray(r, dtype=np.intp) for r in code.row_adjacency]
+        deg_c = np.array([len(r) for r in rows])
         if np.any(deg_c < 2):
             raise ValidationError("every check node needs degree at least 2")
-        self.cn_ptr = np.concatenate([[0], np.cumsum(deg_c)])[:-1]
-        self.cn_rep = np.repeat(np.arange(code.n_checks), deg_c)
-        # permutation into variable-major order
-        self.vn_perm = np.argsort(self.edge_var, kind="stable")
-        self.vn_inv = np.argsort(self.vn_perm, kind="stable")
-        deg_v = np.bincount(self.edge_var, minlength=code.n_vars)
+        deg_v = np.bincount(np.concatenate(rows), minlength=code.n_vars)
         if np.any(deg_v == 0):
             raise ValidationError("every variable node needs at least one edge")
-        self.vn_ptr = np.concatenate([[0], np.cumsum(deg_v)])[:-1]
-        self.vn_rep = np.repeat(np.arange(code.n_vars), deg_v)
-        self.vn_type = ((np.arange(code.n_vars) + vn_phase) % 2).astype(np.int8)
+        self.checks, self.vars = _Side(deg_c), _Side(deg_v)
+        self.edge_var = self.checks.order(np.concatenate(rows))
+        self.vn_perm = self.vars.order(np.argsort(self.edge_var, kind="stable"))
+        self.vn_inv = np.argsort(self.vn_perm)
+        self.vn_type = (np.arange(code.n_vars) + vn_phase) % 2
+        self.w, self.half = w, 1 << (w - 1)
+        # CN sums lie in [0, 2^cw), VN sums in (-2^(vw-1), 2^(vw-1)); the signed
+        # CN index takes one bit more, the VN index (sign offset, tie half) two
+        dc, dv = self.checks.deg, self.vars.deg
+        cw, vw = cn_input_width(dc, wphi), vn_input_width(dv, wphi)
+        bits = vw + 2
+        if self.cn_variant in _SUM_CN:
+            bits = max(bits, cn_input_width(dc + 1, wphi) + 1, cw + 2)
+        self.dtype = np.int16 if bits <= 16 else np.int32 if bits <= 32 else np.int64
+        self.big = self.dtype(np.iinfo(self.dtype).max)
+        self.cn_range, self.vn_range = 1 << cw, 1 << (vw - 1)
+        self.vn_base = (self.vn_range + self.vn_type * (2 * self.vn_range + 1)).astype(self.dtype)
 
-        self._iters = []
-        for rec in artifact.per_iteration:
-            self._iters.append({
-                "cn_vals": None if rec.cn_tables is None
-                else np.asarray(rec.cn_tables.values, dtype=np.int64),
-                "cn_spec": rec.cn_quantizer,
-                "vn_ch": np.asarray(rec.vn_tables["phi_ch"].values, dtype=np.int64),
-                "vn_c": np.asarray(rec.vn_tables["phi_c"].values, dtype=np.int64),
-                "vn_spec": rec.vn_quantizer,
-            })
+    def _designed(self, rec):
+        """(ch, cn_in, cn_out, vn_out) tables of one designed iteration."""
+        H, S = self.half, self.vn_range
+        t = np.arange(-H, H + 1)
+        cell = np.maximum(np.abs(t), 1) - 1     # t = 0 is never sent
+        vn_c = np.asarray(rec.vn_tables["phi_c"].values)
+        ch = np.where(t < 0, -1, 1) * np.asarray(rec.vn_tables["phi_ch"].values)[cell]
+        if self.cn_variant in _SUM_CN:
+            cn_in = np.asarray(rec.cn_tables.values)[cell]
+            cn_out = vn_c[_cell_table(rec.cn_quantizer, self.cn_range) - 1]
+        else:
+            cn_in, cn_out = np.abs(t), np.concatenate([[0], vn_c])
+        ext = np.arange(-S, S + 1)
+        mag = _cell_table(rec.vn_quantizer, S + 1)[np.abs(ext)]
+        # a zero extrinsic sum takes sign +1 on vn_type 0 and -1 on vn_type 1
+        out = np.concatenate([np.where(ext < 0, -mag, mag), np.where(ext > 0, mag, -mag)])
+        return self._cast(ch, cn_in, cn_out, out + H)
 
-    def tables_for(self, iteration):
-        """Iteration's arrays; reuses the last designed record beyond it."""
-        idx = min(iteration, len(self._iters) - 1)
-        return self._iters[idx]
+    def _cast(self, ch, cn_in, cn_out, vn_out):
+        """Tables in the loop dtype; cn_out[x + neg * len/2] carries the sign."""
+        return tuple(np.asarray(a, dtype=self.dtype)
+                     for a in (ch, cn_in, np.concatenate([cn_out, -cn_out]), vn_out))
+
+    def syndrome_ok(self, bits):
+        """Per frame: do the hard decisions satisfy every check?"""
+        edges = self.checks.view(np.take(bits, self.edge_var, axis=1))
+        return ~self.checks.reduce(np.bitwise_xor, edges).any(axis=1)
 
 
-def _quantize_cells_array(mag, spec: QuantizerSpec):
-    if spec.kind == "non_uniform":
-        thr = np.asarray(spec.thresholds, dtype=np.int64)
-        return 1 + np.searchsorted(thr, mag, side="right")
-    cell = (mag + spec.offset_kappa) >> spec.shift_r
-    return 1 + np.minimum(cell, spec.n_cells - 1)
+def _flood(state, channel_msgs, max_iter):
+    """The one flooding loop of every decoder variant."""
+    ch = np.asarray(channel_msgs, dtype=np.int64)
+    if ch.ndim != 2 or ch.shape[1] != state.vars.n:
+        raise ValidationError("channel message array must be (frames, n_vars)")
+    omsq = state.cn_variant == "omsq"        # zero is an omsq message
+    if (not omsq and np.any(ch == 0)) or np.any(np.abs(ch) > state.half - omsq):
+        raise ValidationError(f"channel messages must be {'' if omsq else 'nonzero '}"
+                              f"{state.w}-bit values")
+    checks, vars_, tables = state.checks, state.vars, state.tables
+    bits = (ch < 0).astype(np.uint8)
+    iters_used = np.zeros(len(ch), dtype=np.int64)
+    ok = state.syndrome_ok(bits)
+    if max_iter == 0 or ok.all():
+        return bits, iters_used, ok
 
+    active = np.flatnonzero(~ok)
+    u_ch = (ch[active] + state.half).astype(state.dtype)
+    v2c = np.take(u_ch, state.edge_var, axis=1)     # iteration 1: channel forwarded
+    ch_tab = psi_ch = None
+    for it in range(max_iter):
+        tab_ch, cn_in, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused
+        if ch_tab is None or not np.array_equal(tab_ch, ch_tab):
+            ch_tab, psi_ch = tab_ch, np.take(tab_ch, u_ch)   # once per distinct table
+        # --- check nodes: extrinsic sum or minimum, then sign ---------------
+        u = checks.view(v2c)
+        x = np.take(cn_in, u)
+        if state.cn_variant in _SUM_CN:
+            x = checks.spread(checks.reduce(np.add, x)) - x
+        else:
+            m1 = checks.reduce(np.minimum, x)
+            is_min = x == checks.spread(m1)
+            cnt = checks.reduce(np.add, is_min.astype(state.dtype))
+            m2 = checks.reduce(np.minimum, np.maximum(x, is_min * state.big))
+            # a unique minimum sees the runner-up; everything else sees the min
+            x = checks.spread(m1) + is_min * checks.spread((m2 - m1) * (cnt == 1))
+        neg = u < state.half
+        neg ^= checks.spread(checks.reduce(np.bitwise_xor, neg))
+        x += neg * state.dtype(len(cn_out) // 2)
+        c2v = np.take(cn_out, x).reshape(len(x), -1)
+        # --- variable nodes -------------------------------------------------
+        psi = vars_.view(np.take(c2v, state.vn_perm, axis=1))
+        app = vars_.reduce(np.add, psi) + psi_ch
+        out = np.take(vn_out, vars_.spread(app + state.vn_base) - psi)
+        v2c = np.take(out.reshape(len(out), -1), state.vn_inv, axis=1)
 
-def _syndrome_ok(bits, state):
-    par = np.bitwise_xor.reduceat(bits[:, state.edge_var], state.cn_ptr, axis=1)
-    return ~par.any(axis=1)
+        bits_act = (app < 0).astype(np.uint8)
+        iters_used[active] = it + 1
+        bits[active] = bits_act
+        done = state.syndrome_ok(bits_act)
+        ok[active] |= done
+        if done.all():
+            break
+        keep = ~done
+        active = active[keep]
+        u_ch, psi_ch, v2c = u_ch[keep], psi_ch[keep], v2c[keep]
+    return bits, iters_used, ok
 
 
 def decode_batch(channel_msgs, code, artifact, max_iter, *, state=None):
@@ -229,67 +357,9 @@ def decode_batch(channel_msgs, code, artifact, max_iter, *, state=None):
     """
     if state is None:
         state = DecoderState(code, artifact)
-    ch = np.asarray(channel_msgs, dtype=np.int64)
-    if ch.ndim != 2 or ch.shape[1] != code.n_vars:
-        raise ValidationError("channel message array must be (frames, n_vars)")
-    if np.any(ch == 0) or np.any(np.abs(ch) > (1 << (state.w - 1))):
-        raise ValidationError("channel messages must be nonzero w-bit values")
-
-    B = ch.shape[0]
-    bits = (ch < 0).astype(np.uint8)
-    iters_used = np.zeros(B, dtype=np.int64)
-    ok = _syndrome_ok(bits, state)
-    if max_iter == 0:
-        return bits, iters_used, ok
-
-    active = np.flatnonzero(~ok)
-    ch_act = ch[active]
-    v2c = ch_act[:, state.edge_var]            # iteration 1: channel forwarded
-    for it in range(max_iter):
-        tabs = state.tables_for(it)
-        # --- check nodes ---------------------------------------------------
-        neg = (v2c < 0).astype(np.int64)
-        par_tot = np.add.reduceat(neg, state.cn_ptr, axis=1)[:, state.cn_rep]
-        sign = 1 - 2 * ((par_tot - neg) & 1)
-        if state.cn_variant == "min":
-            mag = np.abs(v2c)
-            m1e = np.minimum.reduceat(mag, state.cn_ptr, axis=1)[:, state.cn_rep]
-            is_min = mag == m1e
-            cnt = np.add.reduceat(is_min.astype(np.int64),
-                                  state.cn_ptr, axis=1)[:, state.cn_rep]
-            masked = np.where(is_min, np.iinfo(np.int64).max, mag)
-            m2 = np.minimum.reduceat(masked, state.cn_ptr, axis=1)[:, state.cn_rep]
-            # a unique minimum sees the runner-up; everything else sees the min
-            c2v = sign * np.where(is_min & (cnt == 1), m2, m1e)
-        else:
-            phi = tabs["cn_vals"][np.abs(v2c) - 1]
-            tot = np.add.reduceat(phi, state.cn_ptr, axis=1)[:, state.cn_rep]
-            c2v = sign * _quantize_cells_array(tot - phi, tabs["cn_spec"])
-        # --- variable nodes ------------------------------------------------
-        sgn_c = np.where(c2v > 0, 1, -1)
-        psi = (sgn_c * tabs["vn_c"][np.abs(c2v) - 1])[:, state.vn_perm]
-        sgn_ch = np.where(ch_act > 0, 1, -1)
-        psi_ch = sgn_ch * tabs["vn_ch"][np.abs(ch_act) - 1]
-        app = np.add.reduceat(psi, state.vn_ptr, axis=1) + psi_ch
-        ext = app[:, state.vn_rep] - psi
-        sign_v = np.where(ext > 0, 1, np.where(ext < 0, -1, 0))
-        tie = 1 - 2 * state.vn_type[state.vn_rep].astype(np.int64)
-        sign_v = np.where(sign_v == 0, tie, sign_v)
-        out = sign_v * _quantize_cells_array(np.abs(ext), tabs["vn_spec"])
-        v2c = out[:, state.vn_inv]
-
-        bits_act = (app < 0).astype(np.uint8)
-        iters_used[active] = it + 1
-        bits[active] = bits_act
-        done = _syndrome_ok(bits_act, state)
-        ok[active] |= done
-        if done.all():
-            break
-        keep = ~done
-        active = active[keep]
-        ch_act = ch_act[keep]
-        v2c = v2c[keep]
-    return bits, iters_used, ok
+    elif state.cn_variant == "omsq":
+        raise ValidationError("an omsq state runs through omsq_decode")
+    return _flood(state, channel_msgs, max_iter)
 
 
 def decode(channel_msgs, code, artifact, max_iter, *, state=None):
@@ -302,89 +372,19 @@ def decode(channel_msgs, code, artifact, max_iter, *, state=None):
     return bits[0], int(iters[0]), bool(ok[0])
 
 
-# ---------------------------------------------------------------------------
-# offset-min-sum baseline
-# ---------------------------------------------------------------------------
-
-class _OmsqState:
-    def __init__(self, code):
-        self.edge_var = np.concatenate([np.asarray(r, dtype=np.int64)
-                                        for r in code.row_adjacency])
-        deg_c = np.array([len(r) for r in code.row_adjacency], dtype=np.int64)
-        if np.any(deg_c < 2):
-            raise ValidationError("every check node needs degree at least 2")
-        self.cn_ptr = np.concatenate([[0], np.cumsum(deg_c)])[:-1]
-        self.cn_rep = np.repeat(np.arange(code.n_checks), deg_c)
-        self.vn_perm = np.argsort(self.edge_var, kind="stable")
-        self.vn_inv = np.argsort(self.vn_perm, kind="stable")
-        deg_v = np.bincount(self.edge_var, minlength=code.n_vars)
-        self.vn_ptr = np.concatenate([[0], np.cumsum(deg_v)])[:-1]
-        self.vn_rep = np.repeat(np.arange(code.n_vars), deg_v)
-        self.n_checks = code.n_checks
-        self.n_vars = code.n_vars
-
-
 def omsq_decode_batch(channel_msgs, code, w, beta, max_iter, *, state=None):
     """Offset-min-sum decode on uniform-LLR integer messages.
 
     Messages live on {-M..M} with M = 2^(w-1) - 1 and may be zero.  Check
     nodes take the sign product times max(extrinsic min - beta, 0);
-    variable nodes form the saturating integer sum.
+    variable nodes form the saturating integer sum.  ``state`` comes from
+    DecoderState.offset_min_sum(code, w, beta).
     """
     if state is None:
-        state = _OmsqState(code)
-    M = (1 << (w - 1)) - 1
-    ch = np.asarray(channel_msgs, dtype=np.int64)
-    if ch.ndim != 2 or ch.shape[1] != state.n_vars:
-        raise ValidationError("channel message array must be (frames, n_vars)")
-    if np.any(np.abs(ch) > M):
-        raise ValidationError(f"channel messages exceed +/-{M}")
-
-    B = ch.shape[0]
-    bits = (ch < 0).astype(np.uint8)
-    iters_used = np.zeros(B, dtype=np.int64)
-    par = np.bitwise_xor.reduceat(bits[:, state.edge_var], state.cn_ptr, axis=1)
-    ok = ~par.any(axis=1)
-    if max_iter == 0:
-        return bits, iters_used, ok
-
-    active = np.flatnonzero(~ok)
-    ch_act = ch[active]
-    v2c = ch_act[:, state.edge_var]
-    big = np.iinfo(np.int64).max
-    for it in range(max_iter):
-        neg = (v2c < 0).astype(np.int64)
-        par_tot = np.add.reduceat(neg, state.cn_ptr, axis=1)[:, state.cn_rep]
-        sign = 1 - 2 * ((par_tot - neg) & 1)
-        mag = np.abs(v2c)
-        m1 = np.minimum.reduceat(mag, state.cn_ptr, axis=1)[:, state.cn_rep]
-        is_min = mag == m1
-        cnt = np.add.reduceat(is_min.astype(np.int64),
-                              state.cn_ptr, axis=1)[:, state.cn_rep]
-        masked = np.where(is_min, big, mag)
-        m2 = np.minimum.reduceat(masked, state.cn_ptr, axis=1)[:, state.cn_rep]
-        ext = np.where(is_min & (cnt == 1), m2, m1)
-        c2v = sign * np.maximum(ext - beta, 0)
-
-        psi = c2v[:, state.vn_perm]
-        app = np.add.reduceat(psi, state.vn_ptr, axis=1) + ch_act
-        ext_v = app[:, state.vn_rep] - psi
-        v2c = np.clip(ext_v, -M, M)[:, state.vn_inv]
-
-        bits_act = (app < 0).astype(np.uint8)
-        iters_used[active] = it + 1
-        bits[active] = bits_act
-        par = np.bitwise_xor.reduceat(bits_act[:, state.edge_var],
-                                      state.cn_ptr, axis=1)
-        done = ~par.any(axis=1)
-        ok[active] |= done
-        if done.all():
-            break
-        keep = ~done
-        active = active[keep]
-        ch_act = ch_act[keep]
-        v2c = v2c[keep]
-    return bits, iters_used, ok
+        state = DecoderState.offset_min_sum(code, w, beta)
+    elif (state.cn_variant, state.w, getattr(state, "beta", None)) != ("omsq", w, beta):
+        raise ValidationError("state was not built for this omsq decoder")
+    return _flood(state, channel_msgs, max_iter)
 
 
 def omsq_decode(channel_msgs, code, w, beta, max_iter, *, state=None):

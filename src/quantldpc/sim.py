@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import DecoderState, _OmsqState, decode_batch, omsq_decode_batch
+from .decoder import DecoderState, decode_batch, omsq_decode_batch
 from .evolution import OmsqChannelQuantizer
 from .pmf import ValidationError
 
@@ -109,7 +109,7 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
     n = code.n_vars
     omsq = cfg.cn_variant == "omsq"
     if omsq:
-        state = _OmsqState(code)
+        state = DecoderState.offset_min_sum(code, cfg.w, cfg.beta)
     else:
         state = DecoderState(code, artifact)
 

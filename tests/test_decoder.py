@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from quantldpc.codes import generate_regular_code
+from quantldpc.codes import ParityCheckMatrix, generate_regular_code
 from quantldpc.decoder import (
     DecoderState,
     cn_exact_llr,
@@ -16,7 +18,7 @@ from quantldpc.decoder import (
     omsq_decode_batch,
     vn_update,
 )
-from quantldpc.evolution import EnsembleConfig, design_decoder
+from quantldpc.evolution import DesignArtifact, EnsembleConfig, IterationDesign, design_decoder
 from quantldpc.pmf import ValidationError
 from quantldpc.quantizers import QuantizerSpec, TranslationTable
 
@@ -344,3 +346,505 @@ def test_omsq_noiseless_and_scalar_batch_agreement():
         assert np.array_equal(bits_s, bits_b[f])
         assert iters_s == iters_b[f]
         assert ok_s == ok_b[f]
+
+
+# --- reference kernels --------------------------------------------------------
+# The batched decoders as they stood before the lookup-table kernel, kept
+# verbatim (names aside) as the differential oracle of the flooding loop.
+
+class RefState:
+    """Immutable edge layout and per-iteration tables for one decoder.
+
+    Precomputes the CSR-style edge orderings of the parity-check matrix
+    and converts every iteration's tables into flat integer arrays, so
+    repeated decode calls only pay for the message arithmetic.  vn_type
+    alternates with node index; ``vn_phase=1`` swaps the two roles.
+    """
+
+    def __init__(self, code, artifact, *, vn_phase=0):
+        if not artifact.per_iteration and artifact.config.iterations > 0:
+            raise ValidationError("artifact carries no designed iterations")
+        self.code = code
+        self.artifact = artifact
+        self.w = artifact.config.w
+        self.cn_variant = artifact.config.cn_variant
+        if self.cn_variant == "omsq":
+            raise ValidationError("the omsq baseline runs through omsq_decode")
+
+        # edges in check-major order
+        self.edge_var = np.concatenate([np.asarray(r, dtype=np.int64)
+                                        for r in code.row_adjacency])
+        deg_c = np.array([len(r) for r in code.row_adjacency], dtype=np.int64)
+        if np.any(deg_c < 2):
+            raise ValidationError("every check node needs degree at least 2")
+        self.cn_ptr = np.concatenate([[0], np.cumsum(deg_c)])[:-1]
+        self.cn_rep = np.repeat(np.arange(code.n_checks), deg_c)
+        # permutation into variable-major order
+        self.vn_perm = np.argsort(self.edge_var, kind="stable")
+        self.vn_inv = np.argsort(self.vn_perm, kind="stable")
+        deg_v = np.bincount(self.edge_var, minlength=code.n_vars)
+        if np.any(deg_v == 0):
+            raise ValidationError("every variable node needs at least one edge")
+        self.vn_ptr = np.concatenate([[0], np.cumsum(deg_v)])[:-1]
+        self.vn_rep = np.repeat(np.arange(code.n_vars), deg_v)
+        self.vn_type = ((np.arange(code.n_vars) + vn_phase) % 2).astype(np.int8)
+
+        self._iters = []
+        for rec in artifact.per_iteration:
+            self._iters.append({
+                "cn_vals": None if rec.cn_tables is None
+                else np.asarray(rec.cn_tables.values, dtype=np.int64),
+                "cn_spec": rec.cn_quantizer,
+                "vn_ch": np.asarray(rec.vn_tables["phi_ch"].values, dtype=np.int64),
+                "vn_c": np.asarray(rec.vn_tables["phi_c"].values, dtype=np.int64),
+                "vn_spec": rec.vn_quantizer,
+            })
+
+    def tables_for(self, iteration):
+        """Iteration's arrays; reuses the last designed record beyond it."""
+        idx = min(iteration, len(self._iters) - 1)
+        return self._iters[idx]
+
+
+def _quantize_cells_array(mag, spec: QuantizerSpec):
+    if spec.kind == "non_uniform":
+        thr = np.asarray(spec.thresholds, dtype=np.int64)
+        return 1 + np.searchsorted(thr, mag, side="right")
+    cell = (mag + spec.offset_kappa) >> spec.shift_r
+    return 1 + np.minimum(cell, spec.n_cells - 1)
+
+
+def _syndrome_ok(bits, state):
+    par = np.bitwise_xor.reduceat(bits[:, state.edge_var], state.cn_ptr, axis=1)
+    return ~par.any(axis=1)
+
+
+def ref_decode_batch(channel_msgs, code, artifact, max_iter, *, state=None):
+    if state is None:
+        state = RefState(code, artifact)
+    ch = np.asarray(channel_msgs, dtype=np.int64)
+    if ch.ndim != 2 or ch.shape[1] != code.n_vars:
+        raise ValidationError("channel message array must be (frames, n_vars)")
+    if np.any(ch == 0) or np.any(np.abs(ch) > (1 << (state.w - 1))):
+        raise ValidationError("channel messages must be nonzero w-bit values")
+
+    B = ch.shape[0]
+    bits = (ch < 0).astype(np.uint8)
+    iters_used = np.zeros(B, dtype=np.int64)
+    ok = _syndrome_ok(bits, state)
+    if max_iter == 0:
+        return bits, iters_used, ok
+
+    active = np.flatnonzero(~ok)
+    ch_act = ch[active]
+    v2c = ch_act[:, state.edge_var]            # iteration 1: channel forwarded
+    for it in range(max_iter):
+        tabs = state.tables_for(it)
+        # --- check nodes ---------------------------------------------------
+        neg = (v2c < 0).astype(np.int64)
+        par_tot = np.add.reduceat(neg, state.cn_ptr, axis=1)[:, state.cn_rep]
+        sign = 1 - 2 * ((par_tot - neg) & 1)
+        if state.cn_variant == "min":
+            mag = np.abs(v2c)
+            m1e = np.minimum.reduceat(mag, state.cn_ptr, axis=1)[:, state.cn_rep]
+            is_min = mag == m1e
+            cnt = np.add.reduceat(is_min.astype(np.int64),
+                                  state.cn_ptr, axis=1)[:, state.cn_rep]
+            masked = np.where(is_min, np.iinfo(np.int64).max, mag)
+            m2 = np.minimum.reduceat(masked, state.cn_ptr, axis=1)[:, state.cn_rep]
+            # a unique minimum sees the runner-up; everything else sees the min
+            c2v = sign * np.where(is_min & (cnt == 1), m2, m1e)
+        else:
+            phi = tabs["cn_vals"][np.abs(v2c) - 1]
+            tot = np.add.reduceat(phi, state.cn_ptr, axis=1)[:, state.cn_rep]
+            c2v = sign * _quantize_cells_array(tot - phi, tabs["cn_spec"])
+        # --- variable nodes ------------------------------------------------
+        sgn_c = np.where(c2v > 0, 1, -1)
+        psi = (sgn_c * tabs["vn_c"][np.abs(c2v) - 1])[:, state.vn_perm]
+        sgn_ch = np.where(ch_act > 0, 1, -1)
+        psi_ch = sgn_ch * tabs["vn_ch"][np.abs(ch_act) - 1]
+        app = np.add.reduceat(psi, state.vn_ptr, axis=1) + psi_ch
+        ext = app[:, state.vn_rep] - psi
+        sign_v = np.where(ext > 0, 1, np.where(ext < 0, -1, 0))
+        tie = 1 - 2 * state.vn_type[state.vn_rep].astype(np.int64)
+        sign_v = np.where(sign_v == 0, tie, sign_v)
+        out = sign_v * _quantize_cells_array(np.abs(ext), tabs["vn_spec"])
+        v2c = out[:, state.vn_inv]
+
+        bits_act = (app < 0).astype(np.uint8)
+        iters_used[active] = it + 1
+        bits[active] = bits_act
+        done = _syndrome_ok(bits_act, state)
+        ok[active] |= done
+        if done.all():
+            break
+        keep = ~done
+        active = active[keep]
+        ch_act = ch_act[keep]
+        v2c = v2c[keep]
+    return bits, iters_used, ok
+
+
+class RefOmsqState:
+    def __init__(self, code):
+        self.edge_var = np.concatenate([np.asarray(r, dtype=np.int64)
+                                        for r in code.row_adjacency])
+        deg_c = np.array([len(r) for r in code.row_adjacency], dtype=np.int64)
+        if np.any(deg_c < 2):
+            raise ValidationError("every check node needs degree at least 2")
+        self.cn_ptr = np.concatenate([[0], np.cumsum(deg_c)])[:-1]
+        self.cn_rep = np.repeat(np.arange(code.n_checks), deg_c)
+        self.vn_perm = np.argsort(self.edge_var, kind="stable")
+        self.vn_inv = np.argsort(self.vn_perm, kind="stable")
+        deg_v = np.bincount(self.edge_var, minlength=code.n_vars)
+        self.vn_ptr = np.concatenate([[0], np.cumsum(deg_v)])[:-1]
+        self.vn_rep = np.repeat(np.arange(code.n_vars), deg_v)
+        self.n_checks = code.n_checks
+        self.n_vars = code.n_vars
+
+
+def ref_omsq_decode_batch(channel_msgs, code, w, beta, max_iter, *, state=None):
+    if state is None:
+        state = RefOmsqState(code)
+    M = (1 << (w - 1)) - 1
+    ch = np.asarray(channel_msgs, dtype=np.int64)
+    if ch.ndim != 2 or ch.shape[1] != state.n_vars:
+        raise ValidationError("channel message array must be (frames, n_vars)")
+    if np.any(np.abs(ch) > M):
+        raise ValidationError(f"channel messages exceed +/-{M}")
+
+    B = ch.shape[0]
+    bits = (ch < 0).astype(np.uint8)
+    iters_used = np.zeros(B, dtype=np.int64)
+    par = np.bitwise_xor.reduceat(bits[:, state.edge_var], state.cn_ptr, axis=1)
+    ok = ~par.any(axis=1)
+    if max_iter == 0:
+        return bits, iters_used, ok
+
+    active = np.flatnonzero(~ok)
+    ch_act = ch[active]
+    v2c = ch_act[:, state.edge_var]
+    big = np.iinfo(np.int64).max
+    for it in range(max_iter):
+        neg = (v2c < 0).astype(np.int64)
+        par_tot = np.add.reduceat(neg, state.cn_ptr, axis=1)[:, state.cn_rep]
+        sign = 1 - 2 * ((par_tot - neg) & 1)
+        mag = np.abs(v2c)
+        m1 = np.minimum.reduceat(mag, state.cn_ptr, axis=1)[:, state.cn_rep]
+        is_min = mag == m1
+        cnt = np.add.reduceat(is_min.astype(np.int64),
+                              state.cn_ptr, axis=1)[:, state.cn_rep]
+        masked = np.where(is_min, big, mag)
+        m2 = np.minimum.reduceat(masked, state.cn_ptr, axis=1)[:, state.cn_rep]
+        ext = np.where(is_min & (cnt == 1), m2, m1)
+        c2v = sign * np.maximum(ext - beta, 0)
+
+        psi = c2v[:, state.vn_perm]
+        app = np.add.reduceat(psi, state.vn_ptr, axis=1) + ch_act
+        ext_v = app[:, state.vn_rep] - psi
+        v2c = np.clip(ext_v, -M, M)[:, state.vn_inv]
+
+        bits_act = (app < 0).astype(np.uint8)
+        iters_used[active] = it + 1
+        bits[active] = bits_act
+        par = np.bitwise_xor.reduceat(bits_act[:, state.edge_var],
+                                      state.cn_ptr, axis=1)
+        done = ~par.any(axis=1)
+        ok[active] |= done
+        if done.all():
+            break
+        keep = ~done
+        active = active[keep]
+        ch_act = ch_act[keep]
+        v2c = v2c[keep]
+    return bits, iters_used, ok
+
+
+# --- scalar flooding reference -------------------------------------------------
+
+def scalar_flood(frames, code, max_iter, cn, vn):
+    """Flooding schedule one frame and one node at a time.
+
+    cn(it, inputs) -> outputs and vn(it, v, ch, inputs) -> (outputs, app)
+    are the node updates of iteration it (0-based).
+    """
+    rows = code.row_adjacency
+    cols = [[] for _ in range(code.n_vars)]          # (check, slot) per variable
+    for c, row in enumerate(rows):
+        for k, v in enumerate(row):
+            cols[v].append((c, k))
+
+    def syndrome_ok(bits):
+        return all(sum(bits[v] for v in row) % 2 == 0 for row in rows)
+
+    out_bits, out_iters, out_ok = [], [], []
+    for frame in np.asarray(frames).tolist():
+        bits = [int(t < 0) for t in frame]
+        used, ok = 0, syndrome_ok(bits)
+        v2c = [[frame[v] for v in row] for row in rows]
+        while not ok and used < max_iter:
+            c2v = [cn(used, msgs) for msgs in v2c]
+            for v, edges in enumerate(cols):
+                outs, app = vn(used, v, frame[v], [c2v[c][k] for c, k in edges])
+                for (c, k), o in zip(edges, outs):
+                    v2c[c][k] = o
+                bits[v] = int(app < 0)
+            used += 1
+            ok = syndrome_ok(bits)
+        out_bits.append(bits)
+        out_iters.append(used)
+        out_ok.append(ok)
+    return (np.array(out_bits, dtype=np.uint8).reshape(len(out_bits), code.n_vars),
+            np.array(out_iters, dtype=np.int64), np.array(out_ok, dtype=bool))
+
+
+def scalar_decode(frames, code, artifact, max_iter, vn_phase=0):
+    recs = artifact.per_iteration
+    rec = lambda it: recs[min(it, len(recs) - 1)]
+
+    def cn(it, msgs):
+        if artifact.config.cn_variant == "min":
+            return cn_update_min(msgs)
+        return cn_update_comp(msgs, rec(it).cn_tables, rec(it).cn_quantizer)
+
+    def vn(it, v, ch, msgs):
+        return vn_update(ch, msgs, rec(it).vn_tables, rec(it).vn_quantizer,
+                         (v + vn_phase) % 2)
+
+    return scalar_flood(frames, code, max_iter, cn, vn)
+
+
+def scalar_omsq_decode(frames, code, w, beta, max_iter):
+    M = (1 << (w - 1)) - 1
+
+    def cn(it, msgs):
+        return [(1 if o > 0 else -1) * max(abs(o) - beta, 0) for o in cn_update_min(msgs)]
+
+    def vn(it, v, ch, msgs):
+        app = ch + sum(msgs)
+        return [min(max(app - t, -M), M) for t in msgs], app
+
+    return scalar_flood(frames, code, max_iter, cn, vn)
+
+
+def assert_same(got, *refs):
+    for ref in refs:
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+# --- differential tests of the flooding kernel ------------------------------------
+
+@st.composite
+def codes(draw):
+    """Regular, row-regular and irregular codes with every variable covered."""
+    kind = draw(st.sampled_from(["regular", "rows", "columns", "irregular"]))
+    if kind == "regular":
+        n, dv, dc = draw(st.sampled_from([(12, 2, 4), (12, 3, 6), (16, 2, 8),
+                                          (10, 1, 2), (24, 3, 4)]))
+        return generate_regular_code(n, dv, dc, seed=draw(st.integers(0, 99)), min_girth=4)
+    n = draw(st.integers(3, 12))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "columns":       # every variable in dv checks, check degrees vary
+        dv = draw(st.integers(1, m))
+        cols = [rng.choice(m, size=dv, replace=False) for _ in range(n)]
+        rows = [[v for v in range(n) if c in cols[v]] for c in range(m)]
+        assume(all(len(r) >= 2 for r in rows))
+        return ParityCheckMatrix.from_rows(n, rows)
+    sizes = [draw(st.integers(2, n))] * m if kind == "rows" else \
+        draw(st.lists(st.integers(2, n), min_size=m, max_size=m))
+    rows = [rng.choice(n, size=s, replace=False) for s in sizes]
+    missing = set(range(n)) - {int(v) for r in rows for v in r}
+    rows += [[v, (v + 1) % n] for v in sorted(missing)]
+    return ParityCheckMatrix.from_rows(n, rows)
+
+
+@st.composite
+def tables(draw, w, wphi):
+    vmax = (1 << (wphi - 1)) - 1
+    vals = sorted(draw(st.lists(st.integers(0, vmax), min_size=1 << (w - 1),
+                                max_size=1 << (w - 1))), reverse=draw(st.booleans()))
+    return TranslationTable(tuple(vals), wphi, 1.0)
+
+
+@st.composite
+def quantizers(draw, w, top):
+    cells = 1 << (w - 1)
+    if draw(st.booleans()):
+        thr = draw(st.lists(st.integers(1, top), min_size=cells - 1, max_size=cells - 1,
+                            unique=True))
+        return QuantizerSpec("non_uniform", w, thresholds=tuple(sorted(thr)))
+    r = draw(st.integers(0, 5))
+    return QuantizerSpec("uniform", w, shift_r=r,
+                         offset_kappa=draw(st.integers(0, (1 << r) * cells - 1)))
+
+
+@st.composite
+def artifacts(draw, w=None, wphi=None, cn_variant=None):
+    """Decoders with arbitrary (valid) tables: small ones make ties common."""
+    w = w or draw(st.integers(2, 4))
+    wphi = wphi or draw(st.integers(w, 6))
+    cn_variant = cn_variant or draw(st.sampled_from(["comp", "comp_uni", "min"]))
+    top = 8 * (1 << (wphi - 1))
+    recs = []
+    for _ in range(draw(st.integers(1, 3))):
+        cn = cn_variant != "min"
+        recs.append(IterationDesign(
+            0.5, 0.5,
+            cn_tables=draw(tables(w, wphi)) if cn else None,
+            cn_quantizer=draw(quantizers(w, top)) if cn else None,
+            vn_tables={"phi_ch": draw(tables(w, wphi)), "phi_c": draw(tables(w, wphi))},
+            vn_quantizer=draw(quantizers(w, top))))
+    cfg = EnsembleConfig(dc=4, dv=2, w=w, wphi=wphi, iterations=len(recs),
+                         cn_variant=cn_variant, vn_variant="comp",
+                         design_ebn0_db=1.0, rate=0.5)
+    return DesignArtifact(cfg, None, None, None, recs)
+
+
+def random_frames(seed, n_frames, n, levels, *, zero=False):
+    """Frames from clean (no wrong sign) to heavily corrupted."""
+    rng = np.random.default_rng(seed)
+    mags = rng.integers(0 if zero else 1, levels + 1, size=(n_frames, n))
+    flip = rng.random((n_frames, n)) < np.linspace(0.0, 0.4, n_frames)[:, None]
+    return np.where(flip, -mags, mags)
+
+
+@settings(max_examples=150, deadline=None)
+@given(code=codes(), artifact=artifacts(), seed=st.integers(0, 2 ** 32 - 1),
+       n_frames=st.integers(1, 6), max_iter=st.integers(0, 8), vn_phase=st.integers(0, 1))
+def test_kernel_matches_reference_and_scalar_nodes(code, artifact, seed, n_frames,
+                                                   max_iter, vn_phase):
+    msgs = random_frames(seed, n_frames, code.n_vars, 1 << (artifact.config.w - 1))
+    got = decode_batch(msgs, code, artifact, max_iter,
+                       state=DecoderState(code, artifact, vn_phase=vn_phase))
+    ref = ref_decode_batch(msgs, code, artifact, max_iter,
+                           state=RefState(code, artifact, vn_phase=vn_phase))
+    assert_same(got, ref, scalar_decode(msgs, code, artifact, max_iter, vn_phase))
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=codes(), w=st.integers(2, 5), beta=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 6),
+       max_iter=st.integers(0, 8))
+def test_omsq_kernel_matches_reference_and_scalar_nodes(code, w, beta, seed, n_frames,
+                                                        max_iter):
+    msgs = random_frames(seed, n_frames, code.n_vars, (1 << (w - 1)) - 1, zero=True)
+    got = omsq_decode_batch(msgs, code, w, beta, max_iter)
+    ref = ref_omsq_decode_batch(msgs, code, w, beta, max_iter)
+    assert_same(got, ref, scalar_omsq_decode(msgs, code, w, beta, max_iter))
+
+
+def test_kernel_zero_sum_ties_follow_vn_phase():
+    # equal channel and check translations make exact zero VN sums common;
+    # the two tie conventions must then decode differently, each exactly
+    # as the references do
+    tab = TranslationTable((3, 3, 3, 3), 4, 1.0)
+    spec = QuantizerSpec("non_uniform", 3, thresholds=(1, 4, 7))
+    rec = IterationDesign(0.5, 0.5, cn_tables=tab, cn_quantizer=spec,
+                          vn_tables={"phi_ch": tab, "phi_c": tab}, vn_quantizer=spec)
+    cfg = EnsembleConfig(dc=4, dv=2, w=3, wphi=4, iterations=1, cn_variant="comp",
+                         vn_variant="comp", design_ebn0_db=1.0, rate=0.5)
+    artifact = DesignArtifact(cfg, None, None, None, [rec])
+    code = generate_regular_code(48, 2, 4, seed=2, min_girth=4)   # dv = 2: even VN sums
+    msgs = random_frames(5, 8, code.n_vars, 4)
+    outs = []
+    for phase in (0, 1):
+        got = decode_batch(msgs, code, artifact, 6,
+                           state=DecoderState(code, artifact, vn_phase=phase))
+        assert_same(got, ref_decode_batch(msgs, code, artifact, 6,
+                                          state=RefState(code, artifact, vn_phase=phase)),
+                    scalar_decode(msgs, code, artifact, 6, phase))
+        outs.append(got)
+    assert not all(np.array_equal(a, b) for a, b in zip(*outs))
+
+
+@pytest.fixture(scope="module")
+def designed():
+    """One designed decoder per variant on a (3,6) code."""
+    code = generate_regular_code(96, 3, 6, seed=5)
+    arts = {}
+    for cn, vn, w, wphi in (("comp", "comp", 4, 8), ("comp_uni", "comp_uni", 3, 5),
+                            ("min", "comp", 4, 8), ("omsq", "omsq", 4, 8)):
+        cfg = EnsembleConfig(dc=6, dv=3, w=w, wphi=wphi, iterations=4, cn_variant=cn,
+                             vn_variant=vn, design_ebn0_db=2.8, rate=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            arts[cn] = design_decoder(cfg)[0]
+    return code, arts
+
+
+@pytest.mark.parametrize("variant", ["comp", "comp_uni", "min", "omsq"])
+def test_kernel_matches_references_on_designed_decoders(designed, variant):
+    code, arts = designed
+    art = arts[variant]
+    rng = np.random.default_rng(11)
+    llr = (2.0 / 0.8 ** 2) * (1.0 + 0.8 * rng.standard_normal((40, code.n_vars)))
+    if variant == "omsq":
+        msgs = art.channel_quantizer.map_llr(llr)
+        got = omsq_decode_batch(msgs, code, 4, art.config.beta, 8)
+        ref = ref_omsq_decode_batch(msgs, code, 4, art.config.beta, 8)
+        scalar = scalar_omsq_decode(msgs, code, 4, art.config.beta, 8)
+    else:
+        mag = 1 + np.searchsorted(art.channel_edges_llr, np.abs(llr), side="right")
+        msgs = np.where(llr >= 0, mag, -mag)
+        got = decode_batch(msgs, code, art, 8)
+        ref = ref_decode_batch(msgs, code, art, 8)
+        scalar = scalar_decode(msgs, code, art, 8)
+    assert_same(got, ref, scalar)
+    # frames leave the working set at many different iterations
+    assert len(set(got[1].tolist())) >= 3
+
+
+@pytest.mark.parametrize("n_vars,rows", [(4, [[0, 1, 3], [0, 1, 3]]),
+                                         (5, [[0, 1, 2], [1, 2, 3]])])
+def test_variable_without_edges_is_rejected(small_setup, n_vars, rows):
+    # variable 2 (4) has no check: it must not borrow a neighbour's messages
+    code = ParityCheckMatrix.from_rows(n_vars, rows)
+    _, artifact = small_setup
+    ch = np.full((1, n_vars), 7, dtype=np.int64)
+    ch[0, 0] = -7
+    ch[0, 2] = 1
+    with pytest.raises(ValidationError, match="at least one edge"):
+        decode_batch(ch, code, artifact, 1)
+    with pytest.raises(ValidationError, match="at least one edge"):
+        omsq_decode_batch(ch, code, 4, 0, 1)
+
+
+def test_states_are_tied_to_their_decoder(small_setup):
+    code, artifact = small_setup
+    omsq = DecoderState.offset_min_sum(code, 4, 1)
+    ch = np.full((2, code.n_vars), 3, dtype=np.int64)
+    with pytest.raises(ValidationError, match="omsq"):
+        decode_batch(ch, code, artifact, 2, state=omsq)
+    with pytest.raises(ValidationError, match="omsq"):
+        omsq_decode_batch(ch, code, 4, 2, 2, state=omsq)
+    with pytest.raises(ValidationError, match="omsq"):
+        omsq_decode_batch(ch, code, 4, 1, 2, state=DecoderState(code, artifact))
+    with pytest.raises(ValidationError, match="beta"):
+        DecoderState.offset_min_sum(code, 4, -1)
+
+
+# --- integer widths ------------------------------------------------------------------
+
+@settings(max_examples=3, deadline=None)
+@given(artifact=artifacts(w=4, wphi=8, cn_variant="comp"))
+def test_paper_point_runs_in_int16(artifact):
+    code = generate_regular_code(256, 6, 32, seed=0, min_girth=4)
+    state = DecoderState(code, artifact)
+    assert (state.checks.deg, state.vars.deg) == (32, 6)
+    assert state.dtype == np.int16
+    assert DecoderState.offset_min_sum(code, 4, 1).dtype == np.int16
+
+
+@settings(max_examples=20, deadline=None)
+@given(artifact=artifacts(w=3, wphi=14), seed=st.integers(0, 2 ** 32 - 1))
+def test_wide_tables_pick_a_wider_type(artifact, seed):
+    # 14-bit tables: six CN inputs of up to 8191 overflow int16
+    code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
+    state = DecoderState(code, artifact)
+    assert state.dtype == np.int32
+    msgs = random_frames(seed, 4, code.n_vars, 4)
+    got = decode_batch(msgs, code, artifact, 6, state=state)
+    assert_same(got, ref_decode_batch(msgs, code, artifact, 6))
