@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -639,15 +639,7 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     probes = []
 
     def converges(snr):
-        probe_cfg = EnsembleConfig(
-            dc=cfg.dc, dv=cfg.dv, w=cfg.w, wphi=cfg.wphi,
-            iterations=cfg.iterations, cn_variant=cfg.cn_variant,
-            vn_variant=cfg.vn_variant, design_ebn0_db=snr, rate=cfg.rate,
-            channel_grid_size=cfg.channel_grid_size, clip_llr=cfg.clip_llr,
-            prune_tol=cfg.prune_tol, delta_search_points=cfg.delta_search_points,
-            uniform_grid_points=cfg.uniform_grid_points,
-            uniform_warm_window=cfg.uniform_warm_window, beta=cfg.beta)
-        _, traj = design_decoder(probe_cfg)
+        _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
         ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
         probes.append((snr, ok))
         return ok

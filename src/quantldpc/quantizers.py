@@ -9,7 +9,9 @@ Two quantizer families act on symbol magnitudes of a symmetric joint PMF:
   axis in fixed row blocks; MI ties go to the leftmost boundary, i.e. the
   lexicographically smallest threshold vector;
 * uniform shift-and-offset quantizers (add an offset, drop the r low bits,
-  saturate), whose free parameters are searched exhaustively.
+  saturate), searched exhaustively: per step size, one vectorized pass
+  scores every (shift r, offset kappa) pair; MI ties go to the smaller
+  step, then the smaller r, then the smaller kappa.
 
 Both designs return a :class:`QuantizerSpec` consumable by
 ``pmf.apply_quantizer`` together with the mutual information achieved.
@@ -19,12 +21,13 @@ computational-domain values (check node phi sums or variable node LLRs).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, ValidationError, _cluster_scores
+from .pmf import JointPMF, ValidationError, _cluster_scores, apply_quantizer
 
 
 @dataclass(frozen=True)
@@ -345,8 +348,6 @@ def design_channel_quantizer(fine: JointPMF, w: int, *, prune_tol: float = 0.0):
     :func:`threshold_edges_llr`.  Returns the spec together with the
     quantized channel message PMF.
     """
-    from .pmf import apply_quantizer
-
     if fine.values is None:
         raise ValidationError("fine channel grid must carry bin-center values")
     step = float(fine.values[1] - fine.values[0])
@@ -397,27 +398,46 @@ def _magnitude_unit(p: JointPMF) -> float:
     return float(abs(p.values[i]) / mags[i])
 
 
+@functools.lru_cache(maxsize=8)
+def _uniform_grid(K, r_limit, kappa_search):
+    """Unclipped boundaries k * 2**r - kappa (k = 0..K) of every (r, kappa)
+    pair in sweep order, and the pairs; read-only, as the cache shares them."""
+    rk = np.array([(r, kappa) for r in range(r_limit)
+                   for kappa in (range(1 << r) if kappa_search else (0,))],
+                  dtype=np.int64).reshape(-1, 2)
+    grid = np.arange(K + 1) * (1 << rk[:, :1]) - rk[:, 1:]
+    rk.setflags(write=False)
+    grid.setflags(write=False)
+    return grid, rk[:, 0], rk[:, 1]
+
+
 def _uniform_sweep(da, db, w, r_limit, kappa_search):
-    """Best (mi, shift, offset) for dropping low bits of a magnitude PMF."""
+    """Best (mi, shift, offset) for dropping low bits of a magnitude PMF.
+
+    Every shift r < r_limit is tried, with every offset kappa < 2**r when
+    ``kappa_search`` is set and kappa = 0 otherwise: one vectorized pass
+    over all (r, kappa) pairs, O(#pairs * K) time and memory for K cells.
+    MI ties go to the smaller r, then the smaller kappa (first maximum in
+    the sweep order); the result equals, bit for bit, that of a loop over
+    the pairs in this order keeping the best under strict improvement
+    (kept as the reference in the tests).  Returns (-1.0, 0, 0) if no pair
+    scores above -1.
+    """
     K = 1 << (w - 1)
     M = da.size - 1
     cumA = np.concatenate([[0.0], np.cumsum(da)])
     cumB = np.concatenate([[0.0], np.cumsum(db)])
-    cells = np.arange(K + 1)
-    best = (-1.0, 0, 0)
-    for r in range(r_limit):
-        width = 1 << r
-        for kappa in range(width) if kappa_search else (0,):
-            bnd = cells * width - kappa
-            bnd[0] = 0
-            bnd[K] = M + 1
-            np.clip(bnd, 0, M + 1, out=bnd)
-            pa = cumA[bnd[1:]] - cumA[bnd[:-1]]
-            pb = cumB[bnd[1:]] - cumB[bnd[:-1]]
-            mi = 2.0 * float(np.sum(_cluster_scores(pa, pb)))
-            if mi > best[0]:
-                best = (mi, r, kappa)
-    return best
+    grid, r, kappa = _uniform_grid(K, r_limit, kappa_search)
+    bnd = np.clip(grid, 0, M + 1)     # column 0 (-kappa) clips to 0
+    bnd[:, K] = M + 1
+    pa, pb = (np.diff(cum[bnd], axis=1) for cum in (cumA, cumB))
+    mi = 2.0 * np.sum(_cluster_scores(pa, pb), axis=1)
+    # first maximum after a -1.0 seed, NaN read as -1.0: the pair a loop
+    # keeping the best under strict improvement would keep
+    j = int(np.argmax(np.fmax(np.concatenate([[-1.0], mi]), -1.0)))
+    if j == 0:
+        return (-1.0, 0, 0)
+    return (float(mi[j - 1]), int(r[j - 1]), int(kappa[j - 1]))
 
 
 def build_delta_grid(delta_star: float, n_points: int = 256,
@@ -449,30 +469,18 @@ def design_uniform(p: JointPMF, w: int, *, wphi: int | None = None,
             raise ValidationError("uniform design expects a symmetric PMF")
         if not p.llr_order:
             raise ValidationError("uniform design expects reliability-ordered magnitudes")
-
-    def limit(da):
-        if wphi is not None:
-            return wphi
-        return max(1, int(da.size - 1).bit_length() + 1)
-
-    if rebuild is None:
-        if delta is None:
-            delta = _magnitude_unit(p)
-        da, db = _dense_folded(p)
-        mi, r, kappa = _uniform_sweep(da, db, w, limit(da), kappa_search)
-        spec = QuantizerSpec("uniform", w, delta=delta,
-                             shift_r=r, offset_kappa=kappa)
-        return spec, mi
-
-    if delta_grid is None:
+        candidates = ((p, _magnitude_unit(p) if delta is None else delta),)
+    elif delta_grid is None:
         raise ValidationError("rebuild search needs a delta_grid")
+    else:
+        candidates = ((rebuild(float(step)), float(step))
+                      for step in np.asarray(delta_grid, dtype=np.float64))
     best = None
-    for step in np.asarray(delta_grid, dtype=np.float64):
-        q = rebuild(float(step))
+    for q, step in candidates:
         da, db = _dense_folded(q)
-        mi, r, kappa = _uniform_sweep(da, db, w, limit(da), kappa_search)
+        r_limit = wphi if wphi is not None else max(1, int(da.size - 1).bit_length() + 1)
+        mi, r, kappa = _uniform_sweep(da, db, w, r_limit, kappa_search)
         if best is None or mi > best[0]:
-            best = (mi, float(step), r, kappa)
+            best = (mi, step, r, kappa)
     mi, step, r, kappa = best
-    spec = QuantizerSpec("uniform", w, delta=step, shift_r=r, offset_kappa=kappa)
-    return spec, mi
+    return QuantizerSpec("uniform", w, delta=step, shift_r=r, offset_kappa=kappa), mi

@@ -1,10 +1,12 @@
 import itertools
 import json
 import math
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
+from quantldpc import evolution
 from quantldpc.evolution import (
     DesignArtifact,
     EnsembleConfig,
@@ -326,3 +328,28 @@ def test_de_threshold_validation():
         de_threshold(cfg, 0.9999, (3.0, 3.0))
     with pytest.raises(ValidationError):
         de_threshold(cfg, 0.5, (1.0, 2.0))
+
+
+def test_de_threshold_probes_change_only_the_design_snr(monkeypatch):
+    # every field away from its default, so a field the probes drop shows
+    cfg = EnsembleConfig(dc=5, dv=4, w=3, wphi=7, iterations=17,
+                         cn_variant="min", vn_variant="comp_uni",
+                         design_ebn0_db=1.25, rate=0.6, channel_grid_size=900,
+                         clip_llr=21.0, prune_tol=1e-9, delta_search_points=5,
+                         uniform_grid_points=33, uniform_warm_window=4, beta=3)
+    for f in fields(EnsembleConfig):
+        if f.default is not MISSING:
+            assert getattr(cfg, f.name) != f.default, f.name
+    probes = []
+
+    def fake_design(probe_cfg):
+        probes.append(probe_cfg)
+        return None, [(0.5, 1.0 if probe_cfg.design_ebn0_db >= 2.2 else 0.5)]
+
+    monkeypatch.setattr(evolution, "design_decoder", fake_design)
+    res = de_threshold(cfg, 0.9999, (1.0, 3.0), resolution_db=0.1)
+    assert res.status == "ok" and len(probes) == len(res.probes) > 3
+    for probe, (snr, _) in zip(probes, res.probes):
+        assert type(probe) is EnsembleConfig
+        assert probe.design_ebn0_db == snr
+        assert replace(probe, design_ebn0_db=cfg.design_ebn0_db) == cfg

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantldpc import quantizers
+from quantldpc.evolution import cn_evolve_comp, vn_evolve
 from quantldpc.pmf import (
     ChannelModel,
     JointPMF,
     ValidationError,
+    _cluster_scores,
     _xlog2x,
     apply_quantizer,
     awgn_llr_pmf,
@@ -18,7 +21,9 @@ from quantldpc.quantizers import (
     QuantizerSpec,
     TranslationTable,
     _DP_BLOCK,
+    _dense_folded,
     _folded_prune,
+    _uniform_sweep,
     build_delta_grid,
     build_translation_table,
     design_channel_quantizer,
@@ -250,6 +255,103 @@ def test_uniform_sweep_finds_exhaustive_best():
         assert mi == pytest.approx(best, abs=1e-12)
         achieved = mutual_information(apply_quantizer(p, spec))
         assert achieved == pytest.approx(mi, abs=1e-12)
+
+
+def loop_uniform_sweep(da, db, w, r_limit, kappa_search):
+    """Reference uniform sweep: one Python iteration per (r, kappa) pair,
+    r ascending, then kappa ascending, keeping the best under strict
+    improvement."""
+    K = 1 << (w - 1)
+    M = da.size - 1
+    cumA = np.concatenate([[0.0], np.cumsum(da)])
+    cumB = np.concatenate([[0.0], np.cumsum(db)])
+    cells = np.arange(K + 1)
+    best = (-1.0, 0, 0)
+    for r in range(r_limit):
+        width = 1 << r
+        for kappa in range(width) if kappa_search else (0,):
+            bnd = cells * width - kappa
+            bnd[0] = 0
+            bnd[K] = M + 1
+            np.clip(bnd, 0, M + 1, out=bnd)
+            pa = cumA[bnd[1:]] - cumA[bnd[:-1]]
+            pb = cumB[bnd[1:]] - cumB[bnd[:-1]]
+            mi = 2.0 * float(np.sum(_cluster_scores(pa, pb)))
+            if mi > best[0]:
+                best = (mi, r, kappa)
+    return best
+
+
+def sweep_masses(rng, n, kind):
+    """Dense positive-half masses (da, db) on magnitudes 0..n-1, total 1/2."""
+    if kind == "uniform":
+        # equal masses and one p(x | m) everywhere: every partition scores
+        # the same up to rounding
+        raw, frac = np.ones(n), np.full(n, 0.8)
+    elif kind == "single":
+        # all mass on one magnitude: every partition scores exactly the same
+        raw, frac = np.zeros(n), np.full(n, 0.7)
+        raw[rng.integers(n)] = 1.0
+    else:
+        raw = raw_masses(rng, n, "zero_gaps" if kind == "gaps" else kind)
+        frac = np.sort(rng.uniform(0.5, 1.0, size=n))
+    t = 2.0 * raw.sum()
+    return raw * frac / t, raw * (1.0 - frac) / t
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 5])
+@pytest.mark.parametrize("kappa_search", [False, True])
+@pytest.mark.parametrize("kind", ["plain", "uniform", "gaps", "single", "tiny"])
+def test_uniform_sweep_bit_identical_to_loop(w, kappa_search, kind):
+    rng = np.random.default_rng([w, kappa_search, sum(map(ord, kind))])
+    for M in (0, 1, 2, 5, 37, 300):
+        da, db = sweep_masses(rng, M + 1, kind)
+        # shifts up to one past r = M.bit_length(), the first at which
+        # every kappa = 0 boundary clips to M + 1
+        for r_limit in range(1, M.bit_length() + 3):
+            got = _uniform_sweep(da, db, w, r_limit, kappa_search)
+            assert got == loop_uniform_sweep(da, db, w, r_limit, kappa_search)
+            assert type(got[0]) is float and type(got[1]) is int and type(got[2]) is int
+
+
+def test_uniform_sweep_no_pair_above_seed():
+    # no pair: the loop's seed comes back, as for an all-NaN PMF
+    da, db = np.full(4, 0.1), np.full(4, 0.15)
+    assert _uniform_sweep(da, db, 3, 0, True) == (-1.0, 0, 0)
+    assert _uniform_sweep(da * np.nan, db, 3, 4, True) == (-1.0, 0, 0)
+    # NaN pairs never win, whatever their position
+    da[3] = np.nan
+    for ks in (False, True):
+        assert _uniform_sweep(da, db, 2, 4, ks) == loop_uniform_sweep(da, db, 2, 4, ks)
+
+
+@pytest.mark.parametrize("stage", ["cn", "vn"])
+def test_design_uniform_rebuild_matches_loop_sweep(stage, monkeypatch):
+    # a CN (kappa searched) and a VN (kappa = 0) stage of the paper's design
+    # point, each over a 24-step grid of rebuilt PMFs
+    fine = awgn_llr_pmf(ChannelModel(ebn0_db=3.3, rate=0.841, grid_size=600))
+    _, p_ch = design_channel_quantizer(fine, 4)
+    dstar = quantizers.phi_saturation_delta(p_ch, 8)
+    if stage == "cn":
+        def rebuild(step):
+            return cn_evolve_comp(p_ch, 8, build_translation_table(p_ch, "cn_phi", step, 8))
+    else:
+        def rebuild(step):
+            tabs = {"phi_ch": build_translation_table(p_ch, "vn_llr", step, 8),
+                    "phi_c": build_translation_table(p_ch, "vn_llr", step, 8)}
+            return vn_evolve(p_ch, p_ch, 3, tabs)
+    grid = build_delta_grid(dstar, 24)
+    kw = dict(wphi=8, kappa_search=stage == "cn", rebuild=rebuild, delta_grid=grid)
+    got = design_uniform(p_ch, 4, **kw)
+    monkeypatch.setattr(quantizers, "_uniform_sweep", loop_uniform_sweep)
+    assert got == design_uniform(p_ch, 4, **kw)
+    # the plain (no rebuild) search too, with its default shift limit
+    q = rebuild(float(grid[5]))
+    monkeypatch.undo()
+    got = design_uniform(q, 4, kappa_search=True)
+    monkeypatch.setattr(quantizers, "_uniform_sweep", loop_uniform_sweep)
+    assert got == design_uniform(q, 4, kappa_search=True)
+    assert _dense_folded(q)[0].size > 2 ** 6    # default shift limit >= 8
 
 
 def test_uniform_never_beats_nonuniform():
