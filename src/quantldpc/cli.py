@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .codes import generate_regular_code, parse_alist
-from .complexity import report as complexity_report
+from .complexity import CN_VARIANTS, VN_VARIANTS, report as complexity_report
 from .evolution import DesignArtifact, EnsembleConfig, de_threshold, design_decoder
 from .pmf import ValidationError
 from .sim import sweep, write_csv
@@ -21,15 +21,18 @@ def _variant(s):
     return s.replace("-", "_")
 
 
+def _flag(variant):
+    return variant.replace("_", "-")
+
+
 def _add_ensemble_flags(p):
     p.add_argument("--dc", type=int, required=True, help="check node degree")
     p.add_argument("--dv", type=int, required=True, help="variable node degree")
     p.add_argument("--w", type=int, default=4, help="message width in bits")
     p.add_argument("--wphi", type=int, default=8, help="internal translation width")
     p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--cn", default="comp",
-                   choices=["comp", "comp-uni", "min", "omsq"])
-    p.add_argument("--vn", default="comp", choices=["comp", "comp-uni", "omsq"])
+    p.add_argument("--cn", default="comp", choices=[_flag(v) for v in CN_VARIANTS])
+    p.add_argument("--vn", default="comp", choices=[_flag(v) for v in VN_VARIANTS])
     p.add_argument("--ebn0", type=float, required=True, help="design Eb/N0 in dB")
     p.add_argument("--rate", type=float, required=True, help="ensemble code rate")
     p.add_argument("--grid-size", type=int, default=2000)

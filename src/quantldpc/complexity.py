@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .pmf import ValidationError
 
+#: the node variants, for the cost model, the design configs and the CLI
 CN_VARIANTS = ("comp", "comp_uni", "min", "omsq")
 VN_VARIANTS = ("comp", "comp_uni", "omsq")
 

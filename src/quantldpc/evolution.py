@@ -8,6 +8,12 @@ uniform quantizer) or approximate the update by the extrinsic minimum
 (``min``).  An offset-min-sum baseline (``omsq``) evolves plain uniform-LLR
 integer messages with no designed tables at all.
 
+Every designed node (``comp`` or ``comp_uni``, check or variable side) runs
+one stage routine: build the node's translation tables at a step size,
+evolve the node output on them, quantize it to w bits, and keep the first
+step of highest MI.  The two quantizer styles differ only in the designer
+(threshold DP or uniform shift/offset search) and in the steps tried.
+
 The per-iteration designs are collected into a DesignArtifact that the
 fixed-point decoder executes verbatim; de_threshold wraps the whole design
 pipeline in a bisection over the design SNR.
@@ -19,9 +25,11 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
+from .complexity import CN_VARIANTS, VN_VARIANTS
 from .pmf import (
     ChannelModel,
     JointPMF,
@@ -43,9 +51,6 @@ from .quantizers import (
     phi_saturation_delta,
     threshold_edges_llr,
 )
-
-CN_VARIANTS = ("comp", "comp_uni", "min", "omsq")
-VN_VARIANTS = ("comp", "comp_uni", "omsq")
 
 #: mi_vn level treated as converged
 EARLY_STOP_MI = 1.0 - 1e-6
@@ -427,105 +432,54 @@ def _search_subgrid(grid, prev_best, half_width):
     return grid[lo:hi], (lo > 0 or hi < grid.size)
 
 
-def _design_cn_comp(p_in, cfg):
-    """Non-uniform CN stage: tables at the chosen step, aggregate, DP design."""
-    dstar = phi_saturation_delta(p_in, cfg.wphi)
-    if cfg.delta_search_points > 1:
-        candidates = build_delta_grid(dstar, cfg.delta_search_points)
+def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
+                  kappa_search=False):
+    """One designed node stage: tables at a step, evolution, quantizer.
+
+    ``tables_at(step)`` builds the stage's translation tables at a step
+    size, ``evolve(tables)`` the node output PMF on them; each step's PMF
+    is quantized to w bits by the threshold DP, or by the uniform search
+    when ``uniform`` is set.  The steps tried are ``dstar`` alone or the
+    ``delta_search_points`` grid around it (non-uniform), or the warm
+    window of the ``uniform_grid_points`` grid around ``prev_delta``, with
+    the full grid searched instead when the best step lands on the
+    window's edge (uniform).  The first step of highest MI wins.  Steps
+    whose tables round to the same values share one evolved PMF.
+
+    Returns ``(tables, QuantizerSpec, mi, quantized output PMF)``.
+    """
+    if uniform:
+        grid = build_delta_grid(dstar, cfg.uniform_grid_points)
+        steps, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
+    elif cfg.delta_search_points > 1:
+        steps, windowed = build_delta_grid(dstar, cfg.delta_search_points), False
     else:
-        candidates = [dstar]
-    best = None
-    cache = {}
-    for step in candidates:
-        step = float(step)
-        tab = build_translation_table(p_in, "cn_phi", step, cfg.wphi)
-        agg = cache.get(tab.values)
-        if agg is None:
-            agg = cn_evolve_comp(p_in, cfg.dc, tab)
-            cache[tab.values] = agg
-        spec, mi = design_nonuniform(agg, cfg.w, delta=step, prune_tol=cfg.prune_tol)
-        if best is None or mi > best[0]:
-            best = (mi, tab, spec, agg)
-    mi, tab, spec, agg = best
-    return tab, spec, mi, apply_quantizer(agg, spec)
-
-
-def _design_cn_uniform(p_in, cfg, prev_delta):
-    """Uniform CN stage: joint (step, shift, offset) search with rebuilds."""
-    dstar = phi_saturation_delta(p_in, cfg.wphi)
-    grid = build_delta_grid(dstar, cfg.uniform_grid_points)
+        steps, windowed = [dstar], False
     cache = {}
 
-    def rebuild(step):
-        tab = build_translation_table(p_in, "cn_phi", step, cfg.wphi)
-        agg = cache.get(tab.values)
-        if agg is None:
-            agg = cn_evolve_comp(p_in, cfg.dc, tab)
-            cache[tab.values] = agg
-        return agg
+    def search(steps):
+        best = None
+        for step in steps:
+            step = float(step)
+            tables = tables_at(step)
+            key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
+                   else tables.values)
+            q = cache.get(key)
+            if q is None:
+                q = cache[key] = evolve(tables)
+            if uniform:
+                spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi,
+                                          kappa_search=kappa_search, delta=step)
+            else:
+                spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+            if best is None or mi > best[2]:
+                best = (tables, spec, mi, q)
+        return best
 
-    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
-    spec, mi = design_uniform(p_in, cfg.w, wphi=cfg.wphi, kappa_search=True,
-                              rebuild=rebuild, delta_grid=sub)
-    if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
-        spec, mi = design_uniform(p_in, cfg.w, wphi=cfg.wphi, kappa_search=True,
-                                  rebuild=rebuild, delta_grid=grid)
-    tab = build_translation_table(p_in, "cn_phi", spec.delta, cfg.wphi)
-    return tab, spec, mi, apply_quantizer(rebuild(spec.delta), spec)
-
-
-def _vn_tables(p_cn, p_ch, step, wphi):
-    return {
-        "phi_ch": build_translation_table(p_ch, "vn_llr", step, wphi),
-        "phi_c": build_translation_table(p_cn, "vn_llr", step, wphi),
-    }
-
-
-def _design_vn_comp(p_cn, p_ch, cfg):
-    dstar = llr_saturation_delta([p_cn, p_ch], cfg.wphi)
-    if cfg.delta_search_points > 1:
-        candidates = build_delta_grid(dstar, cfg.delta_search_points)
-    else:
-        candidates = [dstar]
-    best = None
-    cache = {}
-    for step in candidates:
-        step = float(step)
-        tabs = _vn_tables(p_cn, p_ch, step, cfg.wphi)
-        key = (tabs["phi_ch"].values, tabs["phi_c"].values)
-        sym = cache.get(key)
-        if sym is None:
-            sym = vn_evolve(p_cn, p_ch, cfg.dv, tabs)
-            cache[key] = sym
-        spec, mi = design_nonuniform(sym, cfg.w, delta=step, prune_tol=cfg.prune_tol)
-        if best is None or mi > best[0]:
-            best = (mi, tabs, spec, sym)
-    mi, tabs, spec, sym = best
-    return tabs, spec, mi, apply_quantizer(sym, spec)
-
-
-def _design_vn_uniform(p_cn, p_ch, cfg, prev_delta):
-    dstar = llr_saturation_delta([p_cn, p_ch], cfg.wphi)
-    grid = build_delta_grid(dstar, cfg.uniform_grid_points)
-    cache = {}
-
-    def rebuild(step):
-        tabs = _vn_tables(p_cn, p_ch, step, cfg.wphi)
-        key = (tabs["phi_ch"].values, tabs["phi_c"].values)
-        sym = cache.get(key)
-        if sym is None:
-            sym = vn_evolve(p_cn, p_ch, cfg.dv, tabs)
-            cache[key] = sym
-        return sym
-
-    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
-    spec, mi = design_uniform(p_ch, cfg.w, wphi=cfg.wphi, kappa_search=False,
-                              rebuild=rebuild, delta_grid=sub)
-    if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
-        spec, mi = design_uniform(p_ch, cfg.w, wphi=cfg.wphi, kappa_search=False,
-                                  rebuild=rebuild, delta_grid=grid)
-    tabs = _vn_tables(p_cn, p_ch, spec.delta, cfg.wphi)
-    return tabs, spec, mi, apply_quantizer(rebuild(spec.delta), spec)
+    tables, spec, mi, q = search(steps)
+    if windowed and (spec.delta <= steps[0] or spec.delta >= steps[-1]):
+        tables, spec, mi, q = search(grid)
+    return tables, spec, mi, apply_quantizer(q, spec)
 
 
 def design_decoder(cfg: EnsembleConfig):
@@ -556,31 +510,31 @@ def design_decoder(cfg: EnsembleConfig):
     dips = 0
     for _ in range(cfg.iterations):
         rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
-        if cfg.cn_variant == "comp":
-            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_cn_comp(p_v2c, cfg)
-            prev_cn_delta = rec.cn_quantizer.delta
-        elif cfg.cn_variant == "comp_uni":
-            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = \
-                _design_cn_uniform(p_v2c, cfg, prev_cn_delta)
-            prev_cn_delta = rec.cn_quantizer.delta
-        elif cfg.cn_variant == "min":
+        if cfg.cn_variant == "min":
             p_c2v = cn_evolve_min(p_v2c, cfg.dc)
             rec.mi_cn = mutual_information(p_c2v)
-        else:  # omsq
+        elif cfg.cn_variant == "omsq":
             p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
             rec.mi_cn = mutual_information(p_c2v)
+        else:
+            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
+                cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
+                partial(build_translation_table, p_v2c, "cn_phi", wphi=cfg.wphi),
+                partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta, kappa_search=True)
+            prev_cn_delta = rec.cn_quantizer.delta
 
-        if cfg.vn_variant == "comp":
-            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = \
-                _design_vn_comp(p_c2v, t_ch, cfg)
-            prev_vn_delta = rec.vn_quantizer.delta
-        elif cfg.vn_variant == "comp_uni":
-            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = \
-                _design_vn_uniform(p_c2v, t_ch, cfg, prev_vn_delta)
-            prev_vn_delta = rec.vn_quantizer.delta
-        else:  # omsq
+        if cfg.vn_variant == "omsq":
             p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
             rec.mi_vn = mutual_information(p_v2c)
+        else:
+            def vn_tables(step, p_cn=p_c2v):
+                return {"phi_ch": build_translation_table(t_ch, "vn_llr", step, cfg.wphi),
+                        "phi_c": build_translation_table(p_cn, "vn_llr", step, cfg.wphi)}
+
+            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
+                cfg, cfg.vn_variant == "comp_uni", llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
+                vn_tables, partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta)
+            prev_vn_delta = rec.vn_quantizer.delta
 
         artifact.per_iteration.append(rec)
         trajectory.append((rec.mi_cn, rec.mi_vn))

@@ -105,7 +105,7 @@ class JointPMF:
         if np.any(m < -1e-15):
             raise ValidationError("negative probability mass")
         total = float(m.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not (abs(total - 1.0) <= MASS_TOL):   # a NaN mass fails too
             raise ValidationError(f"mass sums to {total!r}, not 1 within {MASS_TOL}")
         if self.values is not None and self.values.shape != a.shape:
             raise ValidationError("values must align with the alphabet")
@@ -297,16 +297,21 @@ def symmetrize_vn_sum(p: JointPMF) -> JointPMF:
     alphabet = np.concatenate([np.arange(-m, 0), np.arange(1, m + 1)])
     values = None
     if p.values is not None:
-        unit = _infer_unit(p)
-        values = alphabet.astype(np.float64) * unit
+        values = alphabet.astype(np.float64) * _magnitude_unit(p)
     return JointPMF(alphabet, out, llr_order=True, symmetric=True, values=values)
 
 
-def _infer_unit(p: JointPMF) -> float:
-    """Real value per integer step, inferred from a PMF's values array."""
-    nz = p.alphabet != 0
-    ratios = p.values[nz] / p.alphabet[nz]
-    return float(ratios[0])
+def _magnitude_unit(p: JointPMF) -> float:
+    """Real value of one magnitude step, read off a PMF's values array at
+    its first symbol of nonzero magnitude (1.0 without values)."""
+    if p.values is None:
+        return 1.0
+    mags = np.abs(p.alphabet) - p.mag_offset
+    nz = mags >= 1
+    if not np.any(nz):
+        return 1.0
+    i = int(np.argmax(nz))
+    return float(abs(p.values[i]) / mags[i])
 
 
 def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, ValidationError, _cluster_scores, apply_quantizer
+from .pmf import JointPMF, ValidationError, _cluster_scores, _magnitude_unit, apply_quantizer
 
 
 @dataclass(frozen=True)
@@ -386,18 +386,6 @@ def _dense_folded(p: JointPMF):
     return da, db
 
 
-def _magnitude_unit(p: JointPMF) -> float:
-    """Real value of one magnitude step, read off a PMF's values array."""
-    if p.values is None:
-        return 1.0
-    mags = np.abs(p.alphabet) - p.mag_offset
-    nz = mags >= 1
-    if not np.any(nz):
-        return 1.0
-    i = int(np.argmax(nz))
-    return float(abs(p.values[i]) / mags[i])
-
-
 @functools.lru_cache(maxsize=8)
 def _uniform_grid(K, r_limit, kappa_search):
     """Unclipped boundaries k * 2**r - kappa (k = 0..K) of every (r, kappa)
@@ -449,38 +437,25 @@ def build_delta_grid(delta_star: float, n_points: int = 256,
 
 
 def design_uniform(p: JointPMF, w: int, *, wphi: int | None = None,
-                   kappa_search: bool = False, rebuild=None,
-                   delta_grid=None, delta: float | None = None):
-    """MI-best uniform shift/offset quantizer for a symmetric PMF.
+                   kappa_search: bool = False, delta: float | None = None):
+    """MI-best uniform shift/offset quantizer for one symmetric PMF.
 
-    Without ``rebuild`` the search runs on ``p`` itself over all shifts
-    r < wphi (and offsets kappa < 2**r when ``kappa_search`` is set);
-    ``delta`` merely labels the resulting spec.  With ``rebuild``, every
-    step size in ``delta_grid`` is tried: ``rebuild(step)`` must return the
-    integer-domain PMF obtained when the underlying translation tables are
-    rebuilt at that step.  Ties prefer the smaller step, then the smaller
-    shift, then the smaller offset (the iteration order guarantees this
-    under strict improvement).
+    Searches every shift r < wphi (default: enough shifts to reach past
+    the largest magnitude of ``p``) and, when ``kappa_search`` is set,
+    every offset kappa < 2**r.  MI ties go to the smaller shift, then the
+    smaller offset.  ``delta`` only labels the resulting spec (default:
+    the real value of one magnitude step of ``p``).  The step-size search,
+    which rebuilds the PMF at every step and keeps the first step of
+    highest MI, lives in the density-evolution stage that calls this.
 
     Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
     """
-    if rebuild is None:
-        if not p.symmetric:
-            raise ValidationError("uniform design expects a symmetric PMF")
-        if not p.llr_order:
-            raise ValidationError("uniform design expects reliability-ordered magnitudes")
-        candidates = ((p, _magnitude_unit(p) if delta is None else delta),)
-    elif delta_grid is None:
-        raise ValidationError("rebuild search needs a delta_grid")
-    else:
-        candidates = ((rebuild(float(step)), float(step))
-                      for step in np.asarray(delta_grid, dtype=np.float64))
-    best = None
-    for q, step in candidates:
-        da, db = _dense_folded(q)
-        r_limit = wphi if wphi is not None else max(1, int(da.size - 1).bit_length() + 1)
-        mi, r, kappa = _uniform_sweep(da, db, w, r_limit, kappa_search)
-        if best is None or mi > best[0]:
-            best = (mi, step, r, kappa)
-    mi, step, r, kappa = best
+    if not p.symmetric:
+        raise ValidationError("uniform design expects a symmetric PMF")
+    if not p.llr_order:
+        raise ValidationError("uniform design expects reliability-ordered magnitudes")
+    da, db = _dense_folded(p)
+    r_limit = wphi if wphi is not None else max(1, int(da.size - 1).bit_length() + 1)
+    mi, r, kappa = _uniform_sweep(da, db, w, r_limit, kappa_search)
+    step = _magnitude_unit(p) if delta is None else delta
     return QuantizerSpec("uniform", w, delta=step, shift_r=r, offset_kappa=kappa), mi

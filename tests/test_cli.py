@@ -1,6 +1,9 @@
+import argparse
+
 import pytest
 
-from quantldpc.cli import main
+from quantldpc.cli import _variant, build_parser, main
+from quantldpc.complexity import CN_VARIANTS, VN_VARIANTS
 from quantldpc.codes import generate_regular_code, write_alist
 
 DESIGN = ["--dc", "6", "--dv", "3", "--w", "3", "--wphi", "6",
@@ -107,6 +110,16 @@ def test_unknown_variant_is_a_usage_error(capsys):
         main(["design", "--dc", "6", "--dv", "3", "--ebn0", "3.0",
               "--rate", "0.5", "--cn", "turbo"])
     assert exc.value.code == 2
+
+
+def test_variant_choices_come_from_the_registry():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("design", "evolve", "simulate"):
+        flags = {a.dest: a for a in subparsers.choices[command]._actions}
+        assert tuple(map(_variant, flags["cn"].choices)) == CN_VARIANTS
+        assert tuple(map(_variant, flags["vn"].choices)) == VN_VARIANTS
+        assert "comp-uni" in flags["cn"].choices and "comp-uni" in flags["vn"].choices
 
 
 def test_config_contradiction_reports_cleanly(capsys):

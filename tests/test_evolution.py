@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -8,17 +9,45 @@ import pytest
 
 from quantldpc import evolution
 from quantldpc.evolution import (
+    EARLY_STOP_MI,
     DesignArtifact,
     EnsembleConfig,
+    IterationDesign,
     OmsqChannelQuantizer,
+    _omsq_channel_design,
+    _omsq_cn_evolve,
+    _omsq_vn_evolve,
+    _search_subgrid,
     cn_evolve_comp,
     cn_evolve_min,
     de_threshold,
     design_decoder,
     vn_evolve,
 )
-from quantldpc.pmf import JointPMF, ValidationError, mutual_information
-from quantldpc.quantizers import TranslationTable
+from quantldpc.pmf import (
+    ChannelModel,
+    JointPMF,
+    ValidationError,
+    _magnitude_unit,
+    apply_quantizer,
+    awgn_llr_pmf,
+    mutual_information,
+    symmetrize_vn_sum,
+)
+from quantldpc.quantizers import (
+    QuantizerSpec,
+    TranslationTable,
+    _dense_folded,
+    _uniform_sweep,
+    build_delta_grid,
+    build_translation_table,
+    design_channel_quantizer,
+    design_nonuniform,
+    design_uniform,
+    llr_saturation_delta,
+    phi_saturation_delta,
+    threshold_edges_llr,
+)
 
 
 def message_pmf(seed=0, half=4):
@@ -204,6 +233,11 @@ def base_cfg(**kw):
     return EnsembleConfig(**args)
 
 
+#: every (cn, vn) pair with at least one designed node
+DESIGNED_PAIRS = [(cn, vn) for cn in ("comp", "comp_uni", "min")
+                  for vn in ("comp", "comp_uni")]
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         base_cfg(cn_variant="sum_product")
@@ -258,6 +292,55 @@ def test_artifact_roundtrip_is_bit_exact():
         assert a.cn_tables.values == b.cn_tables.values
         assert a.cn_tables.delta == b.cn_tables.delta
         assert a.vn_tables["phi_ch"].values == b.vn_tables["phi_ch"].values
+
+
+@pytest.mark.parametrize("cn,vn", DESIGNED_PAIRS + [("omsq", "omsq")])
+def test_artifact_roundtrip_is_structural(cn, vn, tmp_path):
+    artifact, _ = design_decoder(base_cfg(cn_variant=cn, vn_variant=vn, iterations=3))
+    path = tmp_path / "design.json"
+    artifact.save(path)
+    back = DesignArtifact.load(path)
+    assert back.to_json() == artifact.to_json()
+    for f in fields(DesignArtifact):
+        got, want = getattr(back, f.name), getattr(artifact, f.name)
+        if f.name != "channel_pmf":
+            # config, quantizers, edges and every IterationDesign field
+            assert type(got) is type(want) and got == want, f.name
+            continue
+        for slot in JointPMF.__slots__:
+            a, b = getattr(got, slot), getattr(want, slot)
+            assert type(a) is type(b), slot
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), slot
+            else:
+                assert a == b, slot
+    for a, b in zip(back.per_iteration, artifact.per_iteration):
+        assert type(a) is IterationDesign
+        assert type(a.mi_cn) is type(b.mi_cn) and type(a.mi_vn) is type(b.mi_vn)
+        if b.vn_tables is not None:
+            assert list(a.vn_tables) == list(b.vn_tables)
+
+
+def test_vn_evolve_values_keep_the_signed_unit(monkeypatch):
+    # symmetrize_vn_sum labels its output with the unit of vn_evolve's raw
+    # adder sum; on that sum it equals values[0] / alphabet[0] bit for bit
+    raw_sums = []
+
+    def spy(raw):
+        raw_sums.append(raw)
+        return symmetrize_vn_sum(raw)
+
+    monkeypatch.setattr(evolution, "symmetrize_vn_sum", spy)
+    fine = awgn_llr_pmf(ChannelModel(ebn0_db=3.3, rate=0.841, grid_size=600))
+    _, p_ch = design_channel_quantizer(fine, 4)
+    for step in build_delta_grid(llr_saturation_delta([p_ch], 8), 256):
+        tabs = {key: build_translation_table(p_ch, "vn_llr", float(step), 8)
+                for key in ("phi_ch", "phi_c")}
+        out = vn_evolve(p_ch, p_ch, 3, tabs)
+        raw = raw_sums[-1]
+        unit = float((raw.values[raw.alphabet != 0] / raw.alphabet[raw.alphabet != 0])[0])
+        assert np.array_equal(out.values, out.alphabet.astype(np.float64) * unit)
+    assert len(raw_sums) == 256
 
 
 def test_artifact_roundtrip_keeps_every_config_field():
@@ -353,3 +436,270 @@ def test_de_threshold_probes_change_only_the_design_snr(monkeypatch):
         assert type(probe) is EnsembleConfig
         assert probe.design_ebn0_db == snr
         assert replace(probe, design_ebn0_db=cfg.design_ebn0_db) == cfg
+
+
+# --- reference design stages --------------------------------------------------
+# The four stage routines, the design loop and the step-searching uniform
+# designer as they stood before the single stage routine, kept verbatim
+# (names aside) as the differential oracle of evolution._design_stage.
+
+def ref_design_uniform(p: JointPMF, w: int, *, wphi: int | None = None,
+                   kappa_search: bool = False, rebuild=None,
+                   delta_grid=None, delta: float | None = None):
+    """MI-best uniform shift/offset quantizer for a symmetric PMF.
+
+    Without ``rebuild`` the search runs on ``p`` itself over all shifts
+    r < wphi (and offsets kappa < 2**r when ``kappa_search`` is set);
+    ``delta`` merely labels the resulting spec.  With ``rebuild``, every
+    step size in ``delta_grid`` is tried: ``rebuild(step)`` must return the
+    integer-domain PMF obtained when the underlying translation tables are
+    rebuilt at that step.  Ties prefer the smaller step, then the smaller
+    shift, then the smaller offset (the iteration order guarantees this
+    under strict improvement).
+
+    Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
+    """
+    if rebuild is None:
+        if not p.symmetric:
+            raise ValidationError("uniform design expects a symmetric PMF")
+        if not p.llr_order:
+            raise ValidationError("uniform design expects reliability-ordered magnitudes")
+        candidates = ((p, _magnitude_unit(p) if delta is None else delta),)
+    elif delta_grid is None:
+        raise ValidationError("rebuild search needs a delta_grid")
+    else:
+        candidates = ((rebuild(float(step)), float(step))
+                      for step in np.asarray(delta_grid, dtype=np.float64))
+    best = None
+    for q, step in candidates:
+        da, db = _dense_folded(q)
+        r_limit = wphi if wphi is not None else max(1, int(da.size - 1).bit_length() + 1)
+        mi, r, kappa = _uniform_sweep(da, db, w, r_limit, kappa_search)
+        if best is None or mi > best[0]:
+            best = (mi, step, r, kappa)
+    mi, step, r, kappa = best
+    return QuantizerSpec("uniform", w, delta=step, shift_r=r, offset_kappa=kappa), mi
+
+
+def ref_design_cn_comp(p_in, cfg):
+    """Non-uniform CN stage: tables at the chosen step, aggregate, DP design."""
+    dstar = phi_saturation_delta(p_in, cfg.wphi)
+    if cfg.delta_search_points > 1:
+        candidates = build_delta_grid(dstar, cfg.delta_search_points)
+    else:
+        candidates = [dstar]
+    best = None
+    cache = {}
+    for step in candidates:
+        step = float(step)
+        tab = build_translation_table(p_in, "cn_phi", step, cfg.wphi)
+        agg = cache.get(tab.values)
+        if agg is None:
+            agg = cn_evolve_comp(p_in, cfg.dc, tab)
+            cache[tab.values] = agg
+        spec, mi = design_nonuniform(agg, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+        if best is None or mi > best[0]:
+            best = (mi, tab, spec, agg)
+    mi, tab, spec, agg = best
+    return tab, spec, mi, apply_quantizer(agg, spec)
+
+
+def ref_design_cn_uniform(p_in, cfg, prev_delta):
+    """Uniform CN stage: joint (step, shift, offset) search with rebuilds."""
+    dstar = phi_saturation_delta(p_in, cfg.wphi)
+    grid = build_delta_grid(dstar, cfg.uniform_grid_points)
+    cache = {}
+
+    def rebuild(step):
+        tab = build_translation_table(p_in, "cn_phi", step, cfg.wphi)
+        agg = cache.get(tab.values)
+        if agg is None:
+            agg = cn_evolve_comp(p_in, cfg.dc, tab)
+            cache[tab.values] = agg
+        return agg
+
+    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
+    spec, mi = ref_design_uniform(p_in, cfg.w, wphi=cfg.wphi, kappa_search=True,
+                              rebuild=rebuild, delta_grid=sub)
+    if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
+        spec, mi = ref_design_uniform(p_in, cfg.w, wphi=cfg.wphi, kappa_search=True,
+                                  rebuild=rebuild, delta_grid=grid)
+    tab = build_translation_table(p_in, "cn_phi", spec.delta, cfg.wphi)
+    return tab, spec, mi, apply_quantizer(rebuild(spec.delta), spec)
+
+
+def ref_vn_tables(p_cn, p_ch, step, wphi):
+    return {
+        "phi_ch": build_translation_table(p_ch, "vn_llr", step, wphi),
+        "phi_c": build_translation_table(p_cn, "vn_llr", step, wphi),
+    }
+
+
+def ref_design_vn_comp(p_cn, p_ch, cfg):
+    dstar = llr_saturation_delta([p_cn, p_ch], cfg.wphi)
+    if cfg.delta_search_points > 1:
+        candidates = build_delta_grid(dstar, cfg.delta_search_points)
+    else:
+        candidates = [dstar]
+    best = None
+    cache = {}
+    for step in candidates:
+        step = float(step)
+        tabs = ref_vn_tables(p_cn, p_ch, step, cfg.wphi)
+        key = (tabs["phi_ch"].values, tabs["phi_c"].values)
+        sym = cache.get(key)
+        if sym is None:
+            sym = vn_evolve(p_cn, p_ch, cfg.dv, tabs)
+            cache[key] = sym
+        spec, mi = design_nonuniform(sym, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+        if best is None or mi > best[0]:
+            best = (mi, tabs, spec, sym)
+    mi, tabs, spec, sym = best
+    return tabs, spec, mi, apply_quantizer(sym, spec)
+
+
+def ref_design_vn_uniform(p_cn, p_ch, cfg, prev_delta):
+    dstar = llr_saturation_delta([p_cn, p_ch], cfg.wphi)
+    grid = build_delta_grid(dstar, cfg.uniform_grid_points)
+    cache = {}
+
+    def rebuild(step):
+        tabs = ref_vn_tables(p_cn, p_ch, step, cfg.wphi)
+        key = (tabs["phi_ch"].values, tabs["phi_c"].values)
+        sym = cache.get(key)
+        if sym is None:
+            sym = vn_evolve(p_cn, p_ch, cfg.dv, tabs)
+            cache[key] = sym
+        return sym
+
+    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
+    spec, mi = ref_design_uniform(p_ch, cfg.w, wphi=cfg.wphi, kappa_search=False,
+                              rebuild=rebuild, delta_grid=sub)
+    if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
+        spec, mi = ref_design_uniform(p_ch, cfg.w, wphi=cfg.wphi, kappa_search=False,
+                                  rebuild=rebuild, delta_grid=grid)
+    tabs = ref_vn_tables(p_cn, p_ch, spec.delta, cfg.wphi)
+    return tabs, spec, mi, apply_quantizer(rebuild(spec.delta), spec)
+
+
+def ref_design_decoder(cfg: EnsembleConfig):
+    """Run discrete density evolution at the design SNR.
+
+    Iteration 1 forwards the channel messages straight into the check
+    nodes; every iteration then designs the variant-specific quantizers on
+    the evolved distributions.  Returns the DesignArtifact and the MI
+    trajectory, a list of (mi_cn, mi_vn) pairs.  The loop leaves early once
+    mi_vn reaches 1 - 1e-6 or stalls for several iterations, so the
+    artifact may cover fewer than ``cfg.iterations`` iterations.
+    """
+    fine = awgn_llr_pmf(cfg.channel_model())
+    if cfg.cn_variant == "omsq":
+        chq, t_ch = _omsq_channel_design(fine, cfg.w)
+        edges = None
+    else:
+        chq, t_ch = design_channel_quantizer(fine, cfg.w)
+        edges = threshold_edges_llr(chq, fine)
+    artifact = DesignArtifact(cfg, chq, t_ch, edges)
+    trajectory = []
+
+    p_v2c = t_ch
+    prev_cn_delta = None
+    prev_vn_delta = None
+    prev_mi_vn = None
+    stall = 0
+    dips = 0
+    for _ in range(cfg.iterations):
+        rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
+        if cfg.cn_variant == "comp":
+            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = ref_design_cn_comp(p_v2c, cfg)
+            prev_cn_delta = rec.cn_quantizer.delta
+        elif cfg.cn_variant == "comp_uni":
+            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = \
+                ref_design_cn_uniform(p_v2c, cfg, prev_cn_delta)
+            prev_cn_delta = rec.cn_quantizer.delta
+        elif cfg.cn_variant == "min":
+            p_c2v = cn_evolve_min(p_v2c, cfg.dc)
+            rec.mi_cn = mutual_information(p_c2v)
+        else:  # omsq
+            p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
+            rec.mi_cn = mutual_information(p_c2v)
+
+        if cfg.vn_variant == "comp":
+            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = \
+                ref_design_vn_comp(p_c2v, t_ch, cfg)
+            prev_vn_delta = rec.vn_quantizer.delta
+        elif cfg.vn_variant == "comp_uni":
+            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = \
+                ref_design_vn_uniform(p_c2v, t_ch, cfg, prev_vn_delta)
+            prev_vn_delta = rec.vn_quantizer.delta
+        else:  # omsq
+            p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
+            rec.mi_vn = mutual_information(p_v2c)
+
+        artifact.per_iteration.append(rec)
+        trajectory.append((rec.mi_cn, rec.mi_vn))
+
+        if prev_mi_vn is not None and rec.mi_vn < prev_mi_vn - 1e-9:
+            dips += 1
+        if rec.mi_vn >= EARLY_STOP_MI:
+            break
+        if prev_mi_vn is not None and abs(rec.mi_vn - prev_mi_vn) < 1e-11:
+            stall += 1
+            if stall >= 3:
+                break
+        else:
+            stall = 0
+        prev_mi_vn = rec.mi_vn
+    if dips:
+        warnings.warn(
+            f"mi_vn decreased on {dips} of {len(trajectory)} iterations "
+            "(quantizer redesign oscillation)", RuntimeWarning, stacklevel=2)
+    return artifact, trajectory
+
+
+def stage_cfg(cn, vn, **kw):
+    # dc = 6 and a warm window of 1 often put the best uniform step on the
+    # window's edge, either edge, so the full-grid fallback runs too
+    args = dict(dc=6, dv=3, w=3, wphi=6, iterations=8, cn_variant=cn, vn_variant=vn,
+                uniform_grid_points=16)
+    args.update(kw)
+    return base_cfg(**args)
+
+
+@pytest.mark.parametrize("cn,vn", DESIGNED_PAIRS)
+@pytest.mark.parametrize("search_points", [0, 1, 5])
+@pytest.mark.parametrize("warm_window", [0, 1])
+@pytest.mark.parametrize("ebn0", [2.2, 3.0])
+def test_design_stage_matches_reference(cn, vn, search_points, warm_window, ebn0):
+    cfg = stage_cfg(cn, vn, design_ebn0_db=ebn0, delta_search_points=search_points,
+                    uniform_warm_window=warm_window)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, got_traj = design_decoder(cfg)
+        want, want_traj = ref_design_decoder(cfg)
+    assert got_traj == want_traj
+    assert got.to_json() == want.to_json()
+    assert got.per_iteration == want.per_iteration
+
+
+def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
+    # the differential cases above must exercise the window-edge fallback
+    stages = []
+
+    def subgrid(grid, prev_best, half_width):
+        sub, windowed = _search_subgrid(grid, prev_best, half_width)
+        stages.append([sub.size, 0])
+        return sub, windowed
+
+    def designer(*args, **kwargs):
+        stages[-1][1] += 1
+        return design_uniform(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_search_subgrid", subgrid)
+    monkeypatch.setattr(evolution, "design_uniform", designer)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        design_decoder(stage_cfg("comp_uni", "comp_uni", design_ebn0_db=3.0,
+                                 uniform_warm_window=1))
+    fallbacks = sum(1 for window, calls in stages if calls > window)
+    assert len(stages) == 16 and 0 < fallbacks < 16

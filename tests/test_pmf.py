@@ -191,6 +191,11 @@ def test_joint_pmf_validation():
     JointPMF([-1, 1], np.array([[0.3, 0.3], [0.2, 0.2]]))
 
 
+def test_joint_pmf_rejects_nan_mass():
+    with pytest.raises(ValidationError, match="sums to nan"):
+        JointPMF([-1, 1], [[math.nan, 0.5], [0.5, 0.2]])
+
+
 def test_channel_model_validation():
     with pytest.raises(ValidationError):
         ChannelModel(ebn0_db=1.0, rate=1.5)

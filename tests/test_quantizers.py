@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantldpc import quantizers
-from quantldpc.evolution import cn_evolve_comp, vn_evolve
+from quantldpc.evolution import EnsembleConfig, _design_stage, cn_evolve_comp, vn_evolve
 from quantldpc.pmf import (
     ChannelModel,
     JointPMF,
@@ -333,20 +333,33 @@ def test_design_uniform_rebuild_matches_loop_sweep(stage, monkeypatch):
     _, p_ch = design_channel_quantizer(fine, 4)
     dstar = quantizers.phi_saturation_delta(p_ch, 8)
     if stage == "cn":
-        def rebuild(step):
-            return cn_evolve_comp(p_ch, 8, build_translation_table(p_ch, "cn_phi", step, 8))
+        def tables_at(step):
+            return build_translation_table(p_ch, "cn_phi", step, 8)
+
+        def evolve(tab):
+            return cn_evolve_comp(p_ch, 8, tab)
     else:
-        def rebuild(step):
-            tabs = {"phi_ch": build_translation_table(p_ch, "vn_llr", step, 8),
+        def tables_at(step):
+            return {"phi_ch": build_translation_table(p_ch, "vn_llr", step, 8),
                     "phi_c": build_translation_table(p_ch, "vn_llr", step, 8)}
+
+        def evolve(tabs):
             return vn_evolve(p_ch, p_ch, 3, tabs)
-    grid = build_delta_grid(dstar, 24)
-    kw = dict(wphi=8, kappa_search=stage == "cn", rebuild=rebuild, delta_grid=grid)
-    got = design_uniform(p_ch, 4, **kw)
+    cfg = EnsembleConfig(dc=8, dv=3, w=4, wphi=8, iterations=1, cn_variant="comp_uni",
+                         vn_variant="comp_uni", design_ebn0_db=3.3, rate=0.841,
+                         uniform_grid_points=24)
+
+    def stage_design():
+        tables, spec, mi, q = _design_stage(cfg, True, dstar, tables_at, evolve, None,
+                                            kappa_search=stage == "cn")
+        return tables, spec, mi, q.alphabet.tolist(), q.mass.tolist()
+
+    got = stage_design()
     monkeypatch.setattr(quantizers, "_uniform_sweep", loop_uniform_sweep)
-    assert got == design_uniform(p_ch, 4, **kw)
-    # the plain (no rebuild) search too, with its default shift limit
-    q = rebuild(float(grid[5]))
+    assert got == stage_design()
+    # the plain search on one PMF too, with its default shift limit
+    grid = build_delta_grid(dstar, 24)
+    q = evolve(tables_at(float(grid[5])))
     monkeypatch.undo()
     got = design_uniform(q, 4, kappa_search=True)
     monkeypatch.setattr(quantizers, "_uniform_sweep", loop_uniform_sweep)
