@@ -18,7 +18,6 @@ from .pmf import (
     ValidationError,
     awgn_llr_pmf,
     apply_quantizer,
-    kl_divergence,
     mutual_information,
     symmetrize_vn_sum,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "design_nonuniform",
     "design_uniform",
     "generate_regular_code",
-    "kl_divergence",
     "mutual_information",
     "omsq_decode",
     "omsq_decode_batch",

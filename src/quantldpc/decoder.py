@@ -9,18 +9,24 @@ baseline omsq_decode_batch run the same arithmetic over all edges and a
 batch of frames in one flooding loop.  cn_exact_llr is the high-precision
 reference used only by tests.
 
-The loop's edges are stored in check order and permuted to variable order
-and back.  A node side whose nodes share one degree d holds a frame's edges
-as a (d, nodes) block reduced over its short leading axis; an irregular side
-is node-major and uses ``reduceat``.  Quantizing is a table lookup: messages
-travel as offset codes t + 2^(w-1), and DecoderState tabulates per iteration,
-over the adder range, the CN input by code, the signed VN addend by extrinsic
-CN value (CN quantizer and VN translation fused) and the next message by
-extrinsic VN sum and node type (VN quantizer and zero-sum tie sign folded
-in).  The cost model's adder widths (complexity.cn_input_width and
-vn_input_width) bound every value the loop forms, the full CN sum and the
-table indices included; it runs in int16 when they fit (14 bits at the paper
-point dc=32, dv=6, wphi=8) and in int32 or int64 otherwise.
+The loop holds every message array edge-major, as (edges, frames): edges
+are stored in check order, and the permutations to variable order and back,
+like the syndrome's gather of hard decisions, copy whole rows of frames.  A
+node side whose nodes share one degree d views its edges as a (d, nodes,
+frames) block reduced over the short leading axis; an irregular side is
+node-major and uses ``reduceat`` along the edge axis.  Quantizing is a table
+lookup, two per iteration.  A variable-to-check message travels encoded as
+2 cn_in(t) + (t < 0): the CN input of its w-bit value t (the translated
+magnitude, or |t| for a minimum) with the sign in bit 0, so the CN step reads
+them with ``>> 1`` and ``& 1``.  DecoderState tabulates per iteration, over
+the adder range, the signed VN addend by extrinsic CN value (CN quantizer and
+VN translation fused) and the next encoded message by extrinsic VN sum and
+node type (VN quantizer, zero-sum tie sign and the next iteration's CN input
+folded in).  The cost model's adder widths (complexity.cn_input_width and
+vn_input_width) bound every value the loop forms, the full CN sum, the
+encoded messages and the table indices included; it runs in int16 when they
+fit (14 bits at the paper point dc=32, dv=6, wphi=8) and in int32 or int64
+otherwise.
 """
 
 from __future__ import annotations
@@ -174,17 +180,18 @@ class _Side:
         return node_major.reshape(self.n, self.deg).T.ravel() if self.regular else node_major
 
     def view(self, x):
-        return x.reshape(len(x), self.deg, self.n) if self.regular else x
+        """An (edges, frames) array as this side reduces it."""
+        return x.reshape(self.deg, self.n, x.shape[1]) if self.regular else x
 
     def reduce(self, ufunc, xv):
-        """(frames, nodes) reduction of a view over each node's edges."""
+        """(nodes, frames) reduction of a view over each node's edges."""
         if self.regular:
-            return ufunc.reduce(xv, axis=1, dtype=xv.dtype)
-        return ufunc.reduceat(xv, self.ptr, axis=1, dtype=xv.dtype)
+            return ufunc.reduce(xv, axis=0, dtype=xv.dtype)
+        return ufunc.reduceat(xv, self.ptr, axis=0, dtype=xv.dtype)
 
     def spread(self, y):
-        """(frames, nodes) values broadcast against a view."""
-        return y[:, None, :] if self.regular else np.take(y, self.rep, axis=1)
+        """(nodes, frames) values broadcast against a view."""
+        return y[None] if self.regular else np.take(y, self.rep, axis=0)
 
 
 def _cell_table(spec: QuantizerSpec, size):
@@ -199,9 +206,13 @@ class DecoderState:
     """Edge layout and per-iteration lookup tables of one decoder.
 
     Built once per code and decoder, so repeated decode calls only pay for
-    the message arithmetic.  vn_type alternates with node index;
-    ``vn_phase=1`` swaps the two roles.  The offset-min-sum baseline has no
-    artifact; :meth:`offset_min_sum` builds its state.
+    the message arithmetic.  ``tables[i]`` holds iteration i's channel
+    addend, signed CN output and VN output tables; the VN output sends the
+    encoded message of the module doc with the CN input of iteration
+    min(i+1, len(tables)-1), and ``forward`` encodes the channel for
+    iteration 1.  vn_type alternates with node index; ``vn_phase=1`` swaps
+    the two roles.  The offset-min-sum baseline has no artifact;
+    :meth:`offset_min_sum` builds its state.
     """
 
     def __init__(self, code, artifact, *, vn_phase=0):
@@ -215,7 +226,7 @@ class DecoderState:
         wphi = max([cfg.w] + [t.width_wphi for r in recs
                               for t in (r.cn_tables, *r.vn_tables.values()) if t])
         self._layout(code, cfg.w, wphi, vn_phase)
-        self.tables = [self._designed(r) for r in recs]
+        self._fold([self._designed(r) for r in recs])
 
     @classmethod
     def offset_min_sum(cls, code, w, beta):
@@ -228,8 +239,8 @@ class DecoderState:
         H, S = self.half, self.vn_range
         t = np.arange(-H, H + 1)
         sat = np.clip(np.arange(-S, S + 1), 1 - H, H - 1) + H
-        self.tables = [self._cast(t, np.abs(t), np.maximum(np.arange(H + 1) - beta, 0),
-                                  np.concatenate([sat, sat]))]
+        self._fold([(t, np.abs(t), np.maximum(np.arange(H + 1) - beta, 0),
+                     np.concatenate([sat, sat]))])
         return self
 
     def _layout(self, code, w, wphi, vn_phase):
@@ -247,7 +258,8 @@ class DecoderState:
         self.vn_type = (np.arange(code.n_vars) + vn_phase) % 2
         self.w, self.half = w, 1 << (w - 1)
         # CN sums lie in [0, 2^cw), VN sums in (-2^(vw-1), 2^(vw-1)); the signed
-        # CN index takes one bit more, the VN index (sign offset, tie half) two
+        # CN index takes one bit more, the VN index (sign offset, tie half) two.
+        # An encoded message 2 cn_in + 1 is at most 2^wphi + 1 < 2^(vw-1).
         dc, dv = self.checks.deg, self.vars.deg
         cw, vw = cn_input_width(dc, wphi), vn_input_width(dv, wphi)
         bits = vw + 2
@@ -256,7 +268,8 @@ class DecoderState:
         self.dtype = np.int16 if bits <= 16 else np.int32 if bits <= 32 else np.int64
         self.big = self.dtype(np.iinfo(self.dtype).max)
         self.cn_range, self.vn_range = 1 << cw, 1 << (vw - 1)
-        self.vn_base = (self.vn_range + self.vn_type * (2 * self.vn_range + 1)).astype(self.dtype)
+        base = self.vn_range + self.vn_type * (2 * self.vn_range + 1)
+        self.vn_base = base.astype(self.dtype)[:, None]
 
     def _designed(self, rec):
         """(ch, cn_in, cn_out, vn_out) tables of one designed iteration."""
@@ -274,17 +287,33 @@ class DecoderState:
         mag = _cell_table(rec.vn_quantizer, S + 1)[np.abs(ext)]
         # a zero extrinsic sum takes sign +1 on vn_type 0 and -1 on vn_type 1
         out = np.concatenate([np.where(ext < 0, -mag, mag), np.where(ext > 0, mag, -mag)])
-        return self._cast(ch, cn_in, cn_out, out + H)
+        return ch, cn_in, cn_out, out + H
 
-    def _cast(self, ch, cn_in, cn_out, vn_out):
-        """Tables in the loop dtype; cn_out[x + neg * len/2] carries the sign."""
-        return tuple(np.asarray(a, dtype=self.dtype)
-                     for a in (ch, cn_in, np.concatenate([cn_out, -cn_out]), vn_out))
+    def _fold(self, raw):
+        """Loop tables from per-iteration (ch, cn_in, cn_out, vn_out) tables.
+
+        vn_out gives offset codes t + 2^(w-1); each code is replaced by its
+        encoded message for the next iteration's CN input.  cn_out[x + neg *
+        len/2] carries the sign.
+        """
+        def encode(cn_in, code):
+            return (2 * cn_in[code] + (code < self.half)).astype(self.dtype)
+
+        next_in = [r[1] for r in raw[1:] + raw[-1:]]
+        self.forward = encode(raw[0][1], np.arange(2 * self.half + 1)) if raw else None
+        self.tables = [(np.asarray(ch, dtype=self.dtype),
+                        np.concatenate([cn_out, -cn_out]).astype(self.dtype),
+                        encode(cn_in, vn_out))
+                       for (ch, _, cn_out, vn_out), cn_in in zip(raw, next_in)]
+
+    def _parity_ok(self, hard):
+        """Per frame, from (n_vars, frames) hard decisions: every check satisfied?"""
+        edges = self.checks.view(np.take(hard, self.edge_var, axis=0))
+        return ~self.checks.reduce(np.bitwise_xor, edges).any(axis=0)
 
     def syndrome_ok(self, bits):
-        """Per frame: do the hard decisions satisfy every check?"""
-        edges = self.checks.view(np.take(bits, self.edge_var, axis=1))
-        return ~self.checks.reduce(np.bitwise_xor, edges).any(axis=1)
+        """Per frame: do the (frames, n_vars) hard decisions satisfy every check?"""
+        return self._parity_ok(np.ascontiguousarray(np.asarray(bits).T))
 
 
 def _flood(state, channel_msgs, max_iter):
@@ -302,20 +331,22 @@ def _flood(state, channel_msgs, max_iter):
     ok = state.syndrome_ok(bits)
     if max_iter == 0 or ok.all():
         return bits, iters_used, ok
+    if not tables:
+        raise ValidationError("decoder state has no iteration tables")
 
     active = np.flatnonzero(~ok)
-    u_ch = (ch[active] + state.half).astype(state.dtype)
-    v2c = np.take(u_ch, state.edge_var, axis=1)     # iteration 1: channel forwarded
+    u_ch = np.ascontiguousarray((ch[active] + state.half).astype(state.dtype).T)
+    v2c = np.take(np.take(state.forward, u_ch), state.edge_var, axis=0)
     ch_tab = psi_ch = None
     for it in range(max_iter):
-        tab_ch, cn_in, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused
+        tab_ch, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused
         if ch_tab is None or not np.array_equal(tab_ch, ch_tab):
             ch_tab, psi_ch = tab_ch, np.take(tab_ch, u_ch)   # once per distinct table
         # --- check nodes: extrinsic sum or minimum, then sign ---------------
-        u = checks.view(v2c)
-        x = np.take(cn_in, u)
+        v = checks.view(v2c)
+        x, neg = v >> 1, v & 1
         if state.cn_variant in _SUM_CN:
-            x = checks.spread(checks.reduce(np.add, x)) - x
+            np.subtract(checks.spread(checks.reduce(np.add, x)), x, out=x)
         else:
             m1 = checks.reduce(np.minimum, x)
             is_min = x == checks.spread(m1)
@@ -323,26 +354,32 @@ def _flood(state, channel_msgs, max_iter):
             m2 = checks.reduce(np.minimum, np.maximum(x, is_min * state.big))
             # a unique minimum sees the runner-up; everything else sees the min
             x = checks.spread(m1) + is_min * checks.spread((m2 - m1) * (cnt == 1))
-        neg = u < state.half
         neg ^= checks.spread(checks.reduce(np.bitwise_xor, neg))
-        x += neg * state.dtype(len(cn_out) // 2)
-        c2v = np.take(cn_out, x).reshape(len(x), -1)
+        neg *= state.dtype(len(cn_out) // 2)
+        x += neg
+        c2v = np.take(cn_out, x).reshape(v2c.shape)
         # --- variable nodes -------------------------------------------------
-        psi = vars_.view(np.take(c2v, state.vn_perm, axis=1))
-        app = vars_.reduce(np.add, psi) + psi_ch
-        out = np.take(vn_out, vars_.spread(app + state.vn_base) - psi)
-        v2c = np.take(out.reshape(len(out), -1), state.vn_inv, axis=1)
+        psi = vars_.view(np.take(c2v, state.vn_perm, axis=0))
+        app = vars_.reduce(np.add, psi)
+        app += psi_ch
+        out = np.take(vn_out, np.subtract(vars_.spread(app + state.vn_base), psi, out=psi))
+        v2c = np.take(out.reshape(v2c.shape), state.vn_inv, axis=0)
 
-        bits_act = (app < 0).astype(np.uint8)
-        iters_used[active] = it + 1
-        bits[active] = bits_act
-        done = state.syndrome_ok(bits_act)
-        ok[active] |= done
-        if done.all():
+        hard = (app < 0).view(np.uint8)
+        done = state._parity_ok(hard)
+        last = it + 1 == max_iter
+        if not (last or done.any()):
+            continue
+        fin = slice(None) if last else np.flatnonzero(done)
+        rows = active[fin]
+        bits[rows] = hard[:, fin].T
+        iters_used[rows] = it + 1
+        ok[rows] = done[fin]
+        if last or done.all():
             break
-        keep = ~done
+        keep = np.flatnonzero(~done)
         active = active[keep]
-        u_ch, psi_ch, v2c = u_ch[keep], psi_ch[keep], v2c[keep]
+        u_ch, psi_ch, v2c = (np.take(a, keep, axis=1) for a in (u_ch, psi_ch, v2c))
     return bits, iters_used, ok
 
 

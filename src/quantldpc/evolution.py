@@ -758,7 +758,7 @@ def _artifact_from_tree(tree):
             vn_quantizer=_spec_from_tree(r["vn_quantizer"]),
         ))
     edges = tree["channel_edges_llr"]
-    return DesignArtifact(
+    art = DesignArtifact(
         config=_config_from_tree(tree["config"]),
         channel_quantizer=_spec_from_tree(tree["channel_quantizer"]),
         channel_pmf=_pmf_from_tree(tree["channel_pmf"]),
@@ -766,3 +766,40 @@ def _artifact_from_tree(tree):
         per_iteration=per_iteration,
         format_version=1,
     )
+    _check_loaded(art)
+    return art
+
+
+#: quantizer kind of each node variant's designed records (None: not designed)
+_VARIANT_KIND = {"comp": "non_uniform", "comp_uni": "uniform", "min": None, "omsq": None}
+
+
+def _check_loaded(art):
+    """Reject an artifact whose records cannot belong to its config.
+
+    Every table has one value per w-bit magnitude cell and fits the
+    config's wphi; each node's quantizer kind (and whether it has tables)
+    follows its variant; an artifact configured for iterations carries at
+    least one record.
+    """
+    cfg = art.config
+    if not art.per_iteration and cfg.iterations > 0:
+        raise ValidationError(f"artifact configured for {cfg.iterations} iterations "
+                              "carries no designed iterations")
+    cells = 1 << (cfg.w - 1)
+    for i, r in enumerate(art.per_iteration, 1):
+        vn_tables = [None] if r.vn_tables is None else list(r.vn_tables.values())
+        for node, variant, q, tables in (("cn", cfg.cn_variant, r.cn_quantizer, [r.cn_tables]),
+                                         ("vn", cfg.vn_variant, r.vn_quantizer, vn_tables)):
+            kind = _VARIANT_KIND[variant]
+            got = None if q is None else q.kind
+            if got != kind or (None in tables) != (kind is None):
+                raise ValidationError(f"iteration {i}: {node} quantizer {got!r} and tables "
+                                      f"do not fit variant {variant!r}")
+            for t in filter(None, tables):
+                if len(t.values) != cells:
+                    raise ValidationError(f"iteration {i}: {node} table has "
+                                          f"{len(t.values)} values, not {cells}")
+                if t.width_wphi > cfg.wphi:
+                    raise ValidationError(f"iteration {i}: {node} table width "
+                                          f"{t.width_wphi} exceeds wphi={cfg.wphi}")

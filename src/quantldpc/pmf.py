@@ -63,10 +63,11 @@ class JointPMF:
     mass : array, shape (2, len(alphabet))
         Rows are x=0 and x=1; entries are joint probabilities.
     llr_order : bool
-        True when the positive half-alphabet is ordered monotonically in
-        conditional reliability (|L(x|y)| monotone in the magnitude index,
-        in either direction, with sign(L(x|+m)) = +).  This is the ordering
-        a symmetric threshold quantizer on the magnitude axis needs.
+        True when the cells are contiguous on this magnitude axis, with
+        sign(L(x|+m)) = +: the order a symmetric threshold quantizer on the
+        magnitude axis works in.  Conditional reliability need not be
+        monotone in the magnitude index (a quantized CN sum keeps its cells
+        in sum order).
     symmetric : bool
         Declares (and checks) p(X=0, Y=y) == p(X=1, Y=-y) for all y, with
         the alphabet closed under negation.
@@ -240,30 +241,6 @@ def folded_mutual_information(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return float(2.0 * np.sum(_cluster_scores(a, b)))
-
-
-def kl_divergence(p, q) -> float:
-    """D_KL(p || q) in bits for two binary distributions.
-
-    Returns ``math.inf`` when q assigns zero mass where p does not.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != (2,) or q.shape != (2,):
-        raise ValidationError("kl_divergence expects two length-2 distributions")
-    for name, d in (("p", p), ("q", q)):
-        if np.any(d < -1e-15):
-            raise ValidationError(f"{name} has negative mass")
-        if abs(float(d.sum()) - 1.0) > MASS_TOL:
-            raise ValidationError(f"{name} is not normalized")
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        total += pi * math.log2(pi / qi)
-    return total
 
 
 def symmetrize_vn_sum(p: JointPMF) -> JointPMF:

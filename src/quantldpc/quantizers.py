@@ -102,10 +102,11 @@ class TranslationTable:
     ``sign_rule`` the table extends oddly, the value for symbol -t being
     the negated value for +t.  One integer unit corresponds to ``delta`` in
     the real domain, and values saturate at 2**(width_wphi - 1) - 1.
-    Values must be monotone in the cell index (in either direction, since
-    reliability may grow or shrink with magnitude depending on the domain).
-    ``clipped`` records 1-based cells whose raw value was infinite and got
-    clipped to the range limit.
+    Values need not be monotone in the cell index: the cells of a quantized
+    CN sum are contiguous on the sum's magnitude axis, not ordered by
+    reliability, and every consumer only indexes the table.  ``clipped``
+    records 1-based cells whose raw value was infinite and got clipped to
+    the range limit.
     """
 
     values: tuple
@@ -122,9 +123,6 @@ class TranslationTable:
             raise ValidationError("translation table is empty")
         if min(v) < 0 or max(v) > self.vmax:
             raise ValidationError(f"table values must lie in [0, {self.vmax}]")
-        d = np.diff(v)
-        if not (np.all(d >= 0) or np.all(d <= 0)):
-            raise ValidationError("table values must be monotone in the cell index")
         if not (self.delta > 0):
             raise ValidationError("delta must be positive")
 

@@ -63,25 +63,38 @@ def _frame_noise(master_seed, point_index, frame_start, count, n, sigma):
     """AWGN for frames [frame_start, frame_start+count), one stream each.
 
     Philox keyed by (master seed, point index, frame index) makes any
-    frame reproducible on its own, in any execution order.
+    frame reproducible on its own, in any execution order.  One bit
+    generator is re-keyed through its ``state`` for each frame, with a zero
+    counter and an empty buffer: the stream ``Philox(key=key)`` starts.
     """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    mask = (1 << 64) - 1
     out = np.empty((count, n))
     for i in range(count):
         key = (int(master_seed) << 64) | (int(point_index) << 40) | (frame_start + i)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        state["state"]["key"] = np.array([key & mask, key >> 64], dtype=np.uint64)
+        bitgen.state = state
         out[i] = gen.normal(0.0, sigma, size=n)
     return out
 
 
 def _quantize_channel(llr, artifact):
-    """Real LLRs to integer channel messages per the designed quantizer."""
+    """Real LLRs to integer channel messages per the designed quantizer.
+
+    The cell of |L| is one plus the number of cell boundaries at or below
+    it; an LLR exactly on a boundary falls in the upper cell.
+    """
     q = artifact.channel_quantizer
     if isinstance(q, OmsqChannelQuantizer):
         return q.map_llr(llr)
-    edges = np.asarray(artifact.channel_edges_llr)
-    cells = 1 + np.searchsorted(edges, np.abs(llr), side="right")
-    sign = np.where(llr < 0, -1, 1)    # LLR exactly 0: boundary, take +
-    return sign * cells
+    mag = np.abs(llr)
+    cells = np.ones(mag.shape, dtype=np.int64)
+    for e in artifact.channel_edges_llr:
+        cells += mag >= e
+    np.negative(cells, out=cells, where=llr < 0)    # LLR exactly 0: boundary, take +
+    return cells
 
 
 def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,

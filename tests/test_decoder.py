@@ -664,8 +664,8 @@ def codes(draw):
 @st.composite
 def tables(draw, w, wphi):
     vmax = (1 << (wphi - 1)) - 1
-    vals = sorted(draw(st.lists(st.integers(0, vmax), min_size=1 << (w - 1),
-                                max_size=1 << (w - 1))), reverse=draw(st.booleans()))
+    # any order: a table need not be monotone in the cell index
+    vals = draw(st.lists(st.integers(0, vmax), min_size=1 << (w - 1), max_size=1 << (w - 1)))
     return TranslationTable(tuple(vals), wphi, 1.0)
 
 
@@ -824,6 +824,52 @@ def test_states_are_tied_to_their_decoder(small_setup):
         omsq_decode_batch(ch, code, 4, 1, 2, state=DecoderState(code, artifact))
     with pytest.raises(ValidationError, match="beta"):
         DecoderState.offset_min_sum(code, 4, -1)
+
+
+@pytest.mark.parametrize("variant", ["comp", "comp_uni", "min", "omsq"])
+def test_folded_tables_carry_the_next_cn_input_and_the_sign(designed, variant):
+    """VN output i, decoded with >> 1 and & 1, gives cn_in of iteration
+    min(i+1, L-1) and the sign of the w-bit message; so does the forward."""
+    code, arts = designed
+    art = arts[variant]
+    omsq = variant == "omsq"
+    state = (DecoderState.offset_min_sum(code, art.config.w, art.config.beta) if omsq
+             else DecoderState(code, art))
+    recs = [None] if omsq else art.per_iteration
+    H, S = state.half, state.vn_range
+    sent = [t for t in range(-H, H + 1) if (abs(t) < H if omsq else t != 0)]
+
+    def cn_in(rec, t):
+        return abs(t) if rec is None or rec.cn_tables is None else rec.cn_tables.values[abs(t) - 1]
+
+    def vn_code(rec, ext, vn_type):
+        if rec is None:
+            return min(max(ext, 1 - H), H - 1)
+        sign = 1 if ext > 0 or (ext == 0 and not vn_type) else -1
+        return sign * quantize_ref(abs(ext), rec.vn_quantizer)
+
+    assert len(state.tables) == len(recs)
+    for t in sent:
+        enc = int(state.forward[t + H])
+        assert (enc >> 1, enc & 1) == (cn_in(recs[0], t), int(t < 0))
+    for i, (_, _, vn_out) in enumerate(state.tables):
+        assert vn_out.dtype == state.dtype
+        nxt = recs[min(i + 1, len(recs) - 1)]
+        for vn_type in (0, 1):
+            for ext in range(-S, S + 1):
+                t = vn_code(recs[i], ext, vn_type)
+                enc = int(vn_out[vn_type * (2 * S + 1) + ext + S])
+                assert (enc >> 1, enc & 1) == (cn_in(nxt, t), int(t < 0)), (i, ext, vn_type)
+
+
+@settings(max_examples=25, deadline=None)
+@given(code=codes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_syndrome_ok_takes_frames_by_variables(code, seed):
+    bits = np.random.default_rng(seed).integers(0, 2, size=(5, code.n_vars), dtype=np.uint8)
+    bits[0] = 0
+    want = [all(sum(int(b[v]) for v in r) % 2 == 0 for r in code.row_adjacency) for b in bits]
+    got = DecoderState.offset_min_sum(code, 3, 0).syndrome_ok(bits)
+    assert got.shape == (5,) and got.tolist() == want
 
 
 # --- integer widths ------------------------------------------------------------------

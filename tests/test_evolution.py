@@ -383,6 +383,110 @@ def test_artifact_rejects_unknown_version(tmp_path):
         DesignArtifact.from_json(json.dumps(tree))
 
 
+def _edited(artifact, edit):
+    """The artifact's JSON after ``edit`` changed its tree in place."""
+    tree = json.loads(artifact.to_json())
+    edit(tree)
+    return json.dumps(tree)
+
+
+@pytest.fixture(scope="module")
+def loaded_pairs():
+    """A small designed artifact per node-variant pair, for hand edits."""
+    return {(cn, vn): design_decoder(base_cfg(cn_variant=cn, vn_variant=vn, iterations=2))[0]
+            for cn, vn in (("comp", "comp"), ("comp_uni", "comp_uni"), ("min", "comp"),
+                           ("omsq", "omsq"))}
+
+
+def test_artifact_load_rejects_a_table_of_the_wrong_length(loaded_pairs):
+    art = loaded_pairs["comp", "comp"]
+    text = _edited(art, lambda t: t["per_iteration"][1]["vn_tables"]["phi_c"]["values"].pop())
+    with pytest.raises(ValidationError, match="iteration 2: vn table has 3 values, not 4"):
+        DesignArtifact.from_json(text)
+    text = _edited(art, lambda t: t["per_iteration"][0]["cn_tables"]["values"].append(0))
+    with pytest.raises(ValidationError, match="iteration 1: cn table has 5 values"):
+        DesignArtifact.from_json(text)
+
+
+def test_artifact_load_rejects_a_table_wider_than_wphi(loaded_pairs):
+    art = loaded_pairs["comp_uni", "comp_uni"]
+
+    def widen(tree):
+        tree["per_iteration"][0]["vn_tables"]["phi_ch"]["width_wphi"] = 7
+    with pytest.raises(ValidationError, match="width 7 exceeds wphi=6"):
+        DesignArtifact.from_json(_edited(art, widen))
+
+
+@pytest.mark.parametrize("pair,node,kind", [
+    (("comp", "comp"), "cn", "uniform"),            # non_uniform expected
+    (("comp_uni", "comp_uni"), "vn", "non_uniform"),  # uniform expected
+])
+def test_artifact_load_rejects_a_quantizer_of_the_wrong_kind(loaded_pairs, pair, node, kind):
+    art = loaded_pairs[pair]
+
+    def swap(tree):
+        q = tree["per_iteration"][0][f"{node}_quantizer"]
+        q.update(kind=kind, thresholds=[1, 2, 3], shift_r=1, offset_kappa=0)
+    with pytest.raises(ValidationError, match=f"iteration 1: {node} quantizer '{kind}'"):
+        DesignArtifact.from_json(_edited(art, swap))
+
+
+def test_artifact_load_rejects_a_designed_node_on_a_min_or_omsq_variant(loaded_pairs):
+    comp = json.loads(loaded_pairs["comp", "comp"].to_json())["per_iteration"][0]
+    for pair, node in ((("min", "comp"), "cn"), (("omsq", "omsq"), "vn")):
+        def graft(tree, node=node):
+            tree["per_iteration"][0][f"{node}_quantizer"] = comp[f"{node}_quantizer"]
+            tree["per_iteration"][0][f"{node}_tables"] = comp[f"{node}_tables"]
+        with pytest.raises(ValidationError, match=f"{node} quantizer 'non_uniform'"):
+            DesignArtifact.from_json(_edited(loaded_pairs[pair], graft))
+
+    def strip(tree):
+        tree["per_iteration"][0]["cn_tables"] = None
+    with pytest.raises(ValidationError, match="cn quantizer 'non_uniform' and tables"):
+        DesignArtifact.from_json(_edited(loaded_pairs["comp", "comp"], strip))
+
+
+def test_artifact_load_rejects_missing_iterations(loaded_pairs):
+    art = loaded_pairs["comp", "comp"]
+    with pytest.raises(ValidationError, match="configured for 2 iterations"):
+        DesignArtifact.from_json(_edited(art, lambda t: t["per_iteration"].clear()))
+
+    def zero(tree):
+        tree["per_iteration"].clear()
+        tree["config"]["iterations"] = 0
+    assert DesignArtifact.from_json(_edited(art, zero)).per_iteration == []
+
+
+#: points whose quantized CN output is not reliability-ordered, so a VN table
+#: comes out non-monotone in the cell index; a monotone check rejected them
+NON_MONOTONE_POINTS = [
+    dict(cn_variant="comp_uni", design_ebn0_db=3.0, iterations=10, uniform_warm_window=0),
+    dict(cn_variant="comp", design_ebn0_db=2.2, iterations=30),
+    dict(cn_variant="comp", design_ebn0_db=3.0, iterations=10),
+]
+
+
+@pytest.mark.parametrize("point", NON_MONOTONE_POINTS)
+def test_points_with_non_monotone_tables_design_and_decode(point):
+    from quantldpc.codes import generate_regular_code
+    from quantldpc.sim import simulate_point
+
+    cfg = EnsembleConfig(dc=6, dv=3, w=4, wphi=7, vn_variant="comp", rate=0.5,
+                         delta_search_points=5, **point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        artifact, traj = design_decoder(cfg)
+    assert traj[-1][1] >= 0.9995
+    tables = [t.values for r in artifact.per_iteration
+              for t in (r.cn_tables, *r.vn_tables.values())]
+    assert any(np.any(np.diff(v) > 0) and np.any(np.diff(v) < 0) for v in tables)
+    back = DesignArtifact.from_json(artifact.to_json())
+    assert back.to_json() == artifact.to_json()
+    code = generate_regular_code(1024, 3, 6, seed=1)
+    point = simulate_point(code, back, 3.0, stop={"max_frames": 64}, noiseless=True)
+    assert (point.frames, point.frame_errors, point.bit_errors) == (64, 0, 0)
+
+
 def test_omsq_channel_quantizer_mapping():
     q = OmsqChannelQuantizer(step=0.5, width_w=3)
     llr = np.array([0.0, 0.24, 0.26, 1.6, -1.6, 9.0, -9.0])

@@ -11,7 +11,6 @@ from quantldpc.pmf import (
     apply_quantizer,
     awgn_llr_pmf,
     folded_mutual_information,
-    kl_divergence,
     mutual_information,
     symmetrize_vn_sum,
 )
@@ -79,28 +78,6 @@ def test_awgn_pmf_shape_and_symmetry():
     centers = p.values
     mid = np.abs(centers) < 8.0  # away from folded tails
     assert np.allclose(llrs[mid], centers[mid], atol=ch.effective_clip / 1024)
-
-
-def test_kl_hand_values():
-    assert kl_divergence((0.3, 0.7), (0.5, 0.5)) == pytest.approx(
-        0.1187091007693073, abs=1e-14)
-    assert kl_divergence((0.5, 0.5), (0.5, 0.5)) == 0.0
-    assert kl_divergence((1.0, 0.0), (0.5, 0.5)) == pytest.approx(1.0)
-    assert math.isinf(kl_divergence((0.5, 0.5), (1.0, 0.0)))
-
-
-@given(st.floats(1e-6, 1 - 1e-6), st.floats(1e-6, 1 - 1e-6))
-def test_kl_nonnegative_and_zero_iff_equal(a, b):
-    d = kl_divergence((a, 1 - a), (b, 1 - b))
-    assert d >= -1e-12
-    assert kl_divergence((a, 1 - a), (a, 1 - a)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_kl_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        kl_divergence((0.5, 0.6), (0.5, 0.5))
-    with pytest.raises(ValidationError):
-        kl_divergence((0.5, 0.5, 0.0), (0.5, 0.5))
 
 
 @st.composite

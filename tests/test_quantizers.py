@@ -397,12 +397,14 @@ def test_translation_table_rounding_and_fill():
 
 
 def test_translation_table_validation():
-    with pytest.raises(ValidationError, match="monotone"):
-        TranslationTable((1, 3, 2), 6, 1.0)
     with pytest.raises(ValidationError, match=r"\[0, 31\]"):
         TranslationTable((40,), 6, 1.0)
+    with pytest.raises(ValidationError, match="empty"):
+        TranslationTable((), 6, 1.0)
     t = TranslationTable((5, 3, 0), 6, 1.0)  # decreasing is fine
     assert not t.saturated
+    # so is any order: cells are contiguous on the sum axis, not by reliability
+    assert TranslationTable((1, 3, 2), 6, 1.0).values == (1, 3, 2)
 
 
 def test_channel_quantizer_design_point_shape():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from quantldpc.codes import generate_regular_code
-from quantldpc.evolution import EnsembleConfig, design_decoder
+from quantldpc.evolution import EnsembleConfig, OmsqChannelQuantizer, design_decoder
 from quantldpc.pmf import ValidationError
-from quantldpc.sim import CSV_HEADER, simulate_point, sweep, wilson_interval, write_csv
+from quantldpc.sim import (CSV_HEADER, _frame_noise, _quantize_channel, simulate_point, sweep,
+                           wilson_interval, write_csv)
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,70 @@ def test_omsq_baseline_runs(setup):
                         seed=1)
     assert pt.frames == 256
     assert pt.fer < 0.2
+
+
+# --- noise and channel quantization against the per-frame references -----------------
+
+def ref_frame_noise(master_seed, point_index, frame_start, count, n, sigma):
+    """Reference: one Philox Generator built per frame."""
+    out = np.empty((count, n))
+    for i in range(count):
+        key = (int(master_seed) << 64) | (int(point_index) << 40) | (frame_start + i)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        out[i] = gen.normal(0.0, sigma, size=n)
+    return out
+
+
+def ref_quantize_channel(llr, artifact):
+    """Reference: searchsorted over the channel cell boundaries."""
+    q = artifact.channel_quantizer
+    if isinstance(q, OmsqChannelQuantizer):
+        return q.map_llr(llr)
+    edges = np.asarray(artifact.channel_edges_llr)
+    cells = 1 + np.searchsorted(edges, np.abs(llr), side="right")
+    sign = np.where(llr < 0, -1, 1)    # LLR exactly 0: boundary, take +
+    return sign * cells
+
+
+@pytest.mark.parametrize("seed,point_index,frame_start,count", [
+    (0, 0, 0, 256), (1, 3, 1000, 37), (7, 0, 255, 1), (2 ** 63 + 5, 2 ** 23 - 1, 2 ** 40 - 3, 37),
+])
+def test_frame_noise_matches_one_generator_per_frame(seed, point_index, frame_start, count):
+    got = _frame_noise(seed, point_index, frame_start, count, 96, 0.83)
+    want = ref_frame_noise(seed, point_index, frame_start, count, 96, 0.83)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # each frame is its own stream: a one-frame call gives the same row
+    last = _frame_noise(seed, point_index, frame_start + count - 1, 1, 96, 0.83)
+    assert np.array_equal(last.view(np.int64), want[-1:].view(np.int64))
+
+
+def test_quantize_channel_matches_searchsorted(setup):
+    _, artifact = setup
+    edges = np.asarray(artifact.channel_edges_llr)
+    rng = np.random.default_rng(4)
+    llr = 6.0 * (1.0 + rng.standard_normal((37, 96)))
+    special = np.concatenate([edges, -edges, np.nextafter(edges, 0), np.nextafter(edges, 99),
+                              [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
+    llr[0, :special.size] = special
+    got = _quantize_channel(llr, artifact)
+    want = ref_quantize_channel(llr, artifact)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    # |L| exactly on a boundary falls in the upper cell; +-0.0 take the weakest +1
+    k = edges.size
+    assert list(got[0, :k]) == list(range(2, k + 2))
+    assert list(got[0, k:2 * k]) == [-c for c in range(2, k + 2)]
+    assert list(got[0, 4 * k:4 * k + 2]) == [1, 1]
+
+
+def test_quantize_channel_omsq_path_is_unchanged():
+    cfg = EnsembleConfig(dc=6, dv=3, w=4, wphi=4, iterations=2, cn_variant="omsq",
+                         vn_variant="omsq", design_ebn0_db=2.8, rate=0.5)
+    artifact, _ = design_decoder(cfg)
+    step = artifact.channel_quantizer.step
+    llr = np.concatenate([np.arange(-9, 10) * step / 2, [0.0, -0.0],
+                          6.0 * np.random.default_rng(5).standard_normal(200)])
+    got = _quantize_channel(llr, artifact)
+    want = ref_quantize_channel(llr, artifact)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
