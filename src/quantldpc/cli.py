@@ -95,8 +95,9 @@ def run_evolve(args):
         if len(window) != 2:
             raise ValidationError("--snr must be 'lo,hi' for --bisect")
         res = de_threshold(cfg, args.target_mi, window)
-        line = f"threshold_db={res.snr_db} status={res.status} probes={len(res.probes)}"
-        print(line)
+        for snr, ok in res.probes:
+            print(f"probe snr_db={snr} converged={ok}")
+        print(f"threshold_db={res.snr_db} status={res.status} probes={len(res.probes)}")
         if args.out:
             with open(args.out, "w", encoding="ascii") as f:
                 f.write("threshold_db,status,probes\n")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -561,6 +562,12 @@ def design_decoder(cfg: EnsembleConfig):
 # threshold search
 # ---------------------------------------------------------------------------
 
+#: probe processes of de_threshold: one per usable core, at most 8 (a
+#: bisection's decision tree rarely has more probes worth running ahead)
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, 8)
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of a DE threshold bisection.
@@ -569,7 +576,7 @@ class ThresholdResult:
     the requested resolution.  status "lo_boundary": the whole window
     converges, the true threshold lies at or below its lower edge.  status
     "no_convergence": nothing in the window converges.  ``probes`` records
-    every (snr_db, converged) pair in evaluation order.
+    every (snr_db, converged) pair of the decision path, in decision order.
     """
 
     snr_db: float | None
@@ -577,38 +584,155 @@ class ThresholdResult:
     probes: tuple = ()
 
 
+def _bisection(lo, hi, resolution):
+    """The threshold search: yields each SNR it needs, is sent that SNR's
+    verdict, and returns (status, snr_db)."""
+    if (yield lo):
+        return "lo_boundary", lo
+    if not (yield hi):
+        return "no_convergence", None
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # adjacent floats: the window cannot shrink
+            break
+        if (yield mid):
+            hi = mid
+        else:
+            lo = mid
+    return "ok", hi
+
+
+def _replay(lo, hi, resolution, verdicts):
+    """Run :func:`_bisection` on the verdicts known so far.
+
+    ``verdicts`` maps an SNR to its verdict, or to the exception its probe
+    raised.  Returns (path, snr, outcome): the SNRs whose verdicts were
+    used, in decision order, then either the SNR needed next (unknown, or
+    known to have raised) with outcome None, or snr None and the search's
+    (status, snr_db).
+    """
+    search = _bisection(lo, hi, resolution)
+    path, snr = [], next(search)
+    try:
+        while snr in verdicts and not isinstance(verdicts[snr], BaseException):
+            path.append(snr)
+            snr = search.send(verdicts[snr])
+    except StopIteration as stop:
+        return path, None, stop.value
+    return path, snr, None
+
+
+def _speculate(lo, hi, resolution, verdicts):
+    """SNRs the search may need, breadth-first over the unknown verdicts.
+
+    The first is the SNR needed now; then come the next SNR under either
+    verdict of it, and so on.  Branches end where the search finishes or
+    reaches a probe that raised.
+    """
+    level = [verdicts]
+    while level:
+        deeper = []
+        for assumed in level:
+            snr = _replay(lo, hi, resolution, assumed)[1]
+            if snr is not None and snr not in assumed:
+                yield snr
+                deeper += [{**assumed, snr: ok} for ok in (True, False)]
+        level = deeper
+
+
+def _speculative_bisection(lo, hi, resolution, pool, probe, workers, done):
+    """Run the bisection with its probes on ``pool``, ``workers`` at a time.
+
+    ``probe(snr)`` returns (converged, warnings) and runs through
+    ``pool.apply_async``, whose callbacks put (snr, verdict, warnings) on
+    ``done``.  Each idle worker takes the first SNR of :func:`_speculate`
+    that is neither known nor running; a verdict off the decision path is
+    kept but never used.  With one worker the probes run in the sequential
+    order.
+    """
+    verdicts, caught, running = {}, {}, set()
+    while True:
+        path, snr, outcome = _replay(lo, hi, resolution, verdicts)
+        if snr is None or snr in verdicts:
+            break
+        for s in _speculate(lo, hi, resolution, verdicts):
+            if len(running) == workers:
+                break
+            if s not in verdicts and s not in running:
+                running.add(s)
+                pool.apply_async(
+                    probe, (s,),
+                    callback=lambda res, s=s: done.put((s, *res)),
+                    error_callback=lambda exc, s=s: done.put((s, exc, [])))
+        s, verdicts[s], caught[s] = done.get()
+        running.remove(s)
+    for s in path:
+        for message in caught[s]:
+            warnings.warn(message, stacklevel=1)
+    if snr is not None:
+        raise verdicts[snr]
+    status, snr_db = outcome
+    return ThresholdResult(snr_db, status, tuple((s, verdicts[s]) for s in path))
+
+
+def _probe(cfg, snr, target_mi):
+    """One probe: does the design at ``snr`` reach ``target_mi``?  Runs in a
+    worker; returns the verdict and every warning the design raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
+    ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
+    return ok, [w.message for w in caught]
+
+
 def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
                  resolution_db: float = 0.005) -> ThresholdResult:
     """Bisection for the smallest design SNR whose DE trajectory converges.
 
     Each probe redesigns the full decoder at that SNR and asks whether
-    mi_vn reaches ``target_mi`` within cfg.iterations.
+    mi_vn reaches ``target_mi`` within cfg.iterations.  The search starts
+    at the window's lower edge, then its upper edge, then halves the
+    window until it is at most ``resolution_db`` wide.
+
+    Probes are pure functions of the SNR, so they run on a pool of
+    :data:`_WORKERS` forked processes (one per usable core, at most 8)
+    that speculates down the bisection's decision tree: while the probe
+    the search needs runs, idle workers run the probes it may need next
+    under either verdict.  The result is that of the sequential search:
+    ``probes`` holds the decision path only, its probes' warnings are
+    re-emitted here in decision order, and an exception from a probe is
+    raised only if the decision path reaches it (one raised by a probe
+    off the path is dropped, as the sequential search never ran it; the
+    warnings a probe gave before raising are lost).  The pool is
+    terminated before this returns or raises, so no worker outlives the
+    call.  Needs the ``fork`` start method (POSIX); the workers are
+    forked before the pool starts its threads.  A worker killed from
+    outside loses its probe, and the call then waits forever.
     """
     lo, hi = float(snr_window[0]), float(snr_window[1])
+    resolution = float(resolution_db)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError("snr window edges must be finite")
     if not lo < hi:
         raise ValidationError("snr window must satisfy lo < hi")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValidationError("resolution_db must be finite and positive")
     if not (0.9 < target_mi < 1.0):
         raise ValidationError("target_mi must lie in (0.9, 1)")
 
-    probes = []
+    # imported here, not at the top: only this search runs a pool, and
+    # multiprocessing would add ~8 ms to every import of the package
+    import multiprocessing
+    import queue
 
-    def converges(snr):
-        _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
-        ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
-        probes.append((snr, ok))
-        return ok
-
-    if converges(lo):
-        return ThresholdResult(lo, "lo_boundary", tuple(probes))
-    if not converges(hi):
-        return ThresholdResult(None, "no_convergence", tuple(probes))
-    while hi - lo > resolution_db:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(hi, "ok", tuple(probes))
+    pool = multiprocessing.get_context("fork").Pool(_WORKERS)
+    try:
+        return _speculative_bisection(lo, hi, resolution, pool,
+                                      partial(_probe, cfg, target_mi=target_mi),
+                                      _WORKERS, queue.SimpleQueue())
+    finally:
+        pool.terminate()
+        pool.join()
 
 
 # ---------------------------------------------------------------------------

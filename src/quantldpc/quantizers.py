@@ -208,8 +208,9 @@ def build_translation_table(p: JointPMF, mode: str, delta: float, wphi: int) -> 
     Values saturate at 2**(wphi-1) - 1; cells whose raw value is infinite
     are clipped there and listed in the table's ``clipped`` metadata.
     Cells with no probability mass inherit the value of the nearest
-    populated cell below (or above, for a leading gap), which keeps the
-    table monotone.
+    populated cell below (or above, for a leading gap).  The values need
+    not be monotone in the cell index: the cells of a quantized sum are
+    contiguous on the sum axis, not ordered by reliability.
     """
     if mode not in ("cn_phi", "vn_llr"):
         raise ValidationError(f"unknown translation mode {mode!r}")

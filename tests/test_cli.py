@@ -53,8 +53,17 @@ def test_evolve_bisect(capsys, tmp_path):
     text = (tmp_path / "th.csv").read_text()
     assert text.startswith("threshold_db,status,probes")
     assert ",ok," in text
-    printed = capsys.readouterr().out
-    assert "status=ok" in printed
+    printed = capsys.readouterr().out.strip().split("\n")
+    assert printed[-1].startswith("threshold_db=") and "status=ok" in printed[-1]
+    # one line per decision-path probe, in decision order, before the result
+    probes = [line.split() for line in printed[:-1]]
+    assert len(probes) == int(printed[-1].rsplit("probes=", 1)[1]) > 2
+    assert all(p[0] == "probe" and p[2] in ("converged=True", "converged=False")
+               for p in probes)
+    snrs = [float(p[1].removeprefix("snr_db=")) for p in probes]
+    assert snrs[:2] == [-3.0, 6.0]
+    threshold = float(printed[-1].split()[0].removeprefix("threshold_db="))
+    assert ["converged=True"] == [p[2] for p, s in zip(probes, snrs) if s == threshold]
 
 
 def test_simulate_with_alist(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import itertools
 import json
 import math
+import multiprocessing
+import random
 import warnings
 from dataclasses import MISSING, fields, replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantldpc import evolution
 from quantldpc.evolution import (
@@ -14,6 +19,7 @@ from quantldpc.evolution import (
     EnsembleConfig,
     IterationDesign,
     OmsqChannelQuantizer,
+    ThresholdResult,
     _omsq_channel_design,
     _omsq_cn_evolve,
     _omsq_vn_evolve,
@@ -527,19 +533,233 @@ def test_de_threshold_probes_change_only_the_design_snr(monkeypatch):
     for f in fields(EnsembleConfig):
         if f.default is not MISSING:
             assert getattr(cfg, f.name) != f.default, f.name
+
+    for workers in (1, 3):
+        probes = []
+
+        def fake_design(probe_cfg):
+            probes.append(probe_cfg)
+            return None, [(0.5, 1.0 if probe_cfg.design_ebn0_db >= 2.2 else 0.5)]
+
+        monkeypatch.setattr(evolution, "design_decoder", fake_design)
+        res = fake_pool_threshold(cfg, 0.9999, (1.0, 3.0), 0.1, workers)
+        assert res.status == "ok" and len(res.probes) > 3
+        if workers == 1:
+            assert len(probes) == len(res.probes)
+            assert [p.design_ebn0_db for p in probes] == [s for s, _ in res.probes]
+        else:
+            assert {p.design_ebn0_db for p in probes} > {s for s, _ in res.probes}
+        for probe in probes:
+            assert type(probe) is EnsembleConfig
+            assert replace(probe, design_ebn0_db=cfg.design_ebn0_db) == cfg
+
+
+# --- speculative bisection ----------------------------------------------------
+
+def seq_de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
+                     resolution_db: float = 0.005) -> ThresholdResult:
+    """The sequential search that de_threshold replaced, kept verbatim
+    (names aside) as the oracle of the speculative one."""
+    lo, hi = float(snr_window[0]), float(snr_window[1])
+    if not lo < hi:
+        raise ValidationError("snr window must satisfy lo < hi")
+    if not (0.9 < target_mi < 1.0):
+        raise ValidationError("target_mi must lie in (0.9, 1)")
+
     probes = []
 
-    def fake_design(probe_cfg):
-        probes.append(probe_cfg)
-        return None, [(0.5, 1.0 if probe_cfg.design_ebn0_db >= 2.2 else 0.5)]
+    def converges(snr):
+        _, traj = evolution.design_decoder(replace(cfg, design_ebn0_db=snr))
+        ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
+        probes.append((snr, ok))
+        return ok
 
-    monkeypatch.setattr(evolution, "design_decoder", fake_design)
-    res = de_threshold(cfg, 0.9999, (1.0, 3.0), resolution_db=0.1)
-    assert res.status == "ok" and len(probes) == len(res.probes) > 3
-    for probe, (snr, _) in zip(probes, res.probes):
-        assert type(probe) is EnsembleConfig
-        assert probe.design_ebn0_db == snr
-        assert replace(probe, design_ebn0_db=cfg.design_ebn0_db) == cfg
+    if converges(lo):
+        return ThresholdResult(lo, "lo_boundary", tuple(probes))
+    if not converges(hi):
+        return ThresholdResult(None, "no_convergence", tuple(probes))
+    while hi - lo > resolution_db:
+        mid = 0.5 * (lo + hi)
+        if converges(mid):
+            hi = mid
+        else:
+            lo = mid
+    return ThresholdResult(hi, "ok", tuple(probes))
+
+
+class FakePool:
+    """In-process stand-in for de_threshold's pool and its result queue.
+
+    A probe runs when the scheduler waits for a result; ``pick(n)`` chooses
+    which of the n running probes finishes first.
+    """
+
+    def __init__(self, workers, pick):
+        self.workers = workers
+        self.pick = pick
+        self.running = []
+        self.results = []
+
+    def apply_async(self, func, args, callback, error_callback):
+        assert len(self.running) < self.workers, "more probes than workers"
+        self.running.append((func, args, callback, error_callback))
+
+    def put(self, item):
+        self.results.append(item)
+
+    def get(self):
+        func, args, callback, error_callback = self.running.pop(self.pick(len(self.running)))
+        try:
+            res = func(*args)
+        except Exception as exc:  # noqa: BLE001 - handed on like Pool does
+            error_callback(exc)
+        else:
+            callback(res)
+        return self.results.pop()
+
+
+def fake_pool_threshold(cfg, target_mi, window, resolution, workers, pick=lambda n: 0):
+    """de_threshold's search with its probes on a FakePool."""
+    pool = FakePool(workers, pick)
+    return evolution._speculative_bisection(
+        float(window[0]), float(window[1]), resolution, pool,
+        partial(evolution._probe, cfg, target_mi=target_mi), workers, pool)
+
+
+class FakeDesign:
+    """design_decoder stand-in: a verdict, an error and a warning per SNR."""
+
+    def __init__(self, verdict, error=lambda snr: False, warn=lambda snr: False):
+        self.verdict, self.error, self.warn = verdict, error, warn
+        self.calls = []
+
+    def __call__(self, cfg):
+        snr = cfg.design_ebn0_db
+        self.calls.append(snr)
+        if self.error(snr):
+            raise ValidationError(f"probe at {snr!r} failed")
+        if self.warn(snr):
+            warnings.warn(f"probe at {snr!r}", RuntimeWarning)
+        return None, [(0.5, 1.0 if self.verdict(snr) else 0.5)]
+
+
+def outcome(run):
+    """(result or the raised ValidationError's text, warning texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = run()
+        except ValidationError as exc:
+            res = ("raised", str(exc))
+    return res, [str(w.message) for w in caught]
+
+
+def _coin(tag, seed, snr, p):
+    return random.Random(f"{tag}:{seed}:{snr!r}").random() < p
+
+
+@st.composite
+def fake_designs(draw):
+    kind = draw(st.sampled_from(["monotone", "non_monotone", "all_fail", "all_converge"]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if kind == "monotone":
+        t = draw(st.floats(-3.0, 5.0))
+        verdict = lambda snr: snr >= t  # noqa: E731
+    elif kind == "non_monotone":
+        verdict = lambda snr: _coin("v", seed, snr, 0.5)  # noqa: E731
+    else:
+        verdict = lambda snr, ok=kind == "all_converge": ok  # noqa: E731
+    p_err = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    return FakeDesign(verdict, lambda snr: _coin("e", seed, snr, p_err),
+                      lambda snr: _coin("w", seed, snr, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(design=fake_designs(), workers=st.integers(1, 4), data=st.data(),
+       lo=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
+       resolution=st.sampled_from([0.01, 0.05, 0.3, 10.0]))
+def test_speculative_bisection_matches_sequential(design, workers, data, lo, width,
+                                                  resolution):
+    cfg = base_cfg()
+    window = (lo, lo + width)
+    pick = lambda n: data.draw(st.integers(0, n - 1))  # noqa: E731
+    with mock.patch.object(evolution, "design_decoder", design):
+        want = outcome(lambda: seq_de_threshold(cfg, 0.9999, window, resolution))
+        sequential, design.calls = design.calls, []
+        got = outcome(lambda: fake_pool_threshold(cfg, 0.9999, window, resolution,
+                                                  workers, pick))
+    assert got == want
+    assert len(set(design.calls)) == len(design.calls)
+    if workers == 1:
+        assert design.calls == sequential
+    else:
+        assert set(design.calls) >= set(sequential)
+
+
+def test_error_off_the_decision_path_is_dropped():
+    # path 0.0 F, 1.0 T, 0.5 T, 0.25 F, 0.375 T; 0.75 is run ahead for 0.5 F
+    design = FakeDesign(lambda snr: snr >= 0.3, error=lambda snr: snr == 0.75,
+                        warn=lambda snr: True)
+    with mock.patch.object(evolution, "design_decoder", design):
+        want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
+        assert 0.75 not in design.calls
+        got = outcome(lambda: fake_pool_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2, 4))
+    assert 0.75 in design.calls
+    assert got == want
+    assert want[0] == ThresholdResult(0.375, "ok", ((0.0, False), (1.0, True), (0.5, True),
+                                                     (0.25, False), (0.375, True)))
+    assert want[1] == [f"probe at {s!r}" for s in (0.0, 1.0, 0.5, 0.25, 0.375)]
+
+
+def test_error_on_the_decision_path_is_raised_after_the_path_warnings():
+    design = FakeDesign(lambda snr: snr >= 0.3, error=lambda snr: snr == 0.25,
+                        warn=lambda snr: True)
+    with mock.patch.object(evolution, "design_decoder", design):
+        want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
+        got = outcome(lambda: fake_pool_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2, 4,
+                                                  pick=lambda n: n - 1))
+    assert got == want == (("raised", "probe at 0.25 failed"),
+                           ["probe at 0.0", "probe at 1.0", "probe at 0.5"])
+
+
+@pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("min", "comp_uni")])
+def test_de_threshold_pool_matches_sequential(cn, vn):
+    cfg = EnsembleConfig(dc=6, dv=3, w=3, wphi=6, iterations=15, cn_variant=cn,
+                         vn_variant=vn, design_ebn0_db=3.0, rate=0.5)
+    want = outcome(lambda: seq_de_threshold(cfg, 0.9999, (-3.0, 6.0), 0.25))
+    got = outcome(lambda: de_threshold(cfg, 0.9999, (-3.0, 6.0), 0.25))
+    assert multiprocessing.active_children() == []
+    assert got == want
+    assert want[0].status == "ok"
+
+
+def test_de_threshold_pool_raises_and_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(evolution, "design_decoder",
+                        FakeDesign(lambda snr: snr >= 2.0, error=lambda snr: snr == 2.0))
+    with pytest.raises(ValidationError, match="probe at 2.0 failed"):
+        de_threshold(base_cfg(), 0.9999, (1.0, 3.0), 0.1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("window,resolution", [
+    ((1.0, 3.0), 0.0), ((1.0, 3.0), -1.0), ((1.0, 3.0), math.nan),
+    ((1.0, 3.0), math.inf), ((math.nan, 3.0), 0.1), ((1.0, math.inf), 0.1),
+    ((-math.inf, 3.0), 0.1)])
+def test_de_threshold_rejects_a_resolution_or_window_it_cannot_bisect(
+        monkeypatch, window, resolution):
+    # unchecked, 0 and -1 probed forever and nan returned "ok" at hi
+    monkeypatch.setattr(evolution, "design_decoder", FakeDesign(lambda snr: snr >= 2.0))
+    with pytest.raises(ValidationError):
+        de_threshold(base_cfg(), 0.9999, window, resolution)
+
+
+def test_de_threshold_stops_at_adjacent_floats(monkeypatch):
+    # a resolution below the float spacing: the midpoint stops moving
+    monkeypatch.setattr(evolution, "design_decoder", FakeDesign(lambda snr: snr >= 2.0))
+    res = de_threshold(base_cfg(), 0.9999, (1.0, 3.0), 1e-300)
+    assert res.status == "ok" and res.snr_db == 2.0
+    assert (math.nextafter(2.0, 0.0), False) in res.probes
+    assert multiprocessing.active_children() == []
 
 
 # --- reference design stages --------------------------------------------------
