@@ -562,8 +562,10 @@ def design_decoder(cfg: EnsembleConfig):
 # threshold search
 # ---------------------------------------------------------------------------
 
-#: probe processes of de_threshold: one per usable core, at most 8 (a
-#: bisection's decision tree rarely has more probes worth running ahead)
+#: worker count of every parallel path: de_threshold's probe processes and
+#: sim.simulate_point's frame ranges per chunk.  One per usable core, at
+#: most 8 (a bisection's decision tree rarely has more probes worth running
+#: ahead)
 _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1, 8)
 

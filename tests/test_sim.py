@@ -1,8 +1,15 @@
+import dataclasses
 import io
+import math
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from quantldpc import evolution, sim
 from quantldpc.codes import generate_regular_code
 from quantldpc.evolution import EnsembleConfig, OmsqChannelQuantizer, design_decoder
 from quantldpc.pmf import ValidationError
@@ -186,3 +193,194 @@ def test_quantize_channel_omsq_path_is_unchanged():
     got = _quantize_channel(llr, artifact)
     want = ref_quantize_channel(llr, artifact)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# --- frame-range sharding against the serial run ---------------------------------------
+# The serial oracle is the same call with the worker count patched to 1.  The
+# sharded runs use this host's count and 3, so uneven splits run on any host.
+
+@pytest.fixture(scope="module")
+def decoders(setup):
+    code, comp = setup
+    out = {"comp": comp}
+    for cn, vn in [("comp_uni", "comp_uni"), ("min", "comp"), ("omsq", "omsq")]:
+        cfg = EnsembleConfig(dc=6, dv=3, w=4, wphi=8, iterations=8, cn_variant=cn,
+                             vn_variant=vn, design_ebn0_db=2.8, rate=0.5)
+        out[cn] = design_decoder(cfg)[0]
+    return code, out
+
+
+def tally(point):
+    """Every SimPoint field but wall_time, the histogram in insertion order."""
+    fields = dataclasses.asdict(point)
+    del fields["wall_time"]
+    fields["iterations_histogram"] = list(point.iterations_histogram.items())
+    return fields
+
+
+def serial_and_sharded(monkeypatch, workers, run):
+    monkeypatch.setattr(evolution, "_WORKERS", 1)
+    want = tally(run())
+    monkeypatch.setattr(evolution, "_WORKERS", workers)
+    got = tally(run())
+    assert multiprocessing.active_children() == []
+    return want, got
+
+
+WORKERS = pytest.mark.parametrize("workers", [evolution._WORKERS, 3],
+                                  ids=[f"host{evolution._WORKERS}", "3"])
+
+
+@WORKERS
+@pytest.mark.parametrize("cn", ["comp", "comp_uni", "min", "omsq"])
+def test_sharded_tallies_equal_serial_for_every_decoder(monkeypatch, decoders, workers, cn):
+    code, artifacts = decoders
+    stop = {"max_frames": 300, "target_frame_errors": 10 ** 9}
+    want, got = serial_and_sharded(
+        monkeypatch, workers,
+        lambda: simulate_point(code, artifacts[cn], 2.0, stop=stop, seed=5))
+    assert got == want
+    assert want["frames"] == 300 and 0 < want["frame_errors"] < 300
+
+
+@WORKERS
+@pytest.mark.parametrize("max_frames", [1, 2, 3, 255, 257, 300])
+def test_sharded_tallies_equal_serial_for_any_frame_count(monkeypatch, setup, workers,
+                                                          max_frames):
+    code, artifact = setup
+    stop = {"max_frames": max_frames, "target_frame_errors": 10 ** 9}
+    want, got = serial_and_sharded(
+        monkeypatch, workers,
+        lambda: simulate_point(code, artifact, 1.5, stop=stop, seed=8, point_index=2))
+    assert got == want
+    assert want["frames"] == max_frames
+
+
+@WORKERS
+def test_sharded_noiseless_point_equals_serial(monkeypatch, setup, workers):
+    code, artifact = setup
+    want, got = serial_and_sharded(
+        monkeypatch, workers,
+        lambda: simulate_point(code, artifact, 2.8, stop={"max_frames": 200}, seed=3,
+                               noiseless=True))
+    assert got == want
+    assert want["iterations_histogram"] == [(0, 200)]
+
+
+@WORKERS
+def test_sharded_run_stops_in_the_same_chunk(monkeypatch, setup, workers):
+    code, artifact = setup
+    first = simulate_point(code, artifact, 1.5, seed=4, point_index=1,
+                           stop={"max_frames": 256, "target_frame_errors": 10 ** 9})
+    # the target is reached in the second of three chunks
+    stop = {"max_frames": 768, "target_frame_errors": first.frame_errors + 1}
+    want, got = serial_and_sharded(
+        monkeypatch, workers,
+        lambda: simulate_point(code, artifact, 1.5, stop=stop, seed=4, point_index=1))
+    assert got == want
+    assert want["frames"] == 512
+
+
+def test_worker_error_is_raised_and_leaves_no_worker(monkeypatch, setup):
+    code, artifact = setup
+    parent = os.getpid()
+
+    def noise(seed, point_index, frame_start, count, n, sigma):
+        if os.getpid() != parent:
+            raise ValidationError(f"noise for frame {frame_start} failed")
+        return np.zeros((count, n))
+
+    # patched before the call, so the forked workers see it
+    monkeypatch.setattr(sim, "_frame_noise", noise)
+    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    with pytest.raises(ValidationError, match="noise for frame 33 failed"):
+        simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+class alarm:
+    """Raise TimeoutError in this process if the block takes over ``seconds``."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def timeout(signum, frame):
+            raise TimeoutError(f"still running after {self.seconds} s")
+
+        self.previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+def test_dead_worker_raises_in_bounded_time(monkeypatch, setup):
+    code, artifact = setup
+    parent = os.getpid()
+
+    def noise(seed, point_index, frame_start, count, n, sigma):
+        if os.getpid() != parent and frame_start + count == 100:    # the last range
+            os._exit(1)
+        return np.zeros((count, n))
+
+    monkeypatch.setattr(sim, "_frame_noise", noise)
+    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    with alarm(30), pytest.raises(RuntimeError, match="exit code 1"):
+        simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_busy_worker_is_terminated_when_the_call_raises(monkeypatch, setup):
+    code, artifact = setup
+    parent = os.getpid()
+
+    def noise(seed, point_index, frame_start, count, n, sigma):
+        if os.getpid() == parent:
+            raise ValidationError("noise failed in the calling process")
+        time.sleep(60)
+
+    monkeypatch.setattr(sim, "_frame_noise", noise)
+    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    with alarm(30), pytest.raises(ValidationError, match="calling process"):
+        simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def simulate_in_pool_worker(code, artifact, stop):
+    assert multiprocessing.current_process().daemon
+    return simulate_point(code, artifact, 2.0, stop=stop, seed=6)
+
+
+def test_call_from_a_daemonic_worker_runs_serially(monkeypatch, setup):
+    code, artifact = setup
+    stop = {"max_frames": 300, "target_frame_errors": 10 ** 9}
+    monkeypatch.setattr(evolution, "_WORKERS", 1)
+    want = tally(simulate_point(code, artifact, 2.0, stop=stop, seed=6))
+    # a daemonic process may not fork; the call must not try
+    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got = tally(pool.apply(simulate_in_pool_worker, (code, artifact, stop)))
+        pool.close()
+        pool.join()
+    assert got == want
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(ebn0_db=math.nan), dict(ebn0_db=math.inf), dict(ebn0_db=-math.inf),
+    dict(ebn0_db=4000.0), dict(ebn0_db=-4000.0), dict(max_iter=-3),
+    dict(stop={"target_frame_errors": 0}), dict(stop={"target_frame_errors": -1})])
+def test_invalid_point_is_rejected_before_any_worker(monkeypatch, setup, kwargs):
+    # unchecked, nan gave 16 clean frames, -inf and target 0 ZeroDivisionError,
+    # max_iter -3 a histogram {0: 16}
+    code, artifact = setup
+
+    def no_shards(*args):
+        raise AssertionError("workers started for an invalid point")
+
+    monkeypatch.setattr(sim, "_frame_shards", no_shards)
+    call = {"ebn0_db": 3.0, "stop": {"max_frames": 16}, **kwargs}
+    with pytest.raises(ValidationError):
+        simulate_point(code, artifact, **call)
