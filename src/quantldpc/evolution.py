@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
+from . import workers
 from .complexity import CN_VARIANTS, VN_VARIANTS
 from .pmf import (
     ChannelModel,
@@ -339,22 +339,18 @@ def vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int, tables: dict) -> JointPMF
 
 def _omsq_channel_design(fine: JointPMF, w: int):
     """Uniform channel step for the baseline, picked by MI grid search."""
-    M = (1 << (w - 1)) - 1
     centers = fine.values
     spread = float(np.sqrt(np.sum(fine.p_y() * centers ** 2)))
-    ref = spread / M
+    ref = spread / ((1 << (w - 1)) - 1)
     best = None
     for step in np.geomspace(ref / 32.0, 2.0 * ref, 200):
-        mags = np.floor(np.abs(centers) / step + 0.5)
-        mapping = (np.sign(centers) * np.minimum(mags, M)).astype(np.int64)
-        mi = mutual_information(apply_quantizer(fine, mapping))
+        quant = OmsqChannelQuantizer(float(step), w)
+        quantized = apply_quantizer(fine, quant.map_llr(centers))
+        mi = mutual_information(quantized)
         if best is None or mi > best[0]:
-            best = (mi, float(step))
-    _, step = best
-    quant = OmsqChannelQuantizer(step, w)
-    mags = np.floor(np.abs(centers) / step + 0.5)
-    mapping = (np.sign(centers) * np.minimum(mags, M)).astype(np.int64)
-    return quant, apply_quantizer(fine, mapping)
+            best = (mi, quant, quantized)
+    _, quant, quantized = best
+    return quant, quantized
 
 
 def _omsq_fold(p: JointPMF):
@@ -562,14 +558,6 @@ def design_decoder(cfg: EnsembleConfig):
 # threshold search
 # ---------------------------------------------------------------------------
 
-#: worker count of every parallel path: de_threshold's probe processes and
-#: sim.simulate_point's frame ranges per chunk.  One per usable core, at
-#: most 8 (a bisection's decision tree rarely has more probes worth running
-#: ahead)
-_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1, 8)
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
     """Outcome of a DE threshold bisection.
@@ -642,32 +630,30 @@ def _speculate(lo, hi, resolution, verdicts):
         level = deeper
 
 
-def _speculative_bisection(lo, hi, resolution, pool, probe, workers, done):
-    """Run the bisection with its probes on ``pool``, ``workers`` at a time.
+def _speculative_bisection(lo, hi, resolution, idle, ready):
+    """The bisection with its probes on the ``idle`` workers and ``ready``
+    of :mod:`quantldpc.workers`, which reply with :func:`_probe`'s result.
 
-    ``probe(snr)`` returns (converged, warnings) and runs through
-    ``pool.apply_async``, whose callbacks put (snr, verdict, warnings) on
-    ``done``.  Each idle worker takes the first SNR of :func:`_speculate`
-    that is neither known nor running; a verdict off the decision path is
-    kept but never used.  With one worker the probes run in the sequential
-    order.
+    Each idle worker takes the first SNR of :func:`_speculate` that is
+    neither known nor running; a verdict off the decision path is kept but
+    never used.  With one worker the probes run in the sequential order.
     """
-    verdicts, caught, running = {}, {}, set()
+    verdicts, caught, running = {}, {}, {}
     while True:
         path, snr, outcome = _replay(lo, hi, resolution, verdicts)
         if snr is None or snr in verdicts:
             break
         for s in _speculate(lo, hi, resolution, verdicts):
-            if len(running) == workers:
+            if not idle:
                 break
-            if s not in verdicts and s not in running:
-                running.add(s)
-                pool.apply_async(
-                    probe, (s,),
-                    callback=lambda res, s=s: done.put((s, *res)),
-                    error_callback=lambda exc, s=s: done.put((s, exc, [])))
-        s, verdicts[s], caught[s] = done.get()
-        running.remove(s)
+            if s not in verdicts and s not in running.values():
+                worker = idle.pop()
+                worker.send(s)
+                running[worker] = s
+        for worker in ready(list(running)):
+            s = running.pop(worker)
+            verdicts[s], caught[s] = worker.reply()
+            idle.append(worker)
     for s in path:
         for message in caught[s]:
             warnings.warn(message, stacklevel=1)
@@ -678,11 +664,14 @@ def _speculative_bisection(lo, hi, resolution, pool, probe, workers, done):
 
 
 def _probe(cfg, snr, target_mi):
-    """One probe: does the design at ``snr`` reach ``target_mi``?  Runs in a
-    worker; returns the verdict and every warning the design raised."""
+    """One probe: does the design at ``snr`` reach ``target_mi``?  Returns
+    (verdict, the design's warnings), or (exception, []) if it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
+        try:
+            _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
+        except Exception as exc:
+            return exc, []
     ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
     return ok, [w.message for w in caught]
 
@@ -696,20 +685,15 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     at the window's lower edge, then its upper edge, then halves the
     window until it is at most ``resolution_db`` wide.
 
-    Probes are pure functions of the SNR, so they run on a pool of
-    :data:`_WORKERS` forked processes (one per usable core, at most 8)
-    that speculates down the bisection's decision tree: while the probe
-    the search needs runs, idle workers run the probes it may need next
-    under either verdict.  The result is that of the sequential search:
-    ``probes`` holds the decision path only, its probes' warnings are
-    re-emitted here in decision order, and an exception from a probe is
-    raised only if the decision path reaches it (one raised by a probe
-    off the path is dropped, as the sequential search never ran it; the
-    warnings a probe gave before raising are lost).  The pool is
-    terminated before this returns or raises, so no worker outlives the
-    call.  Needs the ``fork`` start method (POSIX); the workers are
-    forked before the pool starts its threads.  A worker killed from
-    outside loses its probe, and the call then waits forever.
+    Probes are pure functions of the SNR, so the workers of
+    :mod:`quantldpc.workers` run them ahead: while the probe the search
+    needs runs, idle workers run the probes it may need next under either
+    verdict.  The result is that of the sequential search: ``probes``
+    holds the decision path only, its probes' warnings are re-emitted here
+    in decision order, and an exception from a probe is raised only if the
+    decision path reaches it (one raised by a probe off the path is
+    dropped, as the sequential search never ran it; the warnings a probe
+    gave before raising are lost).
     """
     lo, hi = float(snr_window[0]), float(snr_window[1])
     resolution = float(resolution_db)
@@ -722,19 +706,9 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     if not (0.9 < target_mi < 1.0):
         raise ValidationError("target_mi must lie in (0.9, 1)")
 
-    # imported here, not at the top: only this search runs a pool, and
-    # multiprocessing would add ~8 ms to every import of the package
-    import multiprocessing
-    import queue
-
-    pool = multiprocessing.get_context("fork").Pool(_WORKERS)
-    try:
-        return _speculative_bisection(lo, hi, resolution, pool,
-                                      partial(_probe, cfg, target_mi=target_mi),
-                                      _WORKERS, queue.SimpleQueue())
-    finally:
-        pool.terminate()
-        pool.join()
+    probe = partial(_probe, cfg, target_mi=target_mi)
+    with workers.forked(probe, workers.WORKERS) as team:
+        return _speculative_bisection(lo, hi, resolution, team, workers.ready)
 
 
 # ---------------------------------------------------------------------------

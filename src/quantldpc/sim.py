@@ -2,25 +2,19 @@
 
 All-zero codeword transmission (valid for the symmetric decoders built
 here), counter-based seeding so every frame's noise is reproducible in
-isolation, chunked decoding with early stop on a frame-error target.
-
-Each chunk is split into contiguous frame ranges: the calling process
-decodes the first, forked worker processes (POSIX ``fork``) the others.
-A frame's noise depends only on (seed, point, frame) and a frame decodes
-the same way whatever else is in its batch, so the tallies equal those
-of a serial run.
+isolation, chunked decoding with early stop on a frame-error target,
+each chunk split across worker processes (see :func:`simulate_point`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evolution
+from . import workers
 from .decoder import DecoderState, decode_batch, omsq_decode_batch
 from .evolution import OmsqChannelQuantizer
 from .pmf import ValidationError
@@ -28,8 +22,6 @@ from .pmf import ValidationError
 CSV_HEADER = "ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iterations,seed"
 
 _CHUNK = 256
-#: seconds a decode worker gets to exit after its last request
-_GRACE_S = 1.0
 
 
 @dataclass
@@ -63,6 +55,8 @@ def wilson_interval(errors, trials, z=1.96):
     """95% (default) Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("trials must be positive")
+    if not 0 <= errors <= trials:
+        raise ValidationError(f"errors must lie in [0, trials], not {errors!r}")
     p = errors / trials
     den = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / den
@@ -108,80 +102,6 @@ def _quantize_channel(llr, artifact):
     return cells
 
 
-def _serve(conn, decode_range):
-    """A decode worker: answer (start, count) requests on ``conn`` with
-    (True, result) or (False, exception) until it sends None."""
-    while (request := conn.recv()) is not None:
-        try:
-            reply = True, decode_range(*request)
-        except Exception as exc:    # reported to the parent, which raises it
-            reply = False, exc
-        conn.send(reply)
-
-
-def _receive(conn, proc):
-    """A worker's result; its exception is raised here, its death too."""
-    try:
-        ok, value = conn.recv()
-    except EOFError:
-        proc.join(_GRACE_S)
-        raise RuntimeError(f"decode worker {proc.pid} exited "
-                           f"(exit code {proc.exitcode})") from None
-    if not ok:
-        raise value
-    return value
-
-
-@contextmanager
-def _frame_shards(decode_range, ranges):
-    """Yield ``decode(start, count)``: the (errors, iterations) per frame of
-    ``decode_range`` over a span, split into at most ``ranges`` contiguous
-    ranges.  The first is decoded here, each other on one of ``ranges - 1``
-    worker processes forked on entry (none from a daemonic process, which
-    may not have children) and joined on exit.
-    """
-    conns, procs = [], []
-
-    def decode(start, count):
-        k = min(len(conns) + 1, count)
-        bounds = [start + count * i // k for i in range(k + 1)]
-        for conn, lo, hi in zip(conns, bounds[1:], bounds[2:]):
-            conn.send((lo, hi - lo))
-        parts = [decode_range(bounds[0], bounds[1] - bounds[0])]
-        parts += [_receive(conn, proc) for conn, proc in zip(conns[:k - 1], procs)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-
-    try:
-        if ranges > 1:
-            # imported here: multiprocessing would add ~8 ms to every import
-            import multiprocessing
-
-            if not multiprocessing.current_process().daemon:
-                ctx = multiprocessing.get_context("fork")
-                for _ in range(ranges - 1):
-                    ours, theirs = ctx.Pipe()
-                    conns.append(ours)
-                    procs.append(ctx.Process(target=_serve, args=(theirs, decode_range),
-                                             daemon=True))
-                    procs[-1].start()
-                    theirs.close()  # a dead worker then reads as EOF on ``ours``
-        yield decode
-    finally:
-        for conn in conns:
-            try:
-                conn.send(None)
-            except OSError:         # that worker is gone already
-                pass
-        deadline = time.monotonic() + _GRACE_S
-        for proc in procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.exitcode is None:
-                proc.terminate()
-                proc.join()
-        for conn in conns:
-            conn.close()
-
-
 def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
                    point_index=0, max_iter=None, noiseless=False) -> SimPoint:
     """Simulate one SNR point until a stop condition triggers.
@@ -191,15 +111,11 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
     chunk of up to 256 frames.  The noise variance follows the rate
     carried in the artifact's config, matching the design-side convention.
 
-    Each chunk is split into min(evolution._WORKERS, frames in the chunk)
-    contiguous frame ranges.  This process decodes the first; the others
-    go to worker processes forked once per call (``fork`` start method,
-    POSIX only), which inherit the decoder state and receive only frame
-    spans.  The parts are tallied in frame order, so every field but
-    ``wall_time`` equals that of a serial run.  With one usable core, or
-    when called from a daemonic process, the call runs serially.  No
-    worker outlives the call; a worker's exception is raised here, and a
-    worker that dies raises RuntimeError.
+    Each chunk is split into contiguous frame ranges: this process decodes
+    the first, the workers of :mod:`quantldpc.workers` the others.  A
+    frame's noise depends only on (seed, point, frame) and its decoding not
+    on its batch, so every field but ``wall_time`` equals that of a serial
+    run.
     """
     stop = dict(stop or {})
     max_frames = int(stop.pop("max_frames", 10_000_000))
@@ -251,11 +167,17 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
     frame_errors = 0
     hist = {}
     t0 = time.perf_counter()
-    ranges = min(evolution._WORKERS, _CHUNK, max_frames)
-    with _frame_shards(decode_range, ranges) as decode:
+    spare = min(workers.WORKERS, _CHUNK, max_frames) - 1
+    with workers.forked(decode_range, spare) as team:
         while frames < max_frames and frame_errors < target_errors:
             count = min(_CHUNK, max_frames - frames)
-            errs, iters = decode(frames, count)
+            k = min(len(team) + 1, count)
+            bounds = [frames + count * i // k for i in range(k + 1)]
+            for worker, lo, hi in zip(team, bounds[1:], bounds[2:]):
+                worker.send(lo, hi - lo)
+            parts = [decode_range(bounds[0], bounds[1] - bounds[0])]
+            parts += [worker.reply() for worker in team[:k - 1]]
+            errs, iters = (np.concatenate(p) for p in zip(*parts))
             bit_errors += int(errs.sum())
             frame_errors += int((errs > 0).sum())
             for k, c in zip(*np.unique(iters, return_counts=True)):

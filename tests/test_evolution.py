@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
 import warnings
 from dataclasses import MISSING, fields, replace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantldpc import evolution
+from quantldpc import evolution, workers
 from quantldpc.evolution import (
     EARLY_STOP_MI,
     DesignArtifact,
@@ -54,6 +55,7 @@ from quantldpc.quantizers import (
     phi_saturation_delta,
     threshold_edges_llr,
 )
+from support import alarm
 
 
 def message_pmf(seed=0, half=4):
@@ -542,7 +544,7 @@ def test_de_threshold_probes_change_only_the_design_snr(monkeypatch):
             return None, [(0.5, 1.0 if probe_cfg.design_ebn0_db >= 2.2 else 0.5)]
 
         monkeypatch.setattr(evolution, "design_decoder", fake_design)
-        res = fake_pool_threshold(cfg, 0.9999, (1.0, 3.0), 0.1, workers)
+        res = fake_worker_threshold(cfg, 0.9999, (1.0, 3.0), 0.1, workers)
         assert res.status == "ok" and len(res.probes) > 3
         if workers == 1:
             assert len(probes) == len(res.probes)
@@ -587,43 +589,31 @@ def seq_de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     return ThresholdResult(hi, "ok", tuple(probes))
 
 
-class FakePool:
-    """In-process stand-in for de_threshold's pool and its result queue.
+class FakeWorker:
+    """In-process stand-in for a forked probe worker: it runs its probe when
+    its reply is read."""
 
-    A probe runs when the scheduler waits for a result; ``pick(n)`` chooses
-    which of the n running probes finishes first.
-    """
+    def __init__(self, probe):
+        self.probe = probe
+        self.args = None
 
-    def __init__(self, workers, pick):
-        self.workers = workers
-        self.pick = pick
-        self.running = []
-        self.results = []
+    def send(self, *args):
+        assert self.args is None, "a request to a busy worker"
+        self.args = args
 
-    def apply_async(self, func, args, callback, error_callback):
-        assert len(self.running) < self.workers, "more probes than workers"
-        self.running.append((func, args, callback, error_callback))
-
-    def put(self, item):
-        self.results.append(item)
-
-    def get(self):
-        func, args, callback, error_callback = self.running.pop(self.pick(len(self.running)))
-        try:
-            res = func(*args)
-        except Exception as exc:  # noqa: BLE001 - handed on like Pool does
-            error_callback(exc)
-        else:
-            callback(res)
-        return self.results.pop()
+    def reply(self):
+        args, self.args = self.args, None
+        return self.probe(*args)
 
 
-def fake_pool_threshold(cfg, target_mi, window, resolution, workers, pick=lambda n: 0):
-    """de_threshold's search with its probes on a FakePool."""
-    pool = FakePool(workers, pick)
+def fake_worker_threshold(cfg, target_mi, window, resolution, workers, pick=lambda n: 0):
+    """de_threshold's search on in-process workers; ``pick(n)`` chooses which
+    of the n running probes finishes first."""
+    probe = partial(evolution._probe, cfg, target_mi=target_mi)
     return evolution._speculative_bisection(
-        float(window[0]), float(window[1]), resolution, pool,
-        partial(evolution._probe, cfg, target_mi=target_mi), workers, pool)
+        float(window[0]), float(window[1]), resolution,
+        [FakeWorker(probe) for _ in range(workers)],
+        lambda busy: [busy[pick(len(busy))]])
 
 
 class FakeDesign:
@@ -686,8 +676,8 @@ def test_speculative_bisection_matches_sequential(design, workers, data, lo, wid
     with mock.patch.object(evolution, "design_decoder", design):
         want = outcome(lambda: seq_de_threshold(cfg, 0.9999, window, resolution))
         sequential, design.calls = design.calls, []
-        got = outcome(lambda: fake_pool_threshold(cfg, 0.9999, window, resolution,
-                                                  workers, pick))
+        got = outcome(lambda: fake_worker_threshold(cfg, 0.9999, window, resolution,
+                                                    workers, pick))
     assert got == want
     assert len(set(design.calls)) == len(design.calls)
     if workers == 1:
@@ -703,7 +693,8 @@ def test_error_off_the_decision_path_is_dropped():
     with mock.patch.object(evolution, "design_decoder", design):
         want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
         assert 0.75 not in design.calls
-        got = outcome(lambda: fake_pool_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2, 4))
+        got = outcome(lambda: fake_worker_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2,
+                                                    4))
     assert 0.75 in design.calls
     assert got == want
     assert want[0] == ThresholdResult(0.375, "ok", ((0.0, False), (1.0, True), (0.5, True),
@@ -716,8 +707,8 @@ def test_error_on_the_decision_path_is_raised_after_the_path_warnings():
                         warn=lambda snr: True)
     with mock.patch.object(evolution, "design_decoder", design):
         want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
-        got = outcome(lambda: fake_pool_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2, 4,
-                                                  pick=lambda n: n - 1))
+        got = outcome(lambda: fake_worker_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2, 4,
+                                                    pick=lambda n: n - 1))
     assert got == want == (("raised", "probe at 0.25 failed"),
                            ["probe at 0.0", "probe at 1.0", "probe at 0.5"])
 
@@ -738,6 +729,48 @@ def test_de_threshold_pool_raises_and_leaves_no_worker(monkeypatch):
                         FakeDesign(lambda snr: snr >= 2.0, error=lambda snr: snr == 2.0))
     with pytest.raises(ValidationError, match="probe at 2.0 failed"):
         de_threshold(base_cfg(), 0.9999, (1.0, 3.0), 0.1)
+    assert multiprocessing.active_children() == []
+
+
+def test_de_threshold_dead_worker_raises_in_bounded_time(monkeypatch):
+    # with a Pool, a dead worker's probe was lost and the call waited forever
+    parent = os.getpid()
+    design = FakeDesign(lambda snr: snr >= 2.0)
+
+    def design_or_die(cfg):
+        if os.getpid() != parent and cfg.design_ebn0_db == 3.0:    # on the path
+            os._exit(1)
+        return design(cfg)
+
+    monkeypatch.setattr(evolution, "design_decoder", design_or_die)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    with alarm(30), pytest.raises(RuntimeError, match="exit code 1"):
+        de_threshold(base_cfg(), 0.9999, (1.0, 3.0), 0.1)
+    assert multiprocessing.active_children() == []
+
+
+def threshold_in_pool_worker(cfg, window, resolution):
+    assert multiprocessing.current_process().daemon
+    evolution.design_decoder.calls = []
+    got = outcome(lambda: de_threshold(cfg, 0.9999, window, resolution))
+    return got, evolution.design_decoder.calls
+
+
+@pytest.mark.parametrize("error", [None, 0.25])
+def test_de_threshold_from_a_daemonic_worker_equals_sequential(monkeypatch, error):
+    # a daemonic process may not fork: this raised AssertionError with a Pool
+    design = FakeDesign(lambda snr: snr >= 0.3, error=lambda snr: snr == error,
+                        warn=lambda snr: True)
+    monkeypatch.setattr(evolution, "design_decoder", design)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.1))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got, calls = pool.apply_async(threshold_in_pool_worker,
+                                      (base_cfg(), (0.0, 1.0), 0.1)).get(timeout=60)
+        pool.close()
+        pool.join()
+    assert got == want
+    assert calls == design.calls
     assert multiprocessing.active_children() == []
 
 

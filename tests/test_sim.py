@@ -3,18 +3,20 @@ import io
 import math
 import multiprocessing
 import os
-import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from quantldpc import evolution, sim
+from quantldpc import sim, workers
 from quantldpc.codes import generate_regular_code
 from quantldpc.evolution import EnsembleConfig, OmsqChannelQuantizer, design_decoder
 from quantldpc.pmf import ValidationError
 from quantldpc.sim import (CSV_HEADER, _frame_noise, _quantize_channel, simulate_point, sweep,
                            wilson_interval, write_csv)
+from support import alarm
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,11 @@ def test_wilson_hand_values():
     assert hi1 == 1.0 and lo1 > 0.9
     with pytest.raises(ValidationError):
         wilson_interval(1, 0)
+    # unchecked, 101 of 100 gave (0, 1) with a nan warning and -1 gave (0, 1)
+    with pytest.raises(ValidationError):
+        wilson_interval(101, 100)
+    with pytest.raises(ValidationError):
+        wilson_interval(-1, 100)
 
 
 def test_noiseless_point_is_error_free(setup):
@@ -218,26 +225,26 @@ def tally(point):
     return fields
 
 
-def serial_and_sharded(monkeypatch, workers, run):
-    monkeypatch.setattr(evolution, "_WORKERS", 1)
+def serial_and_sharded(monkeypatch, count, run):
+    monkeypatch.setattr(workers, "WORKERS", 1)
     want = tally(run())
-    monkeypatch.setattr(evolution, "_WORKERS", workers)
+    monkeypatch.setattr(workers, "WORKERS", count)
     got = tally(run())
     assert multiprocessing.active_children() == []
     return want, got
 
 
-WORKERS = pytest.mark.parametrize("workers", [evolution._WORKERS, 3],
-                                  ids=[f"host{evolution._WORKERS}", "3"])
+WORKERS = pytest.mark.parametrize("count", [workers.WORKERS, 3],
+                                  ids=[f"host{workers.WORKERS}", "3"])
 
 
 @WORKERS
 @pytest.mark.parametrize("cn", ["comp", "comp_uni", "min", "omsq"])
-def test_sharded_tallies_equal_serial_for_every_decoder(monkeypatch, decoders, workers, cn):
+def test_sharded_tallies_equal_serial_for_every_decoder(monkeypatch, decoders, count, cn):
     code, artifacts = decoders
     stop = {"max_frames": 300, "target_frame_errors": 10 ** 9}
     want, got = serial_and_sharded(
-        monkeypatch, workers,
+        monkeypatch, count,
         lambda: simulate_point(code, artifacts[cn], 2.0, stop=stop, seed=5))
     assert got == want
     assert want["frames"] == 300 and 0 < want["frame_errors"] < 300
@@ -245,22 +252,22 @@ def test_sharded_tallies_equal_serial_for_every_decoder(monkeypatch, decoders, w
 
 @WORKERS
 @pytest.mark.parametrize("max_frames", [1, 2, 3, 255, 257, 300])
-def test_sharded_tallies_equal_serial_for_any_frame_count(monkeypatch, setup, workers,
+def test_sharded_tallies_equal_serial_for_any_frame_count(monkeypatch, setup, count,
                                                           max_frames):
     code, artifact = setup
     stop = {"max_frames": max_frames, "target_frame_errors": 10 ** 9}
     want, got = serial_and_sharded(
-        monkeypatch, workers,
+        monkeypatch, count,
         lambda: simulate_point(code, artifact, 1.5, stop=stop, seed=8, point_index=2))
     assert got == want
     assert want["frames"] == max_frames
 
 
 @WORKERS
-def test_sharded_noiseless_point_equals_serial(monkeypatch, setup, workers):
+def test_sharded_noiseless_point_equals_serial(monkeypatch, setup, count):
     code, artifact = setup
     want, got = serial_and_sharded(
-        monkeypatch, workers,
+        monkeypatch, count,
         lambda: simulate_point(code, artifact, 2.8, stop={"max_frames": 200}, seed=3,
                                noiseless=True))
     assert got == want
@@ -268,14 +275,14 @@ def test_sharded_noiseless_point_equals_serial(monkeypatch, setup, workers):
 
 
 @WORKERS
-def test_sharded_run_stops_in_the_same_chunk(monkeypatch, setup, workers):
+def test_sharded_run_stops_in_the_same_chunk(monkeypatch, setup, count):
     code, artifact = setup
     first = simulate_point(code, artifact, 1.5, seed=4, point_index=1,
                            stop={"max_frames": 256, "target_frame_errors": 10 ** 9})
     # the target is reached in the second of three chunks
     stop = {"max_frames": 768, "target_frame_errors": first.frame_errors + 1}
     want, got = serial_and_sharded(
-        monkeypatch, workers,
+        monkeypatch, count,
         lambda: simulate_point(code, artifact, 1.5, stop=stop, seed=4, point_index=1))
     assert got == want
     assert want["frames"] == 512
@@ -292,28 +299,10 @@ def test_worker_error_is_raised_and_leaves_no_worker(monkeypatch, setup):
 
     # patched before the call, so the forked workers see it
     monkeypatch.setattr(sim, "_frame_noise", noise)
-    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    monkeypatch.setattr(workers, "WORKERS", 3)
     with pytest.raises(ValidationError, match="noise for frame 33 failed"):
         simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
     assert multiprocessing.active_children() == []
-
-
-class alarm:
-    """Raise TimeoutError in this process if the block takes over ``seconds``."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        def timeout(signum, frame):
-            raise TimeoutError(f"still running after {self.seconds} s")
-
-        self.previous = signal.signal(signal.SIGALRM, timeout)
-        signal.alarm(self.seconds)
-
-    def __exit__(self, *exc):
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, self.previous)
 
 
 def test_dead_worker_raises_in_bounded_time(monkeypatch, setup):
@@ -326,7 +315,7 @@ def test_dead_worker_raises_in_bounded_time(monkeypatch, setup):
         return np.zeros((count, n))
 
     monkeypatch.setattr(sim, "_frame_noise", noise)
-    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    monkeypatch.setattr(workers, "WORKERS", 3)
     with alarm(30), pytest.raises(RuntimeError, match="exit code 1"):
         simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
     assert multiprocessing.active_children() == []
@@ -342,7 +331,7 @@ def test_busy_worker_is_terminated_when_the_call_raises(monkeypatch, setup):
         time.sleep(60)
 
     monkeypatch.setattr(sim, "_frame_noise", noise)
-    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    monkeypatch.setattr(workers, "WORKERS", 3)
     with alarm(30), pytest.raises(ValidationError, match="calling process"):
         simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
     assert multiprocessing.active_children() == []
@@ -356,10 +345,10 @@ def simulate_in_pool_worker(code, artifact, stop):
 def test_call_from_a_daemonic_worker_runs_serially(monkeypatch, setup):
     code, artifact = setup
     stop = {"max_frames": 300, "target_frame_errors": 10 ** 9}
-    monkeypatch.setattr(evolution, "_WORKERS", 1)
+    monkeypatch.setattr(workers, "WORKERS", 1)
     want = tally(simulate_point(code, artifact, 2.0, stop=stop, seed=6))
     # a daemonic process may not fork; the call must not try
-    monkeypatch.setattr(evolution, "_WORKERS", 3)
+    monkeypatch.setattr(workers, "WORKERS", 3)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         got = tally(pool.apply(simulate_in_pool_worker, (code, artifact, stop)))
         pool.close()
@@ -380,7 +369,16 @@ def test_invalid_point_is_rejected_before_any_worker(monkeypatch, setup, kwargs)
     def no_shards(*args):
         raise AssertionError("workers started for an invalid point")
 
-    monkeypatch.setattr(sim, "_frame_shards", no_shards)
+    monkeypatch.setattr(workers, "forked", no_shards)
     call = {"ebn0_db": 3.0, "stop": {"max_frames": 16}, **kwargs}
     with pytest.raises(ValidationError):
         simulate_point(code, artifact, **call)
+
+
+def test_package_import_leaves_multiprocessing_unloaded():
+    # it is imported when workers are forked: ~8 ms off every package import
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    check = "import sys, quantldpc; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
