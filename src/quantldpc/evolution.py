@@ -429,8 +429,56 @@ def _search_subgrid(grid, prev_best, half_width):
     return grid[lo:hi], (lo > 0 or hi < grid.size)
 
 
+def _cn_tables(p_in, wphi, step):
+    """A CN stage's translation table at a step."""
+    return build_translation_table(p_in, "cn_phi", step, wphi)
+
+
+def _vn_tables(t_ch, p_cn, wphi, step):
+    """A VN stage's translation tables at a step: channel and check messages."""
+    return {"phi_ch": build_translation_table(t_ch, "vn_llr", step, wphi),
+            "phi_c": build_translation_table(p_cn, "vn_llr", step, wphi)}
+
+
+def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k):
+    """Steps ``share``, ``share + k``, ... of a stage's search, in order.
+
+    Returns ``(best, raised, caught)``: ``best`` is ``(tables, spec, mi, q,
+    index)`` of the share's first step of highest MI (None if none ran),
+    ``raised`` the ``(index, exception)`` of a step that raised, which ends
+    the share, and ``caught`` the ``(index, warning)`` of every warning a
+    step gave.  Steps whose tables round to the same values share one
+    evolved PMF.
+    """
+    best, raised, caught, cache = None, None, [], {}
+    for i in range(share, len(steps), k):
+        step = float(steps[i])
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            try:
+                tables = tables_at(step)
+                key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
+                       else tables.values)
+                q = cache.get(key)
+                if q is None:
+                    q = cache[key] = evolve(tables)
+                if uniform:
+                    spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi,
+                                              kappa_search=kappa_search, delta=step)
+                else:
+                    spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+            except Exception as exc:
+                raised = i, exc
+        caught += [(i, w.message) for w in log]
+        if raised:
+            break
+        if best is None or mi > best[2]:
+            best = (tables, spec, mi, q, i)
+    return best, raised, caught
+
+
 def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
-                  kappa_search=False):
+                  kappa_search=False, team=()):
     """One designed node stage: tables at a step, evolution, quantizer.
 
     ``tables_at(step)`` builds the stage's translation tables at a step
@@ -440,8 +488,15 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     ``delta_search_points`` grid around it (non-uniform), or the warm
     window of the ``uniform_grid_points`` grid around ``prev_delta``, with
     the full grid searched instead when the best step lands on the
-    window's edge (uniform).  The first step of highest MI wins.  Steps
-    whose tables round to the same values share one evolved PMF.
+    window's edge (uniform).  The first step of highest MI wins.
+
+    A search of k > 1 steps is split over this process and up to k - 1
+    workers of ``team`` (:func:`_stage_share`): step j goes to share j mod
+    k, so every share gets small steps, whose saturated tables evolve the
+    longest.  Of the shares' first maxima the highest MI wins, a tie going
+    to the smallest step index, which is the step a serial scan keeps.  The
+    steps' warnings are re-emitted in step order, and a step that raised
+    raises here if no earlier step did, after the earlier steps' warnings.
 
     Returns ``(tables, QuantizerSpec, mi, quantized output PMF)``.
     """
@@ -452,30 +507,26 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
         steps, windowed = build_delta_grid(dstar, cfg.delta_search_points), False
     else:
         steps, windowed = [dstar], False
-    cache = {}
 
     def search(steps):
-        best = None
-        for step in steps:
-            step = float(step)
-            tables = tables_at(step)
-            key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
-                   else tables.values)
-            q = cache.get(key)
-            if q is None:
-                q = cache[key] = evolve(tables)
-            if uniform:
-                spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi,
-                                          kappa_search=kappa_search, delta=step)
-            else:
-                spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
-            if best is None or mi > best[2]:
-                best = (tables, spec, mi, q)
-        return best
+        k = min(len(team) + 1, len(steps))
+        args = (cfg, uniform, kappa_search, tables_at, evolve, steps)
+        for j, worker in enumerate(team[:k - 1], 1):
+            worker.send(*args, j, k)
+        shares = [_stage_share(*args, 0, k)] + [w.reply() for w in team[:k - 1]]
+        raised = min((r for _, r, _ in shares if r), key=lambda r: r[0], default=None)
+        last = len(steps) if raised is None else raised[0]
+        caught = sorted((c for _, _, cs in shares for c in cs), key=lambda c: c[0])
+        for i, message in caught:
+            if i <= last:
+                warnings.warn(message, stacklevel=1)
+        if raised:
+            raise raised[1]
+        return max(sorted((b for b, _, _ in shares), key=lambda b: b[4]), key=lambda b: b[2])
 
-    tables, spec, mi, q = search(steps)
+    tables, spec, mi, q, _ = search(steps)
     if windowed and (spec.delta <= steps[0] or spec.delta >= steps[-1]):
-        tables, spec, mi, q = search(grid)
+        tables, spec, mi, q, _ = search(grid)
     return tables, spec, mi, apply_quantizer(q, spec)
 
 
@@ -505,48 +556,53 @@ def design_decoder(cfg: EnsembleConfig):
     prev_mi_vn = None
     stall = 0
     dips = 0
-    for _ in range(cfg.iterations):
-        rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
-        if cfg.cn_variant == "min":
-            p_c2v = cn_evolve_min(p_v2c, cfg.dc)
-            rec.mi_cn = mutual_information(p_c2v)
-        elif cfg.cn_variant == "omsq":
-            p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
-            rec.mi_cn = mutual_information(p_c2v)
-        else:
-            rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
-                cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
-                partial(build_translation_table, p_v2c, "cn_phi", wphi=cfg.wphi),
-                partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta, kappa_search=True)
-            prev_cn_delta = rec.cn_quantizer.delta
+    # workers for the stages' step scans: only where a stage scans several
+    # steps, and none inside a daemonic process (a threshold probe)
+    designed = {cfg.cn_variant, cfg.vn_variant} & {"comp", "comp_uni"}
+    scans = "comp_uni" in designed or (designed and cfg.delta_search_points > 1)
+    spare = workers.WORKERS - 1 if scans and cfg.iterations and workers.can_fork() else 0
+    with workers.forked(_stage_share, spare) as team:
+        for _ in range(cfg.iterations):
+            rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
+            if cfg.cn_variant == "min":
+                p_c2v = cn_evolve_min(p_v2c, cfg.dc)
+                rec.mi_cn = mutual_information(p_c2v)
+            elif cfg.cn_variant == "omsq":
+                p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
+                rec.mi_cn = mutual_information(p_c2v)
+            else:
+                rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
+                    cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
+                    partial(_cn_tables, p_v2c, cfg.wphi),
+                    partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
+                    kappa_search=True, team=team)
+                prev_cn_delta = rec.cn_quantizer.delta
 
-        if cfg.vn_variant == "omsq":
-            p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
-            rec.mi_vn = mutual_information(p_v2c)
-        else:
-            def vn_tables(step, p_cn=p_c2v):
-                return {"phi_ch": build_translation_table(t_ch, "vn_llr", step, cfg.wphi),
-                        "phi_c": build_translation_table(p_cn, "vn_llr", step, cfg.wphi)}
+            if cfg.vn_variant == "omsq":
+                p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
+                rec.mi_vn = mutual_information(p_v2c)
+            else:
+                rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
+                    cfg, cfg.vn_variant == "comp_uni",
+                    llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
+                    partial(_vn_tables, t_ch, p_c2v, cfg.wphi),
+                    partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, team=team)
+                prev_vn_delta = rec.vn_quantizer.delta
 
-            rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
-                cfg, cfg.vn_variant == "comp_uni", llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
-                vn_tables, partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta)
-            prev_vn_delta = rec.vn_quantizer.delta
+            artifact.per_iteration.append(rec)
+            trajectory.append((rec.mi_cn, rec.mi_vn))
 
-        artifact.per_iteration.append(rec)
-        trajectory.append((rec.mi_cn, rec.mi_vn))
-
-        if prev_mi_vn is not None and rec.mi_vn < prev_mi_vn - 1e-9:
-            dips += 1
-        if rec.mi_vn >= EARLY_STOP_MI:
-            break
-        if prev_mi_vn is not None and abs(rec.mi_vn - prev_mi_vn) < 1e-11:
-            stall += 1
-            if stall >= 3:
+            if prev_mi_vn is not None and rec.mi_vn < prev_mi_vn - 1e-9:
+                dips += 1
+            if rec.mi_vn >= EARLY_STOP_MI:
                 break
-        else:
-            stall = 0
-        prev_mi_vn = rec.mi_vn
+            if prev_mi_vn is not None and abs(rec.mi_vn - prev_mi_vn) < 1e-11:
+                stall += 1
+                if stall >= 3:
+                    break
+            else:
+                stall = 0
+            prev_mi_vn = rec.mi_vn
     if dips:
         warnings.warn(
             f"mi_vn decreased on {dips} of {len(trajectory)} iterations "

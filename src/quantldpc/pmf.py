@@ -29,11 +29,17 @@ class ValidationError(ValueError):
 
 
 def _xlog2x(v):
-    """Elementwise v*log2(v) with the 0*log(0)=0 convention."""
+    """Elementwise v*log2(v) of masses v >= 0, with the 0*log(0)=0 convention.
+
+    A zero is raised to the smallest subnormal before the log, so its
+    product is -0.0, and adding 0.0 makes it +0.0; every other element is
+    the plain v*log2(v).  No mask, no warning.
+    """
     v = np.asarray(v, dtype=np.float64)
-    out = np.zeros_like(v)
-    np.log2(v, out=out, where=v > 0)
+    out = np.maximum(v, 5e-324)
+    np.log2(out, out=out)
     out *= v
+    out += 0.0
     return out
 
 
@@ -297,13 +303,20 @@ def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:
     ``quantizer`` may be a QuantizerSpec (symmetric threshold or shift-based
     uniform quantizer acting on symbol magnitudes) or an explicit mapping
     from input symbol to output symbol (dict, or an array aligned with the
-    alphabet).  Total mass is preserved exactly; no renormalization.
+    alphabet).  Total mass is preserved exactly; no renormalization.  A
+    QuantizerSpec's output has every cell +/-1 .. +/-2**(w-1) as a symbol,
+    a cell no input reaches with zero mass, so a table built on it is
+    indexed by cell as the decoder indexes it; a mapping's output has the
+    symbols it reaches.
     """
     # local import: quantizers builds on this module
     from .quantizers import QuantizerSpec
 
     if isinstance(quantizer, QuantizerSpec):
-        out_sym = quantizer.map_symbols(p)
+        n = quantizer.n_cells
+        cells = quantizer.map_symbols(p)
+        out_alphabet = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+        inverse = np.where(cells < 0, cells + n, cells + n - 1)
         llr_order = p.llr_order
         symmetric = p.symmetric
     else:
@@ -318,8 +331,7 @@ def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:
                 raise ValidationError("mapping array must align with the alphabet")
         llr_order = False
         symmetric = _mapping_output_symmetric(p, out_sym)
-
-    out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
+        out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
     out_mass = np.zeros((2, out_alphabet.size))
     np.add.at(out_mass[0], inverse, p.mass[0])
     np.add.at(out_mass[1], inverse, p.mass[1])

@@ -8,7 +8,8 @@ A worker that dies reads as EOF and raises RuntimeError with its exit
 code.  On exit each worker is sent ``None``, joined within :data:`GRACE_S`
 seconds and then terminated, so none outlives the call.  A daemonic
 process may not have children and gets one in-process worker instead,
-which runs each request when its reply is read.
+which runs each request when its reply is read; a caller that would
+rather do the work itself there asks :func:`can_fork` first.
 """
 
 import os
@@ -76,13 +77,20 @@ def ready(busy):
     return [w for w in busy if w.conn in done]
 
 
-@contextmanager
-def forked(fn, n):
-    """Yield ``n`` workers serving ``fn`` (one in-process in a daemonic process)."""
+def can_fork():
+    """Whether this process may have children (a daemonic one may not)."""
     # imported here: multiprocessing would add ~8 ms to every import
     import multiprocessing
 
-    if n > 0 and multiprocessing.current_process().daemon:
+    return not multiprocessing.current_process().daemon
+
+
+@contextmanager
+def forked(fn, n):
+    """Yield ``n`` workers serving ``fn`` (one in-process in a daemonic process)."""
+    import multiprocessing
+
+    if n > 0 and not can_fork():
         yield [_InProcess(fn)]
         return
     ctx = multiprocessing.get_context("fork")

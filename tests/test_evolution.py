@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import inspect
 import itertools
 import json
 import math
@@ -14,6 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantldpc import evolution, workers
+from quantldpc.codes import generate_regular_code
+from quantldpc.complexity import CN_VARIANTS, VN_VARIANTS
+from quantldpc.decoder import DecoderState
 from quantldpc.evolution import (
     EARLY_STOP_MI,
     DesignArtifact,
@@ -55,6 +61,7 @@ from quantldpc.quantizers import (
     phi_saturation_delta,
     threshold_edges_llr,
 )
+from quantldpc.sim import simulate_point
 from support import alarm
 
 
@@ -1040,7 +1047,9 @@ def test_design_stage_matches_reference(cn, vn, search_points, warm_window, ebn0
 
 
 def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
-    # the differential cases above must exercise the window-edge fallback
+    # the differential cases above must exercise the window-edge fallback;
+    # the spies count in this process, so the stages run serially in it
+    monkeypatch.setattr(workers, "WORKERS", 1)
     stages = []
 
     def subgrid(grid, prev_best, half_width):
@@ -1060,3 +1069,243 @@ def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
                                  uniform_warm_window=1))
     fallbacks = sum(1 for window, calls in stages if calls > window)
     assert len(stages) == 16 and 0 < fallbacks < 16
+
+
+# --- the stage scan split across forked workers ------------------------------
+
+def design_outcome(cfg):
+    """(artifact JSON, trajectory) or the raised error's text, and the
+    warning texts in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            artifact, traj = design_decoder(cfg)
+            res = artifact.to_json(), traj
+        except ValidationError as exc:
+            res = ("raised", str(exc))
+    return res, [str(w.message) for w in caught]
+
+
+def serial_and_split(cfg, monkeypatch, count):
+    """design_outcome on one worker, then on ``count`` workers."""
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    want = design_outcome(cfg)
+    monkeypatch.setattr(workers, "WORKERS", count)
+    got = design_outcome(cfg)
+    assert multiprocessing.active_children() == []
+    return want, got
+
+
+@pytest.mark.parametrize("count", [workers.WORKERS, 3])
+@pytest.mark.parametrize("cn,vn,kw", [
+    ("comp_uni", "comp_uni", {}), ("min", "comp_uni", {}),
+    ("comp", "comp", {"delta_search_points": 5})])
+def test_split_stage_scan_equals_one_worker(monkeypatch, count, cn, vn, kw):
+    # 2.2 dB: no early stop, so all 8 iterations design; a warm window of 1
+    # gives 3-step scans and full-grid fallbacks
+    cfg = stage_cfg(cn, vn, design_ebn0_db=2.2, uniform_warm_window=1, **kw)
+    want, got = serial_and_split(cfg, monkeypatch, count)
+    assert got == want
+    assert want[0][0] != "raised"
+
+
+def grid_design_uniform(grid, mi_at):
+    """design_uniform with the MI replaced by ``mi_at(grid index of the
+    step)``; each step warns with its index."""
+    index = {float(d): i for i, d in enumerate(grid)}
+
+    def fake(q, w, *, delta, **kw):
+        spec, _ = design_uniform(q, w, delta=delta, **kw)
+        i = index[delta]
+        warnings.warn(f"step {i}", UserWarning)
+        return spec, mi_at(i)
+    return fake
+
+
+def cn_stage(cfg, team):
+    """The first comp_uni CN stage of ``cfg`` (full grid) on ``team``."""
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            tables, spec, mi, q = evolution._design_stage(
+                cfg, True, phi_saturation_delta(p, cfg.wphi),
+                partial(build_translation_table, p, "cn_phi", wphi=cfg.wphi),
+                partial(cn_evolve_comp, p, cfg.dc), None, kappa_search=True, team=team)
+            res = tables, spec, mi, q.alphabet.tolist(), q.mass.tolist()
+        except ValidationError as exc:
+            res = ("raised", str(exc))
+    return res, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_split_stage_tie_goes_to_the_smallest_step_index(monkeypatch, count):
+    # steps 5, 6 and 7 tie for the highest MI and lie in different shares
+    # (the caller holds 6 under either count): a serial scan keeps step 5
+    cfg = stage_cfg("comp_uni", "comp_uni")
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    grid = build_delta_grid(phi_saturation_delta(p, cfg.wphi), cfg.uniform_grid_points)
+    monkeypatch.setattr(evolution, "design_uniform",
+                        grid_design_uniform(grid, lambda i: 0.5 if i in (5, 6, 7) else 0.25))
+    want = cn_stage(cfg, ())
+    with workers.forked(evolution._stage_share, count - 1) as team:
+        got = cn_stage(cfg, team)
+    assert multiprocessing.active_children() == []
+    assert got == want
+    assert want[0][1].delta == float(grid[5]) and want[0][2] == 0.5
+    assert want[1] == [f"step {i}" for i in range(cfg.uniform_grid_points)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_split_stage_raises_the_earliest_step_error(monkeypatch, count):
+    # steps 4 and 9 raise, in different shares: step 4's error is raised,
+    # after the warnings of steps 0-4 and of no later step
+    cfg = stage_cfg("comp_uni", "comp_uni")
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    grid = build_delta_grid(phi_saturation_delta(p, cfg.wphi), cfg.uniform_grid_points)
+
+    def mi_at(i):
+        if i in (4, 9):
+            raise ValidationError(f"step {i} failed")
+        return 0.25
+    monkeypatch.setattr(evolution, "design_uniform", grid_design_uniform(grid, mi_at))
+    want = cn_stage(cfg, ())
+    with workers.forked(evolution._stage_share, count - 1) as team:
+        got = cn_stage(cfg, team)
+    assert multiprocessing.active_children() == []
+    assert got == want == (("raised", "step 4 failed"), [f"step {i}" for i in range(5)])
+
+
+def test_split_stage_requests_pickle_with_rebound_layer_functions(monkeypatch):
+    # a tracer rebinds every public function at each module binding, so a
+    # function imported from another module no longer pickles by reference
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    want = design_outcome(stage_cfg("comp_uni", "comp_uni"))
+    for name, obj in list(vars(evolution).items()):
+        if not name.startswith("_") and inspect.isfunction(obj):
+            monkeypatch.setattr(evolution, name, functools.wraps(obj)(
+                lambda *a, fn=obj, **kw: fn(*a, **kw)))
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    assert design_outcome(stage_cfg("comp_uni", "comp_uni")) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_split_stage_dead_worker_raises_in_bounded_time(monkeypatch):
+    parent = os.getpid()
+
+    def design_or_die(q, w, **kw):
+        if os.getpid() != parent:
+            os._exit(1)
+        return design_uniform(q, w, **kw)
+
+    monkeypatch.setattr(evolution, "design_uniform", design_or_die)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    with alarm(30), pytest.raises(RuntimeError, match="exit code 1"):
+        design_decoder(stage_cfg("comp_uni", "comp_uni"))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cfg,spare", [
+    (stage_cfg("comp", "comp"), 0), (stage_cfg("min", "comp"), 0),
+    (stage_cfg("omsq", "omsq"), 0), (stage_cfg("omsq", "omsq", delta_search_points=5), 0),
+    (stage_cfg("comp_uni", "comp_uni", iterations=0), 0),
+    (stage_cfg("comp", "comp", delta_search_points=5), 2),
+    (stage_cfg("min", "comp_uni"), 2), (stage_cfg("comp_uni", "comp"), 2)])
+def test_design_forks_only_for_a_step_search(monkeypatch, cfg, spare):
+    counts = []
+
+    @contextlib.contextmanager
+    def counting(fn, n):
+        counts.append(n)
+        yield []
+
+    monkeypatch.setattr(workers, "forked", counting)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    design_decoder(cfg)
+    assert counts == [spare]
+
+
+def design_in_pool_worker(cfg):
+    assert multiprocessing.current_process().daemon
+    teams = []
+    real_stage = evolution._design_stage
+
+    def stage(*args, team=(), **kw):
+        teams.append(len(team))
+        return real_stage(*args, team=team, **kw)
+
+    with mock.patch.object(evolution, "_design_stage", stage):
+        return design_outcome(cfg), teams
+
+
+def test_design_from_a_daemonic_worker_does_not_split(monkeypatch):
+    # a threshold probe runs in a daemonic process: its stages scan serially
+    cfg = stage_cfg("comp_uni", "comp_uni", design_ebn0_db=2.2, uniform_warm_window=1)
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    want = design_outcome(cfg)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got, teams = pool.apply_async(design_in_pool_worker, (cfg,)).get(timeout=120)
+        pool.close()
+        pool.join()
+    assert got == want
+    assert teams and set(teams) == {0}
+    assert multiprocessing.active_children() == []
+
+
+# --- design-point fuzz ----------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def fuzz_code(dv, dc):
+    # N / dc = dv * dc: the quasi-cyclic lift, girth 6 guaranteed
+    return generate_regular_code(dv * dc * dc, dv, dc, seed=1)
+
+
+@st.composite
+def design_points(draw):
+    w = draw(st.integers(2, 4))
+    return dict(dc=draw(st.integers(2, 8)), dv=draw(st.integers(1, 4)), w=w,
+                wphi=draw(st.integers(w, 8)), iterations=draw(st.integers(1, 3)),
+                cn_variant=draw(st.sampled_from(CN_VARIANTS)),
+                vn_variant=draw(st.sampled_from(VN_VARIANTS)),
+                design_ebn0_db=draw(st.floats(-2.0, 6.0)),
+                rate=draw(st.sampled_from([0.25, 0.5, 0.841])),
+                delta_search_points=draw(st.sampled_from([0, 1, 5])),
+                uniform_warm_window=draw(st.sampled_from([0, 1, 10])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(point=design_points())
+def test_every_design_point_designs_or_fails_loudly(point):
+    # either a ValidationError, or an artifact that round-trips, loads and
+    # decodes noiseless frames clean; SNRs on both sides of threshold
+    try:
+        cfg = EnsembleConfig(**point)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            artifact, _ = design_decoder(cfg)
+    except ValidationError:
+        return
+    text = artifact.to_json()
+    back = DesignArtifact.from_json(text)
+    assert back.to_json() == text
+    code = fuzz_code(cfg.dv, cfg.dc)
+    if cfg.cn_variant != "omsq":
+        DecoderState(code, back)
+    res = simulate_point(code, back, cfg.design_ebn0_db, stop={"max_frames": 8},
+                         noiseless=True)
+    assert (res.frames, res.frame_errors, res.bit_errors) == (8, 0, 0)
+
+
+def test_a_uniform_vn_stage_with_an_empty_cell_keeps_every_cell():
+    # dv = 1 with wphi = 4: the VN output has 7 magnitudes and its best
+    # shift is 0, so cell 1 is empty; the next stage's tables were 7 long
+    # and the artifact failed to load
+    cfg = EnsembleConfig(dc=6, dv=1, w=4, wphi=4, iterations=3, cn_variant="min",
+                         vn_variant="comp_uni", design_ebn0_db=4.7, rate=0.5)
+    artifact, _ = design_decoder(cfg)
+    assert artifact.per_iteration[0].vn_quantizer.shift_r == 0
+    back = DesignArtifact.from_json(artifact.to_json())
+    assert [len(r.vn_tables["phi_c"].values) for r in back.per_iteration] == [8, 8, 8]
+    res = simulate_point(fuzz_code(1, 6), back, 4.7, stop={"max_frames": 8}, noiseless=True)
+    assert (res.frame_errors, res.bit_errors) == (0, 0)

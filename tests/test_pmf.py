@@ -8,6 +8,7 @@ from quantldpc.pmf import (
     ChannelModel,
     JointPMF,
     ValidationError,
+    _xlog2x,
     apply_quantizer,
     awgn_llr_pmf,
     folded_mutual_information,
@@ -22,6 +23,27 @@ def small_pmf():
     mass = np.array([[0.30, 0.15, 0.05],
                      [0.05, 0.15, 0.30]])
     return JointPMF([-1, 1, 2], mass)
+
+
+def masked_xlog2x(v):
+    """The where=-masked form _xlog2x replaced, as the reference."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros_like(v)
+    np.log2(v, out=out, where=v > 0)
+    out *= v
+    return out
+
+
+def test_xlog2x_equals_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(np.float64).tiny
+    edge = np.array([0.0, 5e-324, 1e-320, tiny / 2, tiny, 1e-300, 0.5, 1.0, 2.0, 1e300, np.inf])
+    cases = [edge, rng.random(10 ** 6), np.exp(-700.0 * rng.random(10 ** 6)),
+             np.where(rng.random((64, 1450)) < 0.2, 0.0, rng.random((64, 1450)))]
+    for v in cases:
+        got, want = _xlog2x(v), masked_xlog2x(v)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.signbit(_xlog2x(np.zeros(3))).sum() == 0      # +0.0, not -0.0
 
 
 def test_mi_against_hand_sum():
@@ -121,6 +143,15 @@ def test_apply_quantizer_spec_and_mapping_agree():
     via_map = apply_quantizer(p, mapping)
     assert np.array_equal(via_spec.alphabet, via_map.alphabet)
     assert np.allclose(via_spec.mass, via_map.mass, atol=0.0)
+
+
+def test_apply_quantizer_spec_keeps_empty_cells():
+    # magnitudes 1..3 under shift 0 land in cells 2..4: cell 1 is empty
+    p = small_pmf_symmetric()
+    q = apply_quantizer(p, QuantizerSpec("uniform", 3, shift_r=0))
+    assert q.alphabet.tolist() == [-4, -3, -2, -1, 1, 2, 3, 4]
+    assert q.mass[:, [3, 4]].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.array_equal(q.mass[:, [0, 1, 2, 5, 6, 7]], p.mass)
 
 
 def small_pmf_symmetric():
