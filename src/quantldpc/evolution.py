@@ -530,6 +530,51 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     return tables, spec, mi, apply_quantizer(q, spec)
 
 
+def _design_iteration(cfg, t_ch, state, team):
+    """One iteration designed from the state the previous one left.
+
+    ``state`` is ``(p_v2c, prev_cn_delta, prev_vn_delta)``: the VN output
+    PMF and the step sizes the designed nodes chose last.  Returns the
+    iteration's record and the state it leaves.
+    """
+    p_v2c, prev_cn_delta, prev_vn_delta = state
+    rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
+    if cfg.cn_variant == "min":
+        p_c2v = cn_evolve_min(p_v2c, cfg.dc)
+        rec.mi_cn = mutual_information(p_c2v)
+    elif cfg.cn_variant == "omsq":
+        p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
+        rec.mi_cn = mutual_information(p_c2v)
+    else:
+        rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
+            cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
+            partial(_cn_tables, p_v2c, cfg.wphi),
+            partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
+            kappa_search=True, team=team)
+        prev_cn_delta = rec.cn_quantizer.delta
+
+    if cfg.vn_variant == "omsq":
+        p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
+        rec.mi_vn = mutual_information(p_v2c)
+    else:
+        rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
+            cfg, cfg.vn_variant == "comp_uni",
+            llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
+            partial(_vn_tables, t_ch, p_c2v, cfg.wphi),
+            partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, team=team)
+        prev_vn_delta = rec.vn_quantizer.delta
+    return rec, (p_v2c, prev_cn_delta, prev_vn_delta)
+
+
+def _state_key(state):
+    """Exact, hashable form of an iteration's state: the next iteration is
+    a function of it alone."""
+    p, cn_delta, vn_delta = state
+    values = None if p.values is None else p.values.tobytes()
+    return (p.alphabet.tobytes(), p.mass.tobytes(), p.llr_order, p.symmetric,
+            p.mag_offset, values, cn_delta, vn_delta)
+
+
 def design_decoder(cfg: EnsembleConfig):
     """Run discrete density evolution at the design SNR.
 
@@ -539,6 +584,17 @@ def design_decoder(cfg: EnsembleConfig):
     trajectory, a list of (mi_cn, mi_vn) pairs.  The loop leaves early once
     mi_vn reaches 1 - 1e-6 or stalls for several iterations, so the
     artifact may cover fewer than ``cfg.iterations`` iterations.
+
+    An iteration is a function of the state the previous one left: the VN
+    output PMF (alphabet, masses, flags) and the step sizes last chosen.
+    Once that state repeats exactly, after iterations s and t > s, the
+    design has entered a cycle, and iterations t+1, t+2, ... would design
+    records s+1, s+2, ... again bit for bit.  The loop then stops designing
+    and replays records s+1..t periodically up to ``cfg.iterations``,
+    running the same early-stop and stall rules on them and re-emitting
+    each replayed iteration's warnings; the artifact, trajectory and
+    warnings are those of designing every iteration.  The artifact of a
+    cycling design therefore holds replayed copies of records.
     """
     fine = awgn_llr_pmf(cfg.channel_model())
     if cfg.cn_variant == "omsq":
@@ -550,44 +606,38 @@ def design_decoder(cfg: EnsembleConfig):
     artifact = DesignArtifact(cfg, chq, t_ch, edges)
     trajectory = []
 
-    p_v2c = t_ch
-    prev_cn_delta = None
-    prev_vn_delta = None
+    state = (t_ch, None, None)
+    designed = []       # (record, warnings) of every designed iteration
+    seen = {}           # state key -> index of the iteration designed from it
+    cycle = None        # index of the first record of the cycle, once found
     prev_mi_vn = None
     stall = 0
     dips = 0
     # workers for the stages' step scans: only where a stage scans several
     # steps, and none inside a daemonic process (a threshold probe)
-    designed = {cfg.cn_variant, cfg.vn_variant} & {"comp", "comp_uni"}
-    scans = "comp_uni" in designed or (designed and cfg.delta_search_points > 1)
+    nodes = {cfg.cn_variant, cfg.vn_variant} & {"comp", "comp_uni"}
+    scans = "comp_uni" in nodes or (nodes and cfg.delta_search_points > 1)
     spare = workers.WORKERS - 1 if scans and cfg.iterations and workers.can_fork() else 0
     with workers.forked(_stage_share, spare) as team:
-        for _ in range(cfg.iterations):
-            rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
-            if cfg.cn_variant == "min":
-                p_c2v = cn_evolve_min(p_v2c, cfg.dc)
-                rec.mi_cn = mutual_information(p_c2v)
-            elif cfg.cn_variant == "omsq":
-                p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
-                rec.mi_cn = mutual_information(p_c2v)
+        for it in range(cfg.iterations):
+            if cycle is None:
+                try:
+                    with warnings.catch_warnings(record=True) as log:
+                        warnings.simplefilter("always")
+                        rec, state = _design_iteration(cfg, t_ch, state, team)
+                finally:
+                    caught = [w.message for w in log]
+                    for message in caught:
+                        warnings.warn(message, stacklevel=1)
+                designed.append((rec, caught))
+                key = _state_key(state)
+                cycle = seen.get(key)
+                seen[key] = it + 1
             else:
-                rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
-                    cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
-                    partial(_cn_tables, p_v2c, cfg.wphi),
-                    partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
-                    kappa_search=True, team=team)
-                prev_cn_delta = rec.cn_quantizer.delta
-
-            if cfg.vn_variant == "omsq":
-                p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
-                rec.mi_vn = mutual_information(p_v2c)
-            else:
-                rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
-                    cfg, cfg.vn_variant == "comp_uni",
-                    llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
-                    partial(_vn_tables, t_ch, p_c2v, cfg.wphi),
-                    partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, team=team)
-                prev_vn_delta = rec.vn_quantizer.delta
+                rec, caught = designed[cycle + (it - cycle) % (len(designed) - cycle)]
+                rec = replace(rec)
+                for message in caught:
+                    warnings.warn(message, stacklevel=1)
 
             artifact.per_iteration.append(rec)
             trajectory.append((rec.mi_cn, rec.mi_vn))

@@ -119,7 +119,8 @@ class JointPMF:
         if self.symmetric:
             if not np.array_equal(a[::-1], -a):
                 raise ValidationError("symmetric PMF needs an alphabet closed under negation")
-            if not np.allclose(m[0], m[1][::-1], rtol=0.0, atol=MASS_TOL):
+            # every mass is finite here: the sum check rejects inf and nan
+            if not np.max(np.abs(m[0] - m[1][::-1])) <= MASS_TOL:
                 raise ValidationError("p(0, y) != p(1, -y): PMF is not symmetric")
 
     @property
@@ -149,11 +150,12 @@ class JointPMF:
     def fold_positive(self):
         """Masses of the positive half-alphabet, ascending in magnitude.
 
-        Returns (mags, a, b) with a = p(x=0, +m) and b = p(x=1, +m).
+        Returns (mags, a, b) with a = p(x=0, +m) and b = p(x=1, +m).  The
+        positive symbols are the tail of the strictly increasing alphabet.
         """
-        pos = self.alphabet > 0
-        mags = self.alphabet[pos] - self.mag_offset
-        return mags, self.mass[0, pos].copy(), self.mass[1, pos].copy()
+        pos = int(np.searchsorted(self.alphabet, 0, side="right"))
+        mags = self.alphabet[pos:] - self.mag_offset
+        return mags, self.mass[0, pos:].copy(), self.mass[1, pos:].copy()
 
     def __repr__(self):
         return (f"JointPMF({self.n_symbols} symbols, "

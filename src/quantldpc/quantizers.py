@@ -5,9 +5,9 @@ Two quantizer families act on symbol magnitudes of a symmetric joint PMF:
 * non-uniform threshold quantizers, designed by dynamic programming that is
   exact over all contiguous magnitude partitions and maximizes the mutual
   information of the quantized output.  For K cells over n magnitudes it
-  takes O(K * n**2) time and O(block * n) memory, walking the magnitude
-  axis in fixed row blocks; MI ties go to the leftmost boundary, i.e. the
-  lexicographically smallest threshold vector;
+  takes O(K * n**2) time and O((block + K) * n) memory, walking the
+  magnitude axis in fixed row blocks; MI ties go to the leftmost
+  boundary, i.e. the lexicographically smallest threshold vector;
 * uniform shift-and-offset quantizers (add an offset, drop the r low bits,
   saturate), searched exhaustively: per step size, one vectorized pass
   scores every (shift r, offset kappa) pair; MI ties go to the smaller
@@ -260,9 +260,60 @@ def _folded_prune(mags, a, b, prune_tol, min_keep):
     return mags, a, b
 
 
-#: rows of the partition DP per block; a block's scores (rows x n floats)
-#: stay in cache while every layer of the DP runs over them
-_DP_BLOCK = 64
+#: rows of the partition DP per block; a block's four buffers (rows x n
+#: floats each) stay in L2 while the scores are built and every layer of
+#: the DP runs over them
+_DP_BLOCK = 32
+
+
+def _dp_layers(A, B, best, pick):
+    """Layers 1.. of the partition DP, filled in place, bottom-up in blocks.
+
+    ``A`` and ``B`` are the prefix sums of the folded masses; ``best[0]``
+    must hold the one-cell scores.  Four buffers of ``_DP_BLOCK`` x n
+    floats are allocated once per call.  For a block of rows lo..hi-1 they
+    hold pa, pb and s = pa + pb of every cluster i..e-1 (e > lo) and its
+    score x(pa) + x(pb) - x(s) + s, x(v) = v * log2(max(v, 5e-324)): the
+    ufuncs of ``pmf._cluster_scores`` without its ``+ 0.0``, which only
+    turns x(0) = -0.0 into +0.0.  A -0.0 term changes no score: added to a
+    nonzero term or to +0.0 it vanishes, and where pa = pb = 0 the score
+    is ((-0.0 + -0.0) - -0.0) + 0.0 = +0.0 either way.  Each DP layer then
+    adds the previous layer to the scores in a freed buffer and takes the
+    first maximum per row.
+    """
+    n = A.size - 1
+    block = min(_DP_BLOCK, n)
+    pa, pb, s, g = (np.empty(block * n) for _ in range(4))
+    below = np.tri(block, k=-1, dtype=bool)     # e <= i within a block
+    rows = np.arange(block)
+    for hi in range(n, 0, -block):
+        lo = max(0, hi - block)
+        h = hi - lo
+        shape = (h, n - lo)
+        size = h * (n - lo)
+        PA = np.subtract(A[lo + 1:], A[lo:hi, None], out=pa[:size].reshape(shape))
+        PB = np.subtract(B[lo + 1:], B[lo:hi, None], out=pb[:size].reshape(shape))
+        S = np.add(PA, PB, out=s[:size].reshape(shape))
+        G = g[:size].reshape(shape)
+        np.maximum(PA, 5e-324, out=G)
+        np.log2(G, out=G)
+        G *= PA
+        np.maximum(PB, 5e-324, out=PA)
+        np.log2(PA, out=PA)
+        PA *= PB
+        G += PA
+        np.maximum(S, 5e-324, out=PB)
+        np.log2(PB, out=PB)
+        PB *= S
+        G -= PB
+        G += S
+        np.copyto(G[:, :h], -np.inf, where=below[:h, :h])
+        cand = PB
+        for c in range(1, best.shape[0]):
+            np.add(G, best[c - 1, lo + 1:], out=cand)
+            k = np.argmax(cand, axis=1)     # first max: smallest boundary
+            best[c, lo:hi] = cand[rows[:h], k]
+            pick[c, lo:hi] = k + (lo + 1)
 
 
 def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
@@ -278,11 +329,13 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     the search.
 
     With K = 2**(w-1) cells and n retained magnitudes the search costs
-    O(K * n**2) time and O((block + K) * n) memory: cluster scores are
-    built for one block of ``_DP_BLOCK`` rows at a time, never as an
-    n x n matrix, and every DP layer runs on a block before the next block
-    is built.  The result is the same, bit for bit, as a DP over the full
-    score matrix (kept as the reference in the tests).
+    O(K * n**2) time and O((block + K) * n) memory: four buffers of
+    ``_DP_BLOCK`` x n floats, allocated once per call, hold one block of
+    rows' cluster scores and each DP layer's candidates on them (never an
+    n x n matrix), plus the K - 1 layers of best scores and picks.  Every
+    DP layer runs on a block before the next block is built
+    (:func:`_dp_layers`).  The result is the same, bit for bit, as a DP
+    over the full score matrix (kept as the reference in the tests).
 
     Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
     """
@@ -311,18 +364,7 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     # c-1 only at e > i, which a later block or an earlier layer of this
     # block has already filled in.
     if K > 2:
-        for hi in range(n, 0, -_DP_BLOCK):
-            lo = max(0, hi - _DP_BLOCK)
-            h = hi - lo
-            G = _cluster_scores(A[lo + 1:] - A[lo:hi, None], B[lo + 1:] - B[lo:hi, None])
-            G[:, :h][np.tri(h, k=-1, dtype=bool)] = -np.inf     # e <= i
-            cand = np.empty_like(G)
-            rows = np.arange(h)
-            for c in range(1, K - 1):
-                np.add(G, best[c - 1, lo + 1:], out=cand)
-                k = np.argmax(cand, axis=1)     # first max: smallest boundary
-                best[c, lo:hi] = cand[rows, k]
-                pick[c, lo:hi] = k + (lo + 1)
+        _dp_layers(A, B, best, pick)
     # the last layer (K cells) is only needed at row 0
     cand = _cluster_scores(A[1:] - A[0], B[1:] - B[0]) + best[K - 2, 1:]
     j = int(np.argmax(cand)) + 1

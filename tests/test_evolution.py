@@ -1253,6 +1253,99 @@ def test_design_from_a_daemonic_worker_does_not_split(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# --- exact fast-forward of a cycling design -----------------------------------
+
+def paper_point(cn, vn, ebn0, iterations=150):
+    return EnsembleConfig(dc=32, dv=6, w=4, wphi=8, rate=0.841, iterations=iterations,
+                          cn_variant=cn, vn_variant=vn, design_ebn0_db=ebn0)
+
+
+def reference_outcome(cfg):
+    """design_outcome of ref_design_decoder, which designs every iteration."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        artifact, traj = ref_design_decoder(cfg)
+    return (artifact.to_json(), traj), [str(w.message) for w in caught]
+
+
+def counted_vn_stages(monkeypatch):
+    """Records every VN stage design_decoder designs (one vn_evolve call
+    per stage without a step search)."""
+    stages = []
+
+    def spy(*args):
+        stages.append(args[-1]["phi_c"].values)
+        return vn_evolve(*args)
+
+    monkeypatch.setattr(evolution, "vn_evolve", spy)
+    return stages
+
+
+def test_a_cycling_design_fast_forwards_to_the_reference(monkeypatch):
+    # min/comp at the paper point, 3.0 dB: the state the 92nd iteration
+    # leaves is one an earlier iteration left (period 3), so 58 of the 150
+    # iterations are replayed
+    cfg = paper_point("min", "comp", 3.0)
+    stages = counted_vn_stages(monkeypatch)
+    got = design_outcome(cfg)
+    assert len(stages) == 92
+    assert got == reference_outcome(cfg)
+    (_, traj), caught = got
+    assert len(traj) == 150 and traj[92:] == traj[89:147]
+    assert caught == ["mi_vn decreased on 91 of 150 iterations (quantizer redesign oscillation)"]
+
+
+def test_replayed_iterations_re_emit_their_warnings(monkeypatch):
+    evolve = vn_evolve
+    designed = []
+
+    def warning_vn(p_cn, p_ch, dv, tables):
+        designed.append(1)
+        warnings.warn(f"vn stage on phi_c {tables['phi_c'].values}", UserWarning)
+        return evolve(p_cn, p_ch, dv, tables)
+
+    monkeypatch.setattr(evolution, "vn_evolve", warning_vn)
+    monkeypatch.setitem(globals(), "vn_evolve", warning_vn)
+    cfg = paper_point("min", "comp", 3.0)
+    got = design_outcome(cfg)
+    assert len(designed) == 92
+    want = reference_outcome(cfg)
+    assert len(designed) == 92 + 150
+    assert got == want
+    assert sum(m.startswith("vn stage") for m in got[1]) == 150
+
+
+def test_state_key_tells_apart_every_part_of_the_state():
+    # a cycle is declared only on an exact repeat of everything the next
+    # iteration reads
+    p = message_pmf()
+    key = evolution._state_key((p, 0.5, 0.25))
+    assert evolution._state_key((JointPMF(p.alphabet.copy(), p.mass.copy(), llr_order=True,
+                                          symmetric=True), 0.5, 0.25)) == key
+    nudged = p.mass.copy()
+    nudged[:, [0, -1]] += [[1e-17], [-1e-17]]
+    variants = [
+        (JointPMF(p.alphabet, nudged, llr_order=True, symmetric=True), 0.5, 0.25),
+        (JointPMF(p.alphabet * 2, p.mass, llr_order=True, symmetric=True), 0.5, 0.25),
+        (JointPMF(p.alphabet, p.mass, symmetric=True), 0.5, 0.25),
+        (JointPMF(p.alphabet, p.mass, llr_order=True, symmetric=True, values=p.alphabet * 0.5),
+         0.5, 0.25),
+        (p, 0.5000000000000001, 0.25), (p, 0.5, 0.25000000000000006), (p, None, 0.25)]
+    assert len({key} | {evolution._state_key(v) for v in variants}) == 1 + len(variants)
+
+
+@pytest.mark.parametrize("cfg,stop", [
+    (base_cfg(design_ebn0_db=4.0), "converged"),
+    (base_cfg(cn_variant="min", dc=6, design_ebn0_db=0.5, iterations=60), "stalled")])
+def test_converging_and_stalling_designs_replay_nothing(monkeypatch, cfg, stop):
+    stages = counted_vn_stages(monkeypatch)
+    got = design_outcome(cfg)
+    traj = got[0][1]
+    assert len(stages) == len(traj) < cfg.iterations
+    assert (traj[-1][1] >= EARLY_STOP_MI) == (stop == "converged")
+    assert got == reference_outcome(cfg)
+
+
 # --- design-point fuzz ----------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)

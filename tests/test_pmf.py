@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantldpc.pmf import (
+    MASS_TOL,
     ChannelModel,
     JointPMF,
     ValidationError,
@@ -202,6 +203,100 @@ def test_joint_pmf_validation():
 def test_joint_pmf_rejects_nan_mass():
     with pytest.raises(ValidationError, match="sums to nan"):
         JointPMF([-1, 1], [[math.nan, 0.5], [0.5, 0.2]])
+
+
+def reference_validate(p):
+    """JointPMF.validate with its earlier symmetry test, np.allclose."""
+    a, m = p.alphabet, p.mass
+    if a.ndim != 1 or m.shape != (2, a.size):
+        raise ValidationError(f"mass shape {m.shape} does not match alphabet size {a.size}")
+    if a.size < 2:
+        raise ValidationError("alphabet must hold at least two symbols")
+    if np.any(np.diff(a) <= 0):
+        raise ValidationError("alphabet must be strictly increasing")
+    if np.any(m < -1e-15):
+        raise ValidationError("negative probability mass")
+    total = float(m.sum())
+    if not (abs(total - 1.0) <= MASS_TOL):
+        raise ValidationError(f"mass sums to {total!r}, not 1 within {MASS_TOL}")
+    if p.values is not None and p.values.shape != a.shape:
+        raise ValidationError("values must align with the alphabet")
+    if p.symmetric:
+        if not np.array_equal(a[::-1], -a):
+            raise ValidationError("symmetric PMF needs an alphabet closed under negation")
+        if not np.allclose(m[0], m[1][::-1], rtol=0.0, atol=MASS_TOL):
+            raise ValidationError("p(0, y) != p(1, -y): PMF is not symmetric")
+
+
+def reference_fold_positive(p):
+    """JointPMF.fold_positive with its earlier boolean mask."""
+    pos = p.alphabet > 0
+    return p.alphabet[pos] - p.mag_offset, p.mass[0, pos].copy(), p.mass[1, pos].copy()
+
+
+def validation_outcome(check, p):
+    try:
+        check(p)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def checked_pmfs():
+    """Random symmetric PMFs, some nudged off symmetry or normalization,
+    and hand-made edge cases, all built unvalidated."""
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        half = int(rng.integers(1, 40))
+        row0 = rng.random(2 * half)
+        row0[rng.random(2 * half) < 0.2] = 0.0
+        row0 /= 2.0 * row0.sum() if row0.sum() > 0 else 1.0
+        mass = np.vstack([row0, row0[::-1]])
+        for _ in range(int(rng.integers(0, 3))):
+            mass[rng.integers(2), rng.integers(2 * half)] += (
+                rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(10.0, 17.0))
+        if trial % 3 == 0:       # a zero symbol, magnitude offset 1
+            alphabet = np.arange(-half, half + 1)
+            mass = np.insert(mass, half, 0.0, axis=1)
+            offset = 1
+        else:
+            alphabet = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
+            offset = 0
+        yield JointPMF(alphabet, mass, symmetric=trial % 5 != 4, mag_offset=offset,
+                       validate=False)
+    # asymmetry of 1e-12 and one ulp either side, on masses summing to
+    # 1 - 2**-41 so the sum check passes
+    row0 = np.array([0.0, 0.125, 0.125, 0.25 - 2.0 ** -42])
+    for gap in (np.nextafter(1e-12, 0.0), 1e-12, np.nextafter(1e-12, 1.0)):
+        mass = np.vstack([row0, row0[::-1]])
+        mass[0, 0] = gap
+        yield JointPMF([-2, -1, 1, 2], mass, symmetric=True, validate=False)
+    for bad in (math.inf, -math.inf, math.nan, -1e-16, -2e-15):
+        for cells in ([(0, 1)], [(0, 1), (1, 2)]):
+            mass = np.vstack([row0, row0[::-1]])
+            for cell in cells:
+                mass[cell] = bad
+            yield JointPMF([-2, -1, 1, 2], mass, symmetric=True, validate=False)
+    yield JointPMF([-3, -2, -1], np.full((2, 3), 1 / 6), validate=False)
+    yield JointPMF([-1, 0, 1], np.full((2, 3), 1 / 6), mag_offset=1, validate=False)
+
+
+def test_validate_and_fold_equal_their_earlier_expressions():
+    outcomes = set()
+    for p in checked_pmfs():
+        want = validation_outcome(reference_validate, p)
+        assert validation_outcome(JointPMF.validate, p) == want
+        outcomes.add(want.split(":")[0].split(" ")[0] if want else None)
+        if want is None:
+            for got, ref in zip(p.fold_positive(), reference_fold_positive(p)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    # accepted, asymmetric, unnormalized, negative and nan cases all ran
+    assert outcomes == {None, "p(0,", "mass", "negative"}
+
+
+def test_symmetry_check_boundary_is_one_ulp():
+    gaps = [validation_outcome(JointPMF.validate, p) for p in checked_pmfs()][300:303]
+    assert gaps == [None, None, "p(0, y) != p(1, -y): PMF is not symmetric"]
 
 
 def test_channel_model_validation():

@@ -12,7 +12,6 @@ from quantldpc.pmf import (
     JointPMF,
     ValidationError,
     _cluster_scores,
-    _xlog2x,
     apply_quantizer,
     awgn_llr_pmf,
     mutual_information,
@@ -121,6 +120,16 @@ def test_dp_tie_break_on_degenerate_mass():
     assert spec.thresholds == (int(mags[min(ref_bounds)[0]]),)
 
 
+def oracle_xlog2x(v):
+    """v*log2(v) with 0*log2(0) = +0.0: the DP's arithmetic as the dense
+    reference keeps it, whatever the package's own helpers do."""
+    out = np.maximum(v, 5e-324)
+    np.log2(out, out=out)
+    out *= v
+    out += 0.0
+    return out
+
+
 def dense_design_nonuniform(p, w, prune_tol):
     """Reference partition DP over the full (n+1) x (n+1) score matrix.
 
@@ -136,10 +145,10 @@ def dense_design_nonuniform(p, w, prune_tol):
     B = np.concatenate([[0.0], np.cumsum(b)])
     pa = A[None, :] - A[:, None]
     pb = B[None, :] - B[:, None]
-    G = _xlog2x(pa)
-    G += _xlog2x(pb)
+    G = oracle_xlog2x(pa)
+    G += oracle_xlog2x(pb)
     s = pa + pb
-    G -= _xlog2x(s)
+    G -= oracle_xlog2x(s)
     G += s
     idx = np.arange(A.size)
     G[idx[:, None] >= idx[None, :]] = -np.inf
@@ -191,6 +200,44 @@ def test_dp_bit_identical_to_dense_reference(w, size, kind):
             thresholds, ref_mi = dense_design_nonuniform(p, w, prune_tol)
             assert spec.thresholds == thresholds
             assert mi == ref_mi
+
+
+def zero_mass_pmf(rng, n, rows):
+    """Symmetric PMF over n magnitudes whose folded masses have zero runs:
+    on both rows (clusters with pa = pb = 0), or on one row only (pa = 0 <
+    pb and pb = 0 < pa), at the start, inside and at block edges."""
+    a = rng.random(n) + 1e-3
+    b = rng.random(n) * a
+    runs = [slice(0, 2), slice(n // 2 - 2, n // 2 + 3), slice(n - 4, n - 2)]
+    runs += [slice(i, i + 1) for i in rng.choice(n - 1, size=n // 6, replace=False)]
+    zero = np.zeros((2, n), dtype=bool)
+    for k, run in enumerate(runs):
+        zero[:, run] = True if rows == "both" else [[k % 2 == 1], [k % 2 == 0]]
+    if rows == "one":
+        zero[1] &= ~zero[0]
+    a[zero[0]] = 0.0
+    b[zero[1]] = 0.0
+    t = 2 * (a.sum() + b.sum())
+    row0 = np.concatenate([b[::-1], a]) / t
+    mass = np.vstack([row0, row0[::-1]])
+    alphabet = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    return JointPMF(alphabet, mass, llr_order=True, symmetric=True)
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("rows", ["both", "one"])
+def test_dp_bit_identical_on_zero_mass_clusters(w, offset, rows):
+    n = _DP_BLOCK + offset
+    rng = np.random.default_rng([w, n, len(rows)])
+    for _ in range(3):
+        p = zero_mass_pmf(rng, n, rows)
+        _, a, b = p.fold_positive()
+        assert a.size == n and np.any((a == 0) & (b == 0)) == (rows == "both")
+        assert rows == "both" or (np.any((a == 0) & (b > 0)) and np.any((b == 0) & (a > 0)))
+        for prune_tol in (0.0, 1e-12):
+            spec, mi = design_nonuniform(p, w, prune_tol=prune_tol)
+            assert (spec.thresholds, mi) == dense_design_nonuniform(p, w, prune_tol)
 
 
 def test_dp_bit_identical_on_channel_grid():
