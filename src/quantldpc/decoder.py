@@ -16,17 +16,30 @@ node side whose nodes share one degree d views its edges as a (d, nodes,
 frames) block reduced over the short leading axis; an irregular side is
 node-major and uses ``reduceat`` along the edge axis.  Quantizing is a table
 lookup, two per iteration.  A variable-to-check message travels encoded as
-2 cn_in(t) + (t < 0): the CN input of its w-bit value t (the translated
-magnitude, or |t| for a minimum) with the sign in bit 0, so the CN step reads
-them with ``>> 1`` and ``& 1``.  DecoderState tabulates per iteration, over
-the adder range, the signed VN addend by extrinsic CN value (CN quantizer and
-VN translation fused) and the next encoded message by extrinsic VN sum and
-node type (VN quantizer, zero-sum tie sign and the next iteration's CN input
-folded in).  The cost model's adder widths (complexity.cn_input_width and
-vn_input_width) bound every value the loop forms, the full CN sum, the
-encoded messages and the table indices included; it runs in int16 when they
-fit (14 bits at the paper point dc=32, dv=6, wphi=8) and in int32 or int64
-otherwise.
+v = 2 cn_in(t) + (t < 0): the CN input of its w-bit value t (the translated
+magnitude, or |t| for a minimum) with the sign in bit 0.  DecoderState
+tabulates per iteration, over the adder range, the signed VN addend by
+extrinsic CN value and sign (CN quantizer and VN translation fused, stored
+sign-interleaved: entry 2y + 1 - s holds value y with sign bit s) and the
+next encoded message by extrinsic VN sum and node type (VN quantizer,
+zero-sum tie sign and the next iteration's CN input folded in).
+
+A check node's parity P is the xor-reduce of its v, masked to bit 0, and
+v ^ P carries each edge's extrinsic sign in bit 0.  A sum CN then indexes
+its table by 2T + 1 - (v ^ P), T the full sum of v >> 1: five full-size
+passes (shift, add-reduce, xor-reduce, xor, subtract).  A min CN takes the
+minimum m of v over the node's other edges, from running minima forward and
+backward on a regular side (the minimum of 2x + s, shifted right by one, is
+the minimum of x), and indexes by (m | 1) ^ ((v ^ P) & 1).  Both lookup
+indices are written into one intp buffer (edges x frames x 8 bytes per
+decode call), so ``np.take`` casts nothing.  A frame is recorded at its
+first syndrome success and stays in the working set, decoded but not
+recorded again, until a quarter of the set has finished; only then are the
+per-frame arrays compacted.  The cost model's VN adder width
+(complexity.vn_input_width) and the bound 2 dc (2^(wphi-1) - 1) + 1 on a sum
+CN's 2T + 1 bound every value the loop forms, the encoded messages and the
+table indices included; it runs in int16 when they fit (14 bits at the paper
+point dc=32, dv=6, wphi=8) and in int32 or int64 otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .complexity import cn_input_width, vn_input_width
+from .complexity import cn_input_width, omsq_beta, vn_input_width
 from .pmf import ValidationError
 from .quantizers import QuantizerSpec
 
@@ -193,6 +206,32 @@ class _Side:
         """(nodes, frames) values broadcast against a view."""
         return y[None] if self.regular else np.take(y, self.rep, axis=0)
 
+    def min_others(self, v, a, b):
+        """Per edge of a view, the minimum of v over the node's other edges.
+
+        A regular side runs minima from the front into a (row k holds the
+        minimum of rows < k) and from the back into b (row k: rows > k),
+        then takes their row-wise minimum in a, which it returns.  An
+        irregular side reduces: a unique minimum sees the runner-up,
+        everything else the minimum.  a and b are scratch views like v.
+        """
+        if not self.regular:
+            lo = self.reduce(np.minimum, v)
+            is_lo = v == self.spread(lo)
+            unique = self.reduce(np.add, is_lo.astype(v.dtype)) == 1
+            second = self.reduce(np.minimum, np.where(is_lo, np.iinfo(v.dtype).max, v))
+            return np.where(is_lo & self.spread(unique), self.spread(second), self.spread(lo))
+        d = self.deg
+        a[1] = v[0]
+        for k in range(1, d - 1):
+            np.minimum(a[k], v[k], out=a[k + 1])
+        b[d - 2] = v[d - 1]
+        for k in range(d - 2, 0, -1):
+            np.minimum(b[k], v[k], out=b[k - 1])
+        np.minimum(a[1:d - 1], b[1:d - 1], out=a[1:d - 1])
+        a[0] = b[0]
+        return a
+
 
 def _cell_table(spec: QuantizerSpec, size):
     """Quantizer cell 1..2^(w-1) of every magnitude 0..size-1."""
@@ -231,8 +270,7 @@ class DecoderState:
     @classmethod
     def offset_min_sum(cls, code, w, beta):
         """State of the offset-min-sum baseline on w-bit messages."""
-        if beta < 0:
-            raise ValidationError("beta must be nonnegative")
+        beta = omsq_beta(beta)
         self = cls.__new__(cls)
         self.cn_variant, self.beta = "omsq", beta
         self._layout(code, w, w, 0)      # messages are their own VN addends
@@ -257,16 +295,17 @@ class DecoderState:
         self.vn_inv = np.argsort(self.vn_perm)
         self.vn_type = (np.arange(code.n_vars) + vn_phase) % 2
         self.w, self.half = w, 1 << (w - 1)
-        # CN sums lie in [0, 2^cw), VN sums in (-2^(vw-1), 2^(vw-1)); the signed
-        # CN index takes one bit more, the VN index (sign offset, tie half) two.
-        # An encoded message 2 cn_in + 1 is at most 2^wphi + 1 < 2^(vw-1).
+        # VN sums lie in (-2^(vw-1), 2^(vw-1)); the VN index (sign offset, tie
+        # half) takes two bits more.  An encoded message 2 cn_in + 1 is at
+        # most 2^wphi + 1 < 2^(vw-1).  The sum CN forms 2T + 1 from the full
+        # sum T of dc inputs of at most 2^(wphi-1) - 1, which bounds its
+        # index too; at dc = 129, wphi = 8 that is exactly 2^15 - 1.
         dc, dv = self.checks.deg, self.vars.deg
         cw, vw = cn_input_width(dc, wphi), vn_input_width(dv, wphi)
         bits = vw + 2
         if self.cn_variant in _SUM_CN:
-            bits = max(bits, cn_input_width(dc + 1, wphi) + 1, cw + 2)
+            bits = max(bits, (2 * dc * ((1 << (wphi - 1)) - 1) + 1).bit_length() + 1)
         self.dtype = np.int16 if bits <= 16 else np.int32 if bits <= 32 else np.int64
-        self.big = self.dtype(np.iinfo(self.dtype).max)
         self.cn_range, self.vn_range = 1 << cw, 1 << (vw - 1)
         base = self.vn_range + self.vn_type * (2 * self.vn_range + 1)
         self.vn_base = base.astype(self.dtype)[:, None]
@@ -293,8 +332,10 @@ class DecoderState:
         """Loop tables from per-iteration (ch, cn_in, cn_out, vn_out) tables.
 
         vn_out gives offset codes t + 2^(w-1); each code is replaced by its
-        encoded message for the next iteration's CN input.  cn_out[x + neg *
-        len/2] carries the sign.
+        encoded message for the next iteration's CN input.  cn_out is stored
+        sign-interleaved: entry 2y + 1 - s is the output for extrinsic sum
+        or minimum y with sign bit s, the entry :func:`_flood` indexes by
+        2T + 1 - (v ^ P) or (m | 1) ^ ((v ^ P) & 1).
         """
         def encode(cn_in, code):
             return (2 * cn_in[code] + (code < self.half)).astype(self.dtype)
@@ -302,7 +343,7 @@ class DecoderState:
         next_in = [r[1] for r in raw[1:] + raw[-1:]]
         self.forward = encode(raw[0][1], np.arange(2 * self.half + 1)) if raw else None
         self.tables = [(np.asarray(ch, dtype=self.dtype),
-                        np.concatenate([cn_out, -cn_out]).astype(self.dtype),
+                        np.stack([-cn_out, cn_out], axis=1).ravel().astype(self.dtype),
                         encode(cn_in, vn_out))
                        for (ch, _, cn_out, vn_out), cn_in in zip(raw, next_in)]
 
@@ -316,8 +357,22 @@ class DecoderState:
         return self._parity_ok(np.ascontiguousarray(np.asarray(bits).T))
 
 
+#: the working set is compacted once this share of its frames has finished;
+#: 1/8 and 1/4 timed best on the decode benchmark's kernels, 1/2 took 4%
+#: longer and never compacting 30% longer
+_COMPACT_SHARE = 0.25
+
+
 def _flood(state, channel_msgs, max_iter):
-    """The one flooding loop of every decoder variant."""
+    """The one flooding loop of every decoder variant.
+
+    Each iteration writes both lookup indices, the check side's by the
+    arithmetic of the module doc, into one intp buffer of edges x frames x
+    8 bytes per call.  A frame's bits, iteration count and ``ok`` are
+    recorded at its first syndrome success; it is decoded on but never
+    recorded again until _COMPACT_SHARE of the working set has finished and
+    the set is compacted.
+    """
     ch = np.asarray(channel_msgs, dtype=np.int64)
     if ch.ndim != 2 or ch.shape[1] != state.vars.n:
         raise ValidationError("channel message array must be (frames, n_vars)")
@@ -334,52 +389,57 @@ def _flood(state, channel_msgs, max_iter):
     if not tables:
         raise ValidationError("decoder state has no iteration tables")
 
+    sum_cn = state.cn_variant in _SUM_CN
     active = np.flatnonzero(~ok)
+    live = np.ones(len(active), dtype=bool)
     u_ch = np.ascontiguousarray((ch[active] + state.half).astype(state.dtype).T)
     v2c = np.take(np.take(state.forward, u_ch), state.edge_var, axis=0)
+    # the index buffer and two message buffers, viewed at the working set's size
+    bufs = [np.empty(v2c.size, dtype=t) for t in (np.intp, state.dtype, state.dtype)]
     ch_tab = psi_ch = None
     for it in range(max_iter):
         tab_ch, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused
         if ch_tab is None or not np.array_equal(tab_ch, ch_tab):
             ch_tab, psi_ch = tab_ch, np.take(tab_ch, u_ch)   # once per distinct table
+        idx, a, b = (buf[:v2c.size].reshape(v2c.shape) for buf in bufs)
         # --- check nodes: extrinsic sum or minimum, then sign ---------------
-        v = checks.view(v2c)
-        x, neg = v >> 1, v & 1
-        if state.cn_variant in _SUM_CN:
-            np.subtract(checks.spread(checks.reduce(np.add, x)), x, out=x)
+        v, cidx = checks.view(v2c), checks.view(idx)
+        par = checks.reduce(np.bitwise_xor, v)
+        par &= 1
+        if sum_cn:
+            top = 2 * checks.reduce(np.add, np.right_shift(v, 1, out=checks.view(a))) + 1
+            np.bitwise_xor(v, checks.spread(par), out=v)
+            np.subtract(checks.spread(top), v, out=cidx)
         else:
-            m1 = checks.reduce(np.minimum, x)
-            is_min = x == checks.spread(m1)
-            cnt = checks.reduce(np.add, is_min.astype(state.dtype))
-            m2 = checks.reduce(np.minimum, np.maximum(x, is_min * state.big))
-            # a unique minimum sees the runner-up; everything else sees the min
-            x = checks.spread(m1) + is_min * checks.spread((m2 - m1) * (cnt == 1))
-        neg ^= checks.spread(checks.reduce(np.bitwise_xor, neg))
-        neg *= state.dtype(len(cn_out) // 2)
-        x += neg
-        c2v = np.take(cn_out, x).reshape(v2c.shape)
+            m = checks.min_others(v, checks.view(a), checks.view(b))
+            m |= 1
+            np.bitwise_xor(v, checks.spread(par), out=v)
+            v &= 1
+            np.bitwise_xor(m, v, out=cidx)
+        c2v = np.take(cn_out, idx)
         # --- variable nodes -------------------------------------------------
         psi = vars_.view(np.take(c2v, state.vn_perm, axis=0))
         app = vars_.reduce(np.add, psi)
         app += psi_ch
-        out = np.take(vn_out, np.subtract(vars_.spread(app + state.vn_base), psi, out=psi))
-        v2c = np.take(out.reshape(v2c.shape), state.vn_inv, axis=0)
+        np.subtract(vars_.spread(app + state.vn_base), psi, out=vars_.view(idx))
+        v2c = np.take(np.take(vn_out, idx), state.vn_inv, axis=0)
 
         hard = (app < 0).view(np.uint8)
         done = state._parity_ok(hard)
         last = it + 1 == max_iter
-        if not (last or done.any()):
-            continue
-        fin = slice(None) if last else np.flatnonzero(done)
-        rows = active[fin]
-        bits[rows] = hard[:, fin].T
-        iters_used[rows] = it + 1
-        ok[rows] = done[fin]
-        if last or done.all():
+        fin = live if last else done & live
+        if fin.any():
+            rows = active[fin]
+            bits[rows] = hard[:, fin].T
+            iters_used[rows] = it + 1
+            ok[rows] = done[fin]
+            live &= ~fin
+        if last or not live.any():
             break
-        keep = np.flatnonzero(~done)
-        active = active[keep]
-        u_ch, psi_ch, v2c = (np.take(a, keep, axis=1) for a in (u_ch, psi_ch, v2c))
+        if np.count_nonzero(~live) >= _COMPACT_SHARE * len(live):
+            keep = np.flatnonzero(live)
+            active, live = active[keep], live[keep]
+            u_ch, psi_ch, v2c = (np.take(x, keep, axis=1) for x in (u_ch, psi_ch, v2c))
     return bits, iters_used, ok
 
 

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import workers
-from .complexity import CN_VARIANTS, VN_VARIANTS
+from .complexity import CN_VARIANTS, VN_VARIANTS, omsq_beta
 from .pmf import (
     ChannelModel,
     JointPMF,
@@ -100,8 +100,7 @@ class EnsembleConfig:
             raise ValidationError(f"unknown vn_variant {self.vn_variant!r}")
         if (self.cn_variant == "omsq") != (self.vn_variant == "omsq"):
             raise ValidationError("the omsq baseline fixes both node variants together")
-        if self.beta < 0:
-            raise ValidationError("beta must be nonnegative")
+        object.__setattr__(self, "beta", omsq_beta(self.beta))
         if self.uniform_grid_points < 2:
             raise ValidationError("uniform_grid_points must be at least 2")
         if self.uniform_warm_window < 0:

@@ -180,8 +180,8 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
             errs, iters = (np.concatenate(p) for p in zip(*parts))
             bit_errors += int(errs.sum())
             frame_errors += int((errs > 0).sum())
-            for k, c in zip(*np.unique(iters, return_counts=True)):
-                hist[int(k)] = hist.get(int(k), 0) + int(c)
+            for used, c in zip(*np.unique(iters, return_counts=True)):
+                hist[int(used)] = hist.get(int(used), 0) + int(c)
             frames += count
     return SimPoint(float(ebn0_db), frames, bit_errors, frame_errors, hist,
                     int(seed), time.perf_counter() - t0, n)

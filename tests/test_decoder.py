@@ -1,11 +1,13 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quantldpc import decoder
 from quantldpc.codes import ParityCheckMatrix, generate_regular_code
 from quantldpc.decoder import (
     DecoderState,
@@ -263,7 +265,7 @@ def test_scalar_and_batch_agree(small_setup):
 
 def test_scalar_and_batch_agree_min_variant(min_setup):
     # magnitude ties inside a check are common at w=4; the batched
-    # first/second minimum bookkeeping must match the scalar rule
+    # extrinsic minimum must match the scalar first/second minimum rule
     code, artifact = min_setup
     msgs = noisy_frames(code, artifact, 6, sigma=1.1, seed=3)
     bits_b, iters_b, ok_b = decode_batch(msgs, code, artifact, max_iter=8)
@@ -713,7 +715,7 @@ def random_frames(seed, n_frames, n, levels, *, zero=False):
 
 @settings(max_examples=150, deadline=None)
 @given(code=codes(), artifact=artifacts(), seed=st.integers(0, 2 ** 32 - 1),
-       n_frames=st.integers(1, 6), max_iter=st.integers(0, 8), vn_phase=st.integers(0, 1))
+       n_frames=st.integers(1, 40), max_iter=st.integers(0, 8), vn_phase=st.integers(0, 1))
 def test_kernel_matches_reference_and_scalar_nodes(code, artifact, seed, n_frames,
                                                    max_iter, vn_phase):
     msgs = random_frames(seed, n_frames, code.n_vars, 1 << (artifact.config.w - 1))
@@ -726,7 +728,7 @@ def test_kernel_matches_reference_and_scalar_nodes(code, artifact, seed, n_frame
 
 @settings(max_examples=100, deadline=None)
 @given(code=codes(), w=st.integers(2, 5), beta=st.integers(0, 3),
-       seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), n_frames=st.integers(1, 40),
        max_iter=st.integers(0, 8))
 def test_omsq_kernel_matches_reference_and_scalar_nodes(code, w, beta, seed, n_frames,
                                                         max_iter):
@@ -758,6 +760,68 @@ def test_kernel_zero_sum_ties_follow_vn_phase():
                     scalar_decode(msgs, code, artifact, 6, phase))
         outs.append(got)
     assert not all(np.array_equal(a, b) for a, b in zip(*outs))
+
+
+def scalar_syndromes(frame, code, artifact, n_iter):
+    """After each of n_iter flooding iterations of one frame, through the
+    scalar node updates and never stopping: is every check satisfied?"""
+    rows = code.row_adjacency
+    cols = [[] for _ in range(code.n_vars)]
+    for c, row in enumerate(rows):
+        for k, v in enumerate(row):
+            cols[v].append((c, k))
+    rec = artifact.per_iteration[0]
+    frame = [int(t) for t in frame]
+    v2c = [[frame[v] for v in row] for row in rows]
+    bits, path = [0] * code.n_vars, []
+    for _ in range(n_iter):
+        if rec.cn_tables is None:
+            c2v = [cn_update_min(m) for m in v2c]
+        else:
+            c2v = [cn_update_comp(m, rec.cn_tables, rec.cn_quantizer) for m in v2c]
+        for v, edges in enumerate(cols):
+            outs, app = vn_update(frame[v], [c2v[c][k] for c, k in edges], rec.vn_tables,
+                                  rec.vn_quantizer, v % 2)
+            for (c, k), o in zip(edges, outs):
+                v2c[c][k] = o
+            bits[v] = int(app < 0)
+        path.append(all(sum(bits[v] for v in row) % 2 == 0 for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("variant,path", [("comp", [False, True, False, True]),
+                                          ("min", [False, True, False, False])])
+def test_a_frame_is_recorded_at_its_first_success(variant, path):
+    """A frame that clears its syndrome at iteration 2 and fails it at 3,
+    among seven frames still running: one finished frame of eight is below
+    the compaction share, so it is decoded on but must report iteration 2
+    and its bits of then, as both references do."""
+    tab = lambda *v: TranslationTable(v, 5, 1.0)
+    quant = lambda *t: QuantizerSpec("non_uniform", 3, thresholds=t)
+    if variant == "comp":
+        rec = IterationDesign(0.5, 0.5, cn_tables=tab(7, 8, 8, 5), cn_quantizer=quant(15, 26, 36),
+                              vn_tables={"phi_ch": tab(15, 2, 10, 6), "phi_c": tab(10, 12, 5, 10)},
+                              vn_quantizer=quant(5, 18, 26))
+    else:
+        rec = IterationDesign(0.5, 0.5, vn_tables={"phi_ch": tab(7, 8, 8, 5),
+                                                   "phi_c": tab(15, 5, 10, 5)},
+                              vn_quantizer=quant(8, 17, 38))
+    cfg = EnsembleConfig(dc=6, dv=3, w=3, wphi=5, iterations=1, cn_variant=variant,
+                         vn_variant="comp", design_ebn0_db=1.0, rate=0.5)
+    artifact = DesignArtifact(cfg, None, None, None, [rec])
+    code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
+    frame = [3, 3, 2, 4, 2, 4, 1, 2, 4, 2, 3, 3, 2, 1, 4, 4, 2, 4, 1, 2, 3, 4, -3, 1]
+    assert scalar_syndromes(frame, code, artifact, 4) == path
+    others = [f for f in random_frames(6, 24, code.n_vars, 4)
+              if not any(scalar_syndromes(f, code, artifact, 5))][:7]
+    assert len(others) == 7 and decoder._COMPACT_SHARE > 1 / 8
+    msgs = np.array([frame] + others)
+    got = decode_batch(msgs, code, artifact, 8)
+    assert_same(got, ref_decode_batch(msgs, code, artifact, 8),
+                scalar_decode(msgs, code, artifact, 8))
+    assert got[1][0] == 2 and got[2][0] and (got[1][1:] > 3).all()
+    first, _, _ = decode_batch(msgs[:1], code, artifact, 2)
+    assert np.array_equal(got[0][0], first[0])
 
 
 @pytest.fixture(scope="module")
@@ -824,6 +888,27 @@ def test_states_are_tied_to_their_decoder(small_setup):
         omsq_decode_batch(ch, code, 4, 1, 2, state=DecoderState(code, artifact))
     with pytest.raises(ValidationError, match="beta"):
         DecoderState.offset_min_sum(code, 4, -1)
+
+
+@pytest.mark.parametrize("beta", [0.5, -1, True, np.bool_(True), 1.0])
+def test_omsq_state_rejects_a_beta_that_is_not_a_nonnegative_int(beta):
+    # 0.5 used to build the table of beta = 1 without a word
+    code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
+    with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
+        DecoderState.offset_min_sum(code, 4, beta)
+    with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
+        omsq_decode_batch(np.ones((1, code.n_vars), dtype=np.int64), code, 4, beta, 2)
+
+
+def test_omsq_state_takes_a_numpy_int_beta():
+    code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
+    state = DecoderState.offset_min_sum(code, 4, np.int64(2))
+    assert type(state.beta) is int and state.beta == 2
+    want = DecoderState.offset_min_sum(code, 4, 2)
+    assert np.array_equal(state.tables[0][1], want.tables[0][1])
+    msgs = random_frames(3, 5, code.n_vars, 7, zero=True)
+    assert_same(omsq_decode_batch(msgs, code, 4, np.int64(2), 6, state=state),
+                ref_omsq_decode_batch(msgs, code, 4, 2, 6))
 
 
 @pytest.mark.parametrize("variant", ["comp", "comp_uni", "min", "omsq"])
@@ -894,3 +979,39 @@ def test_wide_tables_pick_a_wider_type(artifact, seed):
     msgs = random_frames(seed, 4, code.n_vars, 4)
     got = decode_batch(msgs, code, artifact, 6, state=state)
     assert_same(got, ref_decode_batch(msgs, code, artifact, 6))
+
+
+@pytest.mark.parametrize("dc,wphi,dtype", [(129, 8, np.int16), (65, 9, np.int32)])
+def test_doubled_cn_sum_at_the_limit_of_its_type(dc, wphi, dtype):
+    """Every CN input at the table maximum: 2T + 1 = 2 dc (2^(wphi-1) - 1) + 1
+    is exactly 2^15 - 1 at dc = 129, wphi = 8, which runs in int16; at
+    dc = 65, wphi = 9 it is 33151, and only that bound widens the loop to
+    int32 (a min CN on the same code stays in int16)."""
+    vmax = (1 << (wphi - 1)) - 1
+    top = 2 * dc * vmax + 1
+    assert (top == np.iinfo(np.int16).max) == (dtype == np.int16)
+    h = (dc + 1) // 2           # two blocks of dc variables, every variable in two checks
+    code = ParityCheckMatrix.from_rows(2 * dc, [
+        list(range(dc)), list(range(dc, 2 * dc)),
+        list(range(h)) + list(range(dc, 2 * dc - h)),
+        list(range(h, dc)) + list(range(2 * dc - h, 2 * dc))])
+    spec = QuantizerSpec("non_uniform", 3, thresholds=(dc * vmax // 4, dc * vmax // 2,
+                                                       dc * vmax - vmax))
+    rec = IterationDesign(0.5, 0.5, cn_tables=TranslationTable((vmax,) * 4, wphi, 1.0),
+                          cn_quantizer=spec,
+                          vn_tables={"phi_ch": TranslationTable((vmax, 90, 40, 1), wphi, 1.0),
+                                     "phi_c": TranslationTable((3, 70, 20, vmax), wphi, 1.0)},
+                          vn_quantizer=QuantizerSpec("non_uniform", 3, thresholds=(30, 90, 200)))
+    cfg = EnsembleConfig(dc=dc, dv=2, w=3, wphi=wphi, iterations=1, cn_variant="comp",
+                         vn_variant="comp", design_ebn0_db=1.0, rate=0.5)
+    artifact = DesignArtifact(cfg, None, None, None, [rec])
+    state = DecoderState(code, artifact)
+    assert state.dtype == dtype
+    min_rec = IterationDesign(0.5, 0.5, vn_tables=rec.vn_tables, vn_quantizer=rec.vn_quantizer)
+    min_art = DesignArtifact(replace(cfg, cn_variant="min"), None, None, None, [min_rec])
+    assert DecoderState(code, min_art).dtype == np.int16
+    msgs = random_frames(dc, 12, code.n_vars, 4)
+    got = decode_batch(msgs, code, artifact, 6, state=state)
+    assert_same(got, ref_decode_batch(msgs, code, artifact, 6),
+                scalar_decode(msgs, code, artifact, 6))
+    assert len(set(got[1].tolist())) >= 3

@@ -266,6 +266,20 @@ def test_config_validation():
         base_cfg(dc=1)
 
 
+@pytest.mark.parametrize("beta", [0.5, -1, True, 2.0, "1"])
+def test_config_rejects_a_beta_that_is_not_a_nonnegative_int(beta):
+    # 0.5 used to validate and then fail inside design_decoder with an IndexError
+    with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
+        base_cfg(cn_variant="omsq", vn_variant="omsq", beta=beta)
+
+
+def test_config_takes_a_numpy_int_beta_as_an_int():
+    cfg = base_cfg(cn_variant="omsq", vn_variant="omsq", beta=np.int64(2))
+    assert type(cfg.beta) is int and cfg.beta == 2
+    assert cfg == base_cfg(cn_variant="omsq", vn_variant="omsq", beta=2)
+    assert json.loads(design_decoder(replace(cfg, iterations=1))[0].to_json())["config"]["beta"] == 2
+
+
 @pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("comp_uni", "comp_uni"),
                                    ("min", "comp"), ("omsq", "omsq")])
 def test_design_converges_above_threshold(cn, vn):
