@@ -44,12 +44,13 @@ from .quantizers import (
     QuantizerSpec,
     TranslationTable,
     build_delta_grid,
-    build_translation_table,
     design_channel_quantizer,
     design_nonuniform,
     design_uniform,
     llr_saturation_delta,
     phi_saturation_delta,
+    raw_translation_values,
+    round_translation_values,
     threshold_edges_llr,
 )
 
@@ -86,6 +87,15 @@ class EnsembleConfig:
     beta: int = 1
 
     def __post_init__(self):
+        # every int field takes a Python or numpy integer, stored as int; a
+        # bool is refused, as True for dc or iterations is a mistake
+        object.__setattr__(self, "beta", omsq_beta(self.beta))
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "int":
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    raise ValidationError(f"{f.name} must be an integer, not {v!r}")
+                object.__setattr__(self, f.name, int(v))
         if self.dc < 2:
             raise ValidationError("check degree must be at least 2")
         if self.dv < 1:
@@ -100,7 +110,6 @@ class EnsembleConfig:
             raise ValidationError(f"unknown vn_variant {self.vn_variant!r}")
         if (self.cn_variant == "omsq") != (self.vn_variant == "omsq"):
             raise ValidationError("the omsq baseline fixes both node variants together")
-        object.__setattr__(self, "beta", omsq_beta(self.beta))
         if self.uniform_grid_points < 2:
             raise ValidationError("uniform_grid_points must be at least 2")
         if self.uniform_warm_window < 0:
@@ -191,16 +200,9 @@ class DesignArtifact:
 # node evolution
 # ---------------------------------------------------------------------------
 
-def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
-    """Distribution of the translated check node sum over dc-1 edges.
-
-    The output symbol is (sign product, sum of translated magnitudes) with
-    the relevant bit being the XOR of the dc-1 participating bits.  Sign
-    and magnitude parts decouple under the parity transform, so the dc-2
-    pairwise convolutions reduce to two plain power-convolutions.  The
-    output uses ``mag_offset=1``: symbols +/-(m+1) carry magnitude m, which
-    keeps the two signs of a zero sum distinct.
-    """
+def _cn_sign_magnitude(p_in, dc, table):
+    """Sum and difference u = q0 + q1, v = q0 - q1 of the translated
+    magnitude PMFs of a CN input, q0 given x=0 and q1 given x=1."""
     if dc < 2:
         raise ValidationError("check degree must be at least 2")
     if not p_in.symmetric:
@@ -212,17 +214,13 @@ def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF
 
     # conditional on x=0: p(t=+k) = 2 p(x=0,+k), p(t=-k) = 2 p(x=0,-k)
     vmax = int(vals.max())
-    q0 = np.zeros(vmax + 1)
-    q1 = np.zeros(vmax + 1)
-    np.add.at(q0, vals, 2.0 * a)
-    np.add.at(q1, vals, 2.0 * b)
+    q0 = np.bincount(vals, 2.0 * a, vmax + 1)
+    q1 = np.bincount(vals, 2.0 * b, vmax + 1)
+    return q0 + q1, q0 - q1
 
-    u = q0 + q1
-    v = q0 - q1
-    U, V = u, v
-    for _ in range(dc - 2):
-        U = np.convolve(U, u)
-        V = np.convolve(V, v)
+
+def _cn_sum_pmf(U, V, delta):
+    """The CN output PMF from the dc-1 fold powers U of u and V of v."""
     even = 0.5 * (U + V)    # parity of sign bits even, conditioned on x=0
     odd = 0.5 * (U - V)
 
@@ -234,9 +232,115 @@ def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF
     mass[1] = mass[0, ::-1]
     np.maximum(mass, 0.0, out=mass)   # convolution round-off dust
     mass /= mass.sum()
-    values = np.sign(alphabet) * (np.abs(alphabet) - 1) * table.delta
+    values = np.sign(alphabet) * (np.abs(alphabet) - 1) * delta
     return JointPMF(alphabet, mass, llr_order=True, symmetric=True,
                     mag_offset=1, values=values)
+
+
+def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
+    """Distribution of the translated check node sum over dc-1 edges.
+
+    The output symbol is (sign product, sum of translated magnitudes) with
+    the relevant bit being the XOR of the dc-1 participating bits.  Sign
+    and magnitude parts decouple under the parity transform, so the dc-2
+    pairwise convolutions reduce to two plain power-convolutions.  The
+    output uses ``mag_offset=1``: symbols +/-(m+1) carry magnitude m, which
+    keeps the two signs of a zero sum distinct.
+    """
+    u, v = _cn_sign_magnitude(p_in, dc, table)
+    U, V = u, v
+    for _ in range(dc - 2):
+        U = np.convolve(U, u)
+        V = np.convolve(V, v)
+    return _cn_sum_pmf(U, V, table.delta)
+
+
+def _cn_evolve_spectral(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
+    """:func:`cn_evolve_comp` with both powers taken by one FFT each.
+
+    U = irfft(rfft(u, m) ** (dc - 1), m) and likewise V, m the power of
+    two at or above the (dc - 1) vmax + 1 sums, clamped and normalized as
+    the chain's.  It differs from the chain in the last bits, so it only
+    ranks the steps of a stage search (:func:`_rank_tolerance`); no table,
+    spec, MI or PMF a design returns comes from it.
+    """
+    u, v = _cn_sign_magnitude(p_in, dc, table)
+    n = (dc - 1) * (u.size - 1) + 1
+    m = 1 << (n - 1).bit_length()
+    U, V = (np.fft.irfft(np.fft.rfft(x, m) ** (dc - 1), m)[:n] for x in (u, v))
+    return _cn_sum_pmf(U, V, table.delta)
+
+
+def _rank_tolerance(dc, w, wphi):
+    """Bound eps on |ranking MI - exact MI| of one step of a uniform CN stage.
+
+    The ranking MI is ``design_uniform`` on :func:`_cn_evolve_spectral`'s
+    PMF, the exact one on :func:`cn_evolve_comp`'s; e = 2**-52 is the
+    double epsilon, n = dc - 1 the factors of each power, T = 2**(wphi-1)
+    - 1 the largest table value, L = nT + 1 the output magnitudes, m the
+    FFT length (the power of two at or above L), l = max(1, log2 m) and K
+    = 2**(w-1) the cells.  Bounds at T hold at every step (a step's tables
+    have vmax <= T, and every term grows with vmax).
+
+    1. Inputs.  u = q0 + q1 >= 0 sums to the input's mass, 1 within
+       MASS_TOL, and |v| <= u, so ||u||_1, ||v||_1 <= 1 (the 1e-12 excess,
+       raised to the n-th power, is inside the 1% slack below).
+    2. Chain.  Each np.convolve entry is a dot product of at most T + 1
+       terms, so after n - 1 of them every entry of U errs by at most
+       (n - 1)(T + 2) e times the same entry of |u|^{*n} (Higham, Accuracy
+       and Stability, 2nd ed., sec. 3.5), and likewise V with |v|: in l1,
+       e_chain = 1.01 (n - 1)(T + 2) e.
+    3. FFT.  A length-m FFT errs by ||dX||_2 <= l eta ||X||_2 with eta =
+       mu + gamma_4 (sqrt2 + mu) <= 8e for twiddles of error mu <= e
+       (ibid., thm. 24.2), and ||X||_2 = sqrt(m) ||u||_2 <= sqrt(m).  As
+       |X_k| <= ||u||_1 <= 1, the n-th power multiplies a coefficient's
+       error by at most 1.01 n, and its own rounding adds 3ne |X_k|
+       (numpy raises to an integer power below 100 by repeated complex
+       products, each within 3e; measured below 1.9ne up to n = 400, but
+       beyond 99 eps is inf); the half spectrum rfft returns carries a
+       sqrt2 to the whole.  The inverse maps an l2 error of the
+       spectrum to 1/sqrt(m) of it and adds l eta ||U||_2 <= l eta.  Over
+       the L entries kept, l1 <= sqrt(L) l2:
+       e_fft = sqrt(L) (sqrt2 n (1.01 l eta + 3e) + l eta).
+    4. Output masses.  The folded masses (a, b) are halves of (U + V)/2
+       and (U - V)/2, so their l1 error is at most the larger of U's and
+       V's.  Clamping at 0 moves an entry toward its nonnegative true
+       value, and normalizing doubles an l1 error at most (||x/|x| - y/|y|
+       ||_1 <= 2 ||x - y||_1 / |y|, |y| >= 0.99).  The two routes' PMFs
+       are therefore within 2.03 (e_fft + e_chain) in l1.
+    5. Designer.  ``_uniform_sweep`` takes a cell's masses as differences
+       of cumsum prefixes (each within L e / 2 for prefixes <= 1/2), so
+       the 2K cell masses of both routes add 4.2 K L e.  With D the total,
+       D = 2.03 (e_fft + e_chain) + 4.2 K L e.
+    6. MI.  A partition's MI is 2 sum_k h(a_k) + h(b_k) - h(a_k + b_k) +
+       a_k + b_k, h(x) = x log2 x, whose modulus of continuity on [0, 1]
+       is w(d) = d log2(1/d) for d <= 1/e.  By concavity of w, an l1
+       change D of the cell masses moves it by at most 2 (2K w(D/2K) + K
+       w(D/K) + D) = 4 D log2(2K/D).  Each route's own rounding of the
+       scores (three x log2 x terms and four sums per cell, then a sum of
+       K) adds at most 32 K e.  The maximum over the same (r, kappa) pairs
+       moves by no more than its largest term, so
+       eps = 4 D log2(2K/D) + 64 K e.
+    At the paper point (dc = 32, w = 4, wphi = 8) eps = 2.3e-8.
+
+    If the exact winner is step s and M the best ranking MI, then
+    rank(s) >= exact(s) - eps >= exact(argmax rank) - eps >= M - 2 eps,
+    and so does every step tying with s: verifying each step within 2 eps
+    of M on the chain finds the first exact maximum of the whole scan.
+    Returns inf, for a stage that then scans exactly, where n >= 100 or
+    D/K is outside the range of w.
+    """
+    e = float(np.finfo(float).eps)
+    n, T, K = dc - 1, (1 << (wphi - 1)) - 1, 1 << (w - 1)
+    L = n * T + 1
+    m = 1 << (L - 1).bit_length()
+    l, eta = max(1, m.bit_length() - 1), 8 * e
+    e_chain = 1.01 * (n - 1) * (T + 2) * e
+    e_fft = math.sqrt(L) * (math.sqrt(2) * n * (1.01 * l * eta + 3 * e) + l * eta)
+    D = 2.03 * (e_fft + e_chain) + 4.2 * K * L * e
+    if n >= 100 or not D / K <= 1 / math.e:
+        return math.inf
+    return 4 * D * math.log2(2 * K / D) + 64 * K * e
 
 
 def _min_index_matrix(k):
@@ -247,10 +351,8 @@ def _min_index_matrix(k):
 def _pairwise_min(acc0, acc1, b0, b1, idx):
     """One (sign product, min magnitude) combine of two folded PMFs."""
     k = acc0.size
-    z0 = np.zeros(k)
-    z1 = np.zeros(k)
-    np.add.at(z0, idx, (np.outer(acc0, b0) + np.outer(acc1, b1)).ravel())
-    np.add.at(z1, idx, (np.outer(acc0, b1) + np.outer(acc1, b0)).ravel())
+    z0 = np.bincount(idx, (np.outer(acc0, b0) + np.outer(acc1, b1)).ravel(), k)
+    z1 = np.bincount(idx, (np.outer(acc0, b1) + np.outer(acc1, b0)).ravel(), k)
     return z0, z1
 
 
@@ -286,9 +388,9 @@ def _signed_translated(p: JointPMF, table: TranslationTable):
     if vals.size != a.size:
         raise ValidationError("translation table does not match the message alphabet")
     S = int(vals.max())
-    arr = np.zeros(2 * S + 1)
-    np.add.at(arr, S + vals, 2.0 * a)
-    np.add.at(arr, S - vals, 2.0 * b)
+    # the x=0 masses are added first, then the x=1 masses, each in cell order
+    arr = np.bincount(np.concatenate([S + vals, S - vals]),
+                      np.concatenate([2.0 * a, 2.0 * b]), 2 * S + 1)
     return arr, S
 
 
@@ -372,12 +474,8 @@ def _omsq_cn_evolve(p_in: JointPMF, dc: int, beta: int) -> JointPMF:
     for _ in range(dc - 2):
         q0, q1 = _pairwise_min(q0, q1, base0, base1, idx)
     if beta:
-        z0 = np.zeros(M + 1)
-        z1 = np.zeros(M + 1)
         dest = np.maximum(np.arange(M + 1) - beta, 0)
-        np.add.at(z0, dest, q0)
-        np.add.at(z1, dest, q1)
-        q0, q1 = z0, z1
+        q0, q1 = np.bincount(dest, q0, M + 1), np.bincount(dest, q1, M + 1)
     alphabet = np.arange(-M, M + 1)
     mass = np.zeros((2, alphabet.size))
     mass[0, M] = 0.5 * (q0[0] + q1[0])      # zero magnitude loses its sign
@@ -428,28 +526,36 @@ def _search_subgrid(grid, prev_best, half_width):
     return grid[lo:hi], (lo > 0 or hi < grid.size)
 
 
-def _cn_tables(p_in, wphi, step):
-    """A CN stage's translation table at a step."""
-    return build_translation_table(p_in, "cn_phi", step, wphi)
+def _cn_tables(raw, wphi, step):
+    """A CN stage's translation table at a step, from its raw phi values."""
+    return round_translation_values(raw, step, wphi)
 
 
-def _vn_tables(t_ch, p_cn, wphi, step):
-    """A VN stage's translation tables at a step: channel and check messages."""
-    return {"phi_ch": build_translation_table(t_ch, "vn_llr", step, wphi),
-            "phi_c": build_translation_table(p_cn, "vn_llr", step, wphi)}
+def _vn_tables(raw_ch, raw_c, wphi, step):
+    """A VN stage's translation tables at a step, from the raw cell LLRs of
+    the channel and the check messages."""
+    return {"phi_ch": round_translation_values(raw_ch, step, wphi),
+            "phi_c": round_translation_values(raw_c, step, wphi)}
 
 
-def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k):
+def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k,
+                 ranking=False):
     """Steps ``share``, ``share + k``, ... of a stage's search, in order.
 
     Returns ``(best, raised, caught)``: ``best`` is ``(tables, spec, mi, q,
     index)`` of the share's first step of highest MI (None if none ran),
     ``raised`` the ``(index, exception)`` of a step that raised, which ends
     the share, and ``caught`` the ``(index, warning)`` of every warning a
-    step gave.  Steps whose tables round to the same values share one
-    evolved PMF.
+    step gave.  A step whose tables round to the values of the share's
+    previous step reuses its evolved PMF: a table is nonincreasing in the
+    step, so steps of equal tables are consecutive, and only the last PMF
+    is kept.
+
+    With ``ranking`` set (``evolve`` the spectral twin) it returns the
+    ``(index, mi)`` of every step instead, ``mi`` nan where the step
+    warned or raised; the share runs to its end and returns no PMF.
     """
-    best, raised, caught, cache = None, None, [], {}
+    best, raised, caught, ranked, last = None, None, [], [], (None, None)
     for i in range(share, len(steps), k):
         step = float(steps[i])
         with warnings.catch_warnings(record=True) as log:
@@ -458,9 +564,9 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k)
                 tables = tables_at(step)
                 key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
                        else tables.values)
-                q = cache.get(key)
-                if q is None:
-                    q = cache[key] = evolve(tables)
+                if key != last[0]:
+                    last = key, evolve(tables)
+                q = last[1]
                 if uniform:
                     spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi,
                                               kappa_search=kappa_search, delta=step)
@@ -468,16 +574,20 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k)
                     spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
             except Exception as exc:
                 raised = i, exc
+        if ranking:
+            ranked.append((i, math.nan if raised or log else mi))
+            raised = None
+            continue
         caught += [(i, w.message) for w in log]
         if raised:
             break
         if best is None or mi > best[2]:
             best = (tables, spec, mi, q, i)
-    return best, raised, caught
+    return ranked if ranking else (best, raised, caught)
 
 
 def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
-                  kappa_search=False, team=()):
+                  kappa_search=False, rank=None, team=()):
     """One designed node stage: tables at a step, evolution, quantizer.
 
     ``tables_at(step)`` builds the stage's translation tables at a step
@@ -485,9 +595,10 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     is quantized to w bits by the threshold DP, or by the uniform search
     when ``uniform`` is set.  The steps tried are ``dstar`` alone or the
     ``delta_search_points`` grid around it (non-uniform), or the warm
-    window of the ``uniform_grid_points`` grid around ``prev_delta``, with
-    the full grid searched instead when the best step lands on the
-    window's edge (uniform).  The first step of highest MI wins.
+    window of the ``uniform_grid_points`` grid around ``prev_delta``
+    (uniform).  When the best step lands on the window's edge, the rest of
+    the grid is searched too and its best step meets the window's at its
+    grid index.  The first step of highest MI wins.
 
     A search of k > 1 steps is split over this process and up to k - 1
     workers of ``team`` (:func:`_stage_share`): step j goes to share j mod
@@ -496,6 +607,19 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     to the smallest step index, which is the step a serial scan keeps.  The
     steps' warnings are re-emitted in step order, and a step that raised
     raises here if no earlier step did, after the earlier steps' warnings.
+    The window's steps are not searched again with the rest of the grid,
+    so their warnings are emitted once.
+
+    ``rank``, if given, is ``(rank_evolve, eps)``: a cheaper evolution
+    whose designed MI is within ``eps`` of ``evolve``'s at every step.
+    A search of several steps then first ranks every step on it (split as
+    above), and only the steps whose ranking MI lies within 2 eps of the
+    best, or is not finite (the ranking warned or raised), are evaluated
+    on ``evolve``, in step order, as the exact search above.  The exact
+    winner's ranking MI is within 2 eps of the best, and so is that of
+    every step tying with it, so the result is the exhaustive scan's;
+    every returned table, spec, MI and PMF comes from ``evolve``.  The
+    warnings and exception are those of the steps evaluated exactly.
 
     Returns ``(tables, QuantizerSpec, mi, quantized output PMF)``.
     """
@@ -507,12 +631,15 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     else:
         steps, windowed = [dstar], False
 
-    def search(steps):
+    def split(steps, evolve, ranking):
         k = min(len(team) + 1, len(steps))
         args = (cfg, uniform, kappa_search, tables_at, evolve, steps)
         for j, worker in enumerate(team[:k - 1], 1):
-            worker.send(*args, j, k)
-        shares = [_stage_share(*args, 0, k)] + [w.reply() for w in team[:k - 1]]
+            worker.send(*args, j, k, ranking)
+        return [_stage_share(*args, 0, k, ranking)] + [w.reply() for w in team[:k - 1]]
+
+    def scan(steps):
+        shares = split(steps, evolve, False)
         raised = min((r for _, r, _ in shares if r), key=lambda r: r[0], default=None)
         last = len(steps) if raised is None else raised[0]
         caught = sorted((c for _, _, cs in shares for c in cs), key=lambda c: c[0])
@@ -523,9 +650,24 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
             raise raised[1]
         return max(sorted((b for b, _, _ in shares), key=lambda b: b[4]), key=lambda b: b[2])
 
-    tables, spec, mi, q, _ = search(steps)
+    def search(steps):
+        if rank is None or len(steps) < 2:
+            return scan(steps)
+        ranked = sorted(r for share in split(steps, rank[0], True) for r in share)
+        top = max((mi for _, mi in ranked if math.isfinite(mi)), default=math.nan)
+        exact = [i for i, mi in ranked if not math.isfinite(mi) or mi >= top - 2 * rank[1]]
+        *best, j = scan([steps[i] for i in exact])
+        return (*best, exact[j])
+
+    best = search(steps)
+    spec = best[1]
     if windowed and (spec.delta <= steps[0] or spec.delta >= steps[-1]):
-        tables, spec, mi, q, _ = search(grid)
+        lo = int(np.searchsorted(grid, steps[0]))
+        rest = np.r_[0:lo, lo + len(steps):grid.size]
+        *other, j = search(grid[rest])
+        best = max(sorted([(*best[:4], lo + best[4]), (*other, int(rest[j]))],
+                          key=lambda b: b[4]), key=lambda b: b[2])
+    tables, spec, mi, q, _ = best
     return tables, spec, mi, apply_quantizer(q, spec)
 
 
@@ -545,11 +687,19 @@ def _design_iteration(cfg, t_ch, state, team):
         p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
         rec.mi_cn = mutual_information(p_c2v)
     else:
+        # a uniform stage ranks its steps on the FFT evolution; a threshold
+        # stage (the DP prunes its tail, which the bound does not cover)
+        # and the VN stages, whose evolution is a few short convolutions,
+        # scan exactly
+        uniform = cfg.cn_variant == "comp_uni"
+        eps = _rank_tolerance(cfg.dc, cfg.w, cfg.wphi)
+        rank = ((partial(_cn_evolve_spectral, p_v2c, cfg.dc), eps)
+                if uniform and math.isfinite(eps) else None)
         rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
-            cfg, cfg.cn_variant == "comp_uni", phi_saturation_delta(p_v2c, cfg.wphi),
-            partial(_cn_tables, p_v2c, cfg.wphi),
+            cfg, uniform, phi_saturation_delta(p_v2c, cfg.wphi),
+            partial(_cn_tables, raw_translation_values(p_v2c, "cn_phi"), cfg.wphi),
             partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
-            kappa_search=True, team=team)
+            kappa_search=True, rank=rank, team=team)
         prev_cn_delta = rec.cn_quantizer.delta
 
     if cfg.vn_variant == "omsq":
@@ -559,7 +709,8 @@ def _design_iteration(cfg, t_ch, state, team):
         rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
             cfg, cfg.vn_variant == "comp_uni",
             llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
-            partial(_vn_tables, t_ch, p_c2v, cfg.wphi),
+            partial(_vn_tables, raw_translation_values(t_ch, "vn_llr"),
+                    raw_translation_values(p_c2v, "vn_llr"), cfg.wphi),
             partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, team=team)
         prev_vn_delta = rec.vn_quantizer.delta
     return rec, (p_v2c, prev_cn_delta, prev_vn_delta)

@@ -334,9 +334,7 @@ def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:
         llr_order = False
         symmetric = _mapping_output_symmetric(p, out_sym)
         out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
-    out_mass = np.zeros((2, out_alphabet.size))
-    np.add.at(out_mass[0], inverse, p.mass[0])
-    np.add.at(out_mass[1], inverse, p.mass[1])
+    out_mass = np.array([np.bincount(inverse, row, out_alphabet.size) for row in p.mass])
     return JointPMF(out_alphabet, out_mass, llr_order=llr_order, symmetric=symmetric)
 
 
@@ -347,7 +345,5 @@ def _mapping_output_symmetric(p, out_sym):
     out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
     if not np.array_equal(out_alphabet[::-1], -out_alphabet):
         return False
-    m = np.zeros((2, out_alphabet.size))
-    np.add.at(m[0], inverse, p.mass[0])
-    np.add.at(m[1], inverse, p.mass[1])
+    m = [np.bincount(inverse, row, out_alphabet.size) for row in p.mass]
     return bool(np.allclose(m[0], m[1][::-1], rtol=0.0, atol=MASS_TOL))

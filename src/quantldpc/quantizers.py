@@ -195,47 +195,63 @@ def llr_saturation_delta(pmfs, wphi: int) -> float:
     return peak / ((1 << (wphi - 1)) - 1)
 
 
-def build_translation_table(p: JointPMF, mode: str, delta: float, wphi: int) -> TranslationTable:
-    """Fixed-point translation values for each cell of a message PMF.
-
-    Per positive cell the conditional LLR L_k is read off ``p``, converted
-    to the requested domain and rounded half-up to a multiple of ``delta``:
+def raw_translation_values(p: JointPMF, mode: str):
+    """Unrounded translation value of each positive cell of a message PMF.
 
     * mode ``"cn_phi"``: phi_k = -ln tanh(|L_k| / 2), the check node sum
       domain (a one-sided cell has phi 0, an uninformative cell infinity);
     * mode ``"vn_llr"``: |L_k| itself, the variable node adder domain.
 
-    Values saturate at 2**(wphi-1) - 1; cells whose raw value is infinite
-    are clipped there and listed in the table's ``clipped`` metadata.
-    Cells with no probability mass inherit the value of the nearest
-    populated cell below (or above, for a leading gap).  The values need
-    not be monotone in the cell index: the cells of a quantized sum are
-    contiguous on the sum axis, not ordered by reliability.
+    Unpopulated cells are nan.  They do not depend on the step size, so a
+    step search computes them once and rounds them per step
+    (:func:`round_translation_values`).
     """
     if mode not in ("cn_phi", "vn_llr"):
         raise ValidationError(f"unknown translation mode {mode!r}")
-    raw = cn_phi_values(p) if mode == "cn_phi" else cell_llr_magnitudes(p)
+    return cn_phi_values(p) if mode == "cn_phi" else cell_llr_magnitudes(p)
+
+
+def build_translation_table(p: JointPMF, mode: str, delta: float, wphi: int) -> TranslationTable:
+    """Fixed-point translation values for each cell of a message PMF.
+
+    Per positive cell the conditional LLR L_k is read off ``p`` and
+    converted to the requested domain (:func:`raw_translation_values`),
+    then rounded half-up to a multiple of ``delta``
+    (:func:`round_translation_values`).
+    """
+    return round_translation_values(raw_translation_values(p, mode), delta, wphi)
+
+
+def round_translation_values(raw, delta: float, wphi: int) -> TranslationTable:
+    """A translation table from raw cell values at step size ``delta``.
+
+    Each finite value x becomes floor(x / delta + 0.5), saturated at
+    2**(wphi-1) - 1; cells whose raw value is infinite are clipped there
+    and listed in the table's ``clipped`` metadata.  Cells with no
+    probability mass (nan) inherit the value of the nearest populated cell
+    below (or above, for a leading gap).  The values need not be monotone
+    in the cell index: the cells of a quantized sum are contiguous on the
+    sum axis, not ordered by reliability.
+    """
     vmax = (1 << (wphi - 1)) - 1
-    vals = np.full(raw.size, -1, dtype=np.int64)
-    clipped = []
-    for i, x in enumerate(raw):
+    vals, clipped = [], []
+    for i, x in enumerate(np.asarray(raw, dtype=np.float64).tolist()):
         if math.isnan(x):
-            continue
-        if math.isinf(x):
-            vals[i] = vmax
+            vals.append(None)
+        elif math.isinf(x):
+            vals.append(vmax)
             clipped.append(i + 1)
         else:
-            vals[i] = min(int(math.floor(x / delta + 0.5)), vmax)
-    if np.all(vals < 0):
+            vals.append(min(math.floor(x / delta + 0.5), vmax))
+    if all(v is None for v in vals):
         raise ValidationError("every cell of the PMF is unpopulated")
-    for i in range(1, vals.size):          # forward fill gaps
-        if vals[i] < 0:
+    for i in range(1, len(vals)):           # forward fill gaps
+        if vals[i] is None:
             vals[i] = vals[i - 1]
-    for i in range(vals.size - 2, -1, -1):  # leading gap, if any
-        if vals[i] < 0:
+    for i in range(len(vals) - 2, -1, -1):  # leading gap, if any
+        if vals[i] is None:
             vals[i] = vals[i + 1]
-    return TranslationTable(tuple(int(v) for v in vals), wphi, delta,
-                            clipped=tuple(clipped))
+    return TranslationTable(tuple(vals), wphi, delta, clipped=tuple(clipped))
 
 
 # ---------------------------------------------------------------------------

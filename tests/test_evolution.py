@@ -280,6 +280,26 @@ def test_config_takes_a_numpy_int_beta_as_an_int():
     assert json.loads(design_decoder(replace(cfg, iterations=1))[0].to_json())["config"]["beta"] == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dc", 6.5), ("iterations", 2.5), ("uniform_grid_points", 3.5), ("w", 3.0),
+    ("iterations", True), ("dv", "3"), ("channel_grid_size", None)])
+def test_config_rejects_an_int_field_that_is_not_an_integer(field, value):
+    # 6.5, 2.5 and 3.5 used to validate and then fail inside design_decoder
+    # with a TypeError; a bool is refused too
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        base_cfg(**{field: value})
+
+
+def test_config_takes_numpy_ints_as_ints_and_artifacts_still_load():
+    ints = [f.name for f in fields(EnsembleConfig) if f.type == "int"]
+    assert {"dc", "iterations", "uniform_grid_points", "beta"} <= set(ints)
+    cfg = base_cfg(**{name: np.int32(getattr(base_cfg(), name)) for name in ints})
+    assert cfg == base_cfg() and all(type(getattr(cfg, name)) is int for name in ints)
+    artifact, _ = design_decoder(replace(cfg, iterations=2))
+    text = artifact.to_json()
+    assert DesignArtifact.from_json(text).to_json() == text
+
+
 @pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("comp_uni", "comp_uni"),
                                    ("min", "comp"), ("omsq", "omsq")])
 def test_design_converges_above_threshold(cn, vn):
@@ -1061,19 +1081,22 @@ def test_design_stage_matches_reference(cn, vn, search_points, warm_window, ebn0
 
 
 def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
-    # the differential cases above must exercise the window-edge fallback;
-    # the spies count in this process, so the stages run serially in it
+    # the differential cases above must exercise the window-edge fallback:
+    # a stage falls back when its designer sees a step outside its window
+    # (a ranked stage designs its verified steps twice, so the calls alone
+    # do not tell); the spies count in this process, so the stages run
+    # serially in it
     monkeypatch.setattr(workers, "WORKERS", 1)
     stages = []
 
     def subgrid(grid, prev_best, half_width):
         sub, windowed = _search_subgrid(grid, prev_best, half_width)
-        stages.append([sub.size, 0])
+        stages.append((set(sub.tolist()), set()))
         return sub, windowed
 
-    def designer(*args, **kwargs):
-        stages[-1][1] += 1
-        return design_uniform(*args, **kwargs)
+    def designer(*args, delta, **kwargs):
+        stages[-1][1].add(delta)
+        return design_uniform(*args, delta=delta, **kwargs)
 
     monkeypatch.setattr(evolution, "_search_subgrid", subgrid)
     monkeypatch.setattr(evolution, "design_uniform", designer)
@@ -1081,8 +1104,9 @@ def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         design_decoder(stage_cfg("comp_uni", "comp_uni", design_ebn0_db=3.0,
                                  uniform_warm_window=1))
-    fallbacks = sum(1 for window, calls in stages if calls > window)
+    fallbacks = sum(1 for window, tried in stages if tried - window)
     assert len(stages) == 16 and 0 < fallbacks < 16
+    assert all(window <= tried for window, tried in stages)
 
 
 # --- the stage scan split across forked workers ------------------------------
@@ -1136,16 +1160,26 @@ def grid_design_uniform(grid, mi_at):
     return fake
 
 
-def cn_stage(cfg, team):
-    """The first comp_uni CN stage of ``cfg`` (full grid) on ``team``."""
+def spectral_rank(p, cfg):
+    """The ranking a design's uniform CN stage on input ``p`` gets."""
+    return (partial(evolution._cn_evolve_spectral, p, cfg.dc),
+            evolution._rank_tolerance(cfg.dc, cfg.w, cfg.wphi))
+
+
+def cn_stage(cfg, team, rank=None, prev_delta=None):
+    """The first comp_uni CN stage of ``cfg`` (full grid, or the window
+    around ``prev_delta``) on ``team``, ranked on ``rank(p, cfg)`` for
+    the stage's input p if given."""
     _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    rank = None if rank is None else rank(p, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             tables, spec, mi, q = evolution._design_stage(
                 cfg, True, phi_saturation_delta(p, cfg.wphi),
                 partial(build_translation_table, p, "cn_phi", wphi=cfg.wphi),
-                partial(cn_evolve_comp, p, cfg.dc), None, kappa_search=True, team=team)
+                partial(cn_evolve_comp, p, cfg.dc), prev_delta, kappa_search=True,
+                rank=rank, team=team)
             res = tables, spec, mi, q.alphabet.tolist(), q.mass.tolist()
         except ValidationError as exc:
             res = ("raised", str(exc))
@@ -1164,8 +1198,9 @@ def test_split_stage_tie_goes_to_the_smallest_step_index(monkeypatch, count):
     want = cn_stage(cfg, ())
     with workers.forked(evolution._stage_share, count - 1) as team:
         got = cn_stage(cfg, team)
+        ranked = cn_stage(cfg, team, spectral_rank)
     assert multiprocessing.active_children() == []
-    assert got == want
+    assert got == ranked == want
     assert want[0][1].delta == float(grid[5]) and want[0][2] == 0.5
     assert want[1] == [f"step {i}" for i in range(cfg.uniform_grid_points)]
 
@@ -1186,8 +1221,10 @@ def test_split_stage_raises_the_earliest_step_error(monkeypatch, count):
     want = cn_stage(cfg, ())
     with workers.forked(evolution._stage_share, count - 1) as team:
         got = cn_stage(cfg, team)
+        ranked = cn_stage(cfg, team, spectral_rank)
     assert multiprocessing.active_children() == []
-    assert got == want == (("raised", "step 4 failed"), [f"step {i}" for i in range(5)])
+    assert got == ranked == want == (("raised", "step 4 failed"),
+                                     [f"step {i}" for i in range(5)])
 
 
 def test_split_stage_requests_pickle_with_rebound_layer_functions(monkeypatch):
@@ -1416,3 +1453,235 @@ def test_a_uniform_vn_stage_with_an_empty_cell_keeps_every_cell():
     assert [len(r.vn_tables["phi_c"].values) for r in back.per_iteration] == [8, 8, 8]
     res = simulate_point(fuzz_code(1, 6), back, 4.7, stop={"max_frames": 8}, noiseless=True)
     assert (res.frame_errors, res.bit_errors) == (0, 0)
+
+
+# --- the FFT-ranked stage search ---------------------------------------------
+
+def ranking_and_exact(p, dc, table, w, wphi):
+    """(ranking PMF, exact PMF, ranking MI, exact MI) of one CN step."""
+    fast = evolution._cn_evolve_spectral(p, dc, table)
+    slow = cn_evolve_comp(p, dc, table)
+    mis = [design_uniform(q, w, wphi=wphi, kappa_search=True)[1] for q in (fast, slow)]
+    return fast, slow, *mis
+
+
+def assert_within_rank_tolerance(p, dc, table, w, wphi):
+    eps = evolution._rank_tolerance(dc, w, wphi)
+    fast, slow, mi_fast, mi_slow = ranking_and_exact(p, dc, table, w, wphi)
+    assert np.array_equal(fast.alphabet, slow.alphabet)
+    assert np.array_equal(fast.values, slow.values)
+    # eps bounds the l1 distance of the masses too: it exceeds 2 D, and D
+    # bounds the folded half, which both rows of the mass repeat
+    assert np.abs(fast.mass - slow.mass).sum() <= eps
+    assert abs(mi_fast - mi_slow) <= eps
+    return abs(mi_fast - mi_slow)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point=design_points())
+def test_spectral_evolution_ranks_within_the_derived_tolerance(point):
+    # each fuzzed design point's channel messages through a CN at 16 steps
+    point.update(cn_variant="comp_uni", vn_variant="comp_uni")
+    try:
+        cfg = EnsembleConfig(**point)
+        _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+        dstar = phi_saturation_delta(p, cfg.wphi)
+    except ValidationError:
+        return
+    for step in build_delta_grid(dstar, 16).tolist():
+        table = build_translation_table(p, "cn_phi", step, cfg.wphi)
+        assert_within_rank_tolerance(p, cfg.dc, table, cfg.w, cfg.wphi)
+
+
+@pytest.mark.parametrize("dc,w,wphi,table", [
+    (2, 3, 6, None), (5, 3, 6, (0, 0, 0, 0)), (2, 2, 2, (0, 0)),
+    (4, 2, 5, None), (32, 4, 8, None), (32, 4, 8, (127,) * 8)])
+def test_spectral_evolution_edge_cases_rank_within_the_tolerance(dc, w, wphi, table):
+    # dc = 2 (no convolution), all-zero tables (one sum), w = 2, and the
+    # paper point with a saturated table
+    _, p = design_channel_quantizer(awgn_llr_pmf(ChannelModel(2.0, 0.5)), w)
+    if table is None:
+        table = build_translation_table(p, "cn_phi", phi_saturation_delta(p, wphi), wphi)
+    else:
+        table = TranslationTable(table, wphi, 0.5)
+    assert_within_rank_tolerance(p, dc, table, w, wphi)
+
+
+def test_rank_tolerance_is_small_at_the_paper_point_and_far_above_the_error():
+    eps = evolution._rank_tolerance(32, 4, 8)
+    assert 1e-8 < eps < 5e-8
+    # the worst measured gap on the paper point's first scan is far inside
+    _, p = design_channel_quantizer(awgn_llr_pmf(ChannelModel(3.3, 0.841)), 4)
+    grid = build_delta_grid(phi_saturation_delta(p, 8), 64)
+    gaps = [assert_within_rank_tolerance(p, 32, build_translation_table(p, "cn_phi", s, 8),
+                                         4, 8) for s in grid.tolist()]
+    assert max(gaps) < 1e-3 * eps
+    # eps grows with every size it is derived from; the power is bounded
+    # below 100 factors only
+    assert evolution._rank_tolerance(33, 4, 8) > eps
+    assert evolution._rank_tolerance(32, 5, 8) > eps
+    assert evolution._rank_tolerance(32, 4, 9) > eps
+    assert evolution._rank_tolerance(100, 4, 8) < math.inf == evolution._rank_tolerance(101, 4, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_reference(cfg):
+    return reference_outcome(cfg)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("cfg", [
+    stage_cfg("comp_uni", "comp_uni", design_ebn0_db=2.2, uniform_warm_window=1),
+    stage_cfg("comp_uni", "comp", design_ebn0_db=3.0, uniform_warm_window=2),
+    paper_point("comp_uni", "comp_uni", 3.3, iterations=4)], ids=["dc6", "dc6-comp", "dc32"])
+def test_ranked_stage_search_equals_the_reference(monkeypatch, count, cfg):
+    monkeypatch.setattr(workers, "WORKERS", count)
+    assert design_outcome(cfg) == cached_reference(cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_ranked_stage_search_evolves_few_steps_exactly(monkeypatch):
+    # the paper point's first CN stage scans the 256-step grid: every step
+    # is ranked, and only the near-best are evolved on the chain
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    calls = {"exact": 0, "ranking": 0}
+    for name, key in (("cn_evolve_comp", "exact"), ("_cn_evolve_spectral", "ranking")):
+        def spy(*args, fn=getattr(evolution, name), key=key):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(evolution, name, spy)
+    cfg = paper_point("comp_uni", "comp_uni", 3.3, iterations=1)
+    assert design_outcome(cfg) == cached_reference(cfg)
+    assert calls["ranking"] > 100 and 1 <= calls["exact"] <= 3
+
+
+class RankedPMF(JointPMF):
+    """A ranking PMF, told apart by its type."""
+    __slots__ = ()
+
+
+def marked_exact_evolve(p, dc, tables):
+    q = cn_evolve_comp(p, dc, tables)
+    return RankedPMF(q.alphabet, q.mass, llr_order=True, symmetric=True,
+                     mag_offset=q.mag_offset, values=q.values)
+
+
+def constant_evolve(q, tables):
+    return q
+
+
+def exact_stage_mis(cfg):
+    """The exact MI at each grid step of the first comp_uni CN stage."""
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    grid = build_delta_grid(phi_saturation_delta(p, cfg.wphi), cfg.uniform_grid_points)
+    mis = [design_uniform(cn_evolve_comp(p, cfg.dc, build_translation_table(p, "cn_phi", s,
+                                                                             cfg.wphi)),
+                          cfg.w, wphi=cfg.wphi, kappa_search=True)[1] for s in grid.tolist()]
+    return grid, mis
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_ranking_off_by_less_than_eps_still_finds_the_first_exact_maximum(monkeypatch,
+                                                                           count):
+    # the ranking is the exact MI lowered by 0.999 eps at the exact winner
+    # and raised by 0.999 eps elsewhere, with eps the winner's lead: the
+    # runner-up ranks first, and the winner must still be verified and win
+    cfg = stage_cfg("comp_uni", "comp_uni", uniform_grid_points=32)
+    grid, mis = exact_stage_mis(cfg)
+    best = max(mis)
+    win = mis.index(best)
+    eps = best - max(mi for mi in mis if mi < best)
+    index = {float(d): i for i, d in enumerate(grid)}
+    exact_calls = []
+
+    def designer(q, w, *, delta, **kw):
+        spec, mi = design_uniform(q, w, delta=delta, **kw)
+        if not isinstance(q, RankedPMF):
+            exact_calls.append(index[delta])
+            return spec, mi
+        return spec, mi + (-0.999 if index[delta] == win else 0.999) * eps
+
+    want = cn_stage(cfg, ())
+    monkeypatch.setattr(evolution, "design_uniform", designer)
+    with workers.forked(evolution._stage_share, count - 1) as team:
+        exact_calls.clear()
+        got = cn_stage(cfg, team, lambda p, cfg: (
+            partial(marked_exact_evolve, p, cfg.dc), eps))
+    assert got == want
+    assert got[0][1].delta == float(grid[win])
+    if count == 1:
+        assert win in exact_calls and len(exact_calls) < len(grid)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_ranking_that_ties_everywhere_verifies_every_step(monkeypatch, count):
+    # every step ranks alike: all are evaluated exactly, and the first
+    # exact maximum wins as in the exhaustive scan
+    cfg = stage_cfg("comp_uni", "comp_uni")
+    want = cn_stage(cfg, ())
+
+    def constant(p, cfg):
+        q = cn_evolve_comp(p, cfg.dc, build_translation_table(p, "cn_phi", 0.1, cfg.wphi))
+        return partial(constant_evolve, q), 0.0
+    with workers.forked(evolution._stage_share, count - 1) as team:
+        assert cn_stage(cfg, team, constant) == want
+
+
+@pytest.mark.parametrize("mi_at,win", [(lambda i: i / 100, 15),
+                                       (lambda i: 0.5 if i in (2, 8) else 0.25, 2)])
+def test_window_fallback_searches_only_the_rest_of_the_grid(monkeypatch, mi_at, win):
+    # the window is grid steps 4..8 and its best is step 8, its edge: the
+    # rest of the grid is searched, each step once (so each warns once),
+    # and the window's best meets the rest's at grid index 8, a tie going
+    # to the smaller index
+    cfg = stage_cfg("comp_uni", "comp_uni", uniform_warm_window=2)
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    grid = build_delta_grid(phi_saturation_delta(p, cfg.wphi), cfg.uniform_grid_points)
+    monkeypatch.setattr(evolution, "design_uniform", grid_design_uniform(grid, mi_at))
+    for rank in (None, spectral_rank):
+        (_, spec, mi, *_), caught = cn_stage(cfg, (), rank, prev_delta=float(grid[6]))
+        assert spec.delta == float(grid[win]) and mi == mi_at(win)
+        assert caught == [f"step {i}" for i in [*range(4, 9), *range(4), *range(9, 16)]]
+
+
+# --- np.bincount accumulation ---------------------------------------------------
+
+def add_at_bincount(x, weights, minlength=0):
+    """np.bincount by np.add.at, the accumulation it replaced: one add per
+    index, in index order, into +0.0."""
+    out = np.zeros(max(minlength, int(np.max(x, initial=-1)) + 1))
+    np.add.at(out, x, weights)
+    return out
+
+
+def test_bincount_accumulates_bit_for_bit_as_add_at():
+    rng = np.random.default_rng(5)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308])
+    for case in range(2000):
+        size, n = int(rng.integers(1, 40)), int(rng.integers(0, 120))
+        idx = rng.integers(0, size, n)
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        if case % 4 == 0:
+            w[rng.random(n) < 0.2] = rng.choice(specials)
+        with np.errstate(all="ignore"):     # sums past 1e308 overflow alike
+            assert (np.bincount(idx, w, size).tobytes()
+                    == add_at_bincount(idx, w, size).tobytes())
+
+
+def test_every_bincount_call_site_equals_add_at(monkeypatch):
+    p = message_pmf(3, half=6)
+    table = TranslationTable((0, 3, 3, 7, 12, 31), 6, 0.25)
+    _, omsq = _omsq_channel_design(awgn_llr_pmf(ChannelModel(1.5, 0.5)), 3)
+    spec = QuantizerSpec("uniform", 3, shift_r=1, offset_kappa=1)
+    mapping = np.where(p.alphabet > 0, 1, -1) * np.minimum(np.abs(p.alphabet), 3)
+
+    def outputs():
+        return [q.mass.tobytes() for q in (
+            cn_evolve_comp(p, 5, table), cn_evolve_min(p, 4),
+            vn_evolve(p, p, 3, {"phi_ch": table, "phi_c": table}),
+            _omsq_cn_evolve(omsq, 6, 1), apply_quantizer(p, spec),
+            apply_quantizer(p, mapping))] + [apply_quantizer(p, mapping).symmetric]
+
+    want = outputs()
+    monkeypatch.setattr(np, "bincount", add_at_bincount)
+    assert outputs() == want

@@ -28,6 +28,9 @@ from quantldpc.quantizers import (
     design_channel_quantizer,
     design_nonuniform,
     design_uniform,
+    phi_saturation_delta,
+    raw_translation_values,
+    round_translation_values,
     threshold_edges_llr,
 )
 
@@ -502,3 +505,56 @@ def test_uniform_mapping_is_monotone_odd(r, w, data):
     pos = cells[alphabet > 0]
     assert np.all(np.diff(pos) >= 0)
     assert np.array_equal(cells[::-1], -cells)
+
+
+def loop_translation_table(p, mode, delta, wphi):
+    """build_translation_table as it was before the split into raw values
+    and per-step rounding, kept as the reference."""
+    raw = quantizers.cn_phi_values(p) if mode == "cn_phi" else quantizers.cell_llr_magnitudes(p)
+    vmax = (1 << (wphi - 1)) - 1
+    vals = np.full(raw.size, -1, dtype=np.int64)
+    clipped = []
+    for i, x in enumerate(raw):
+        if math.isnan(x):
+            continue
+        if math.isinf(x):
+            vals[i] = vmax
+            clipped.append(i + 1)
+        else:
+            vals[i] = min(int(math.floor(x / delta + 0.5)), vmax)
+    if np.all(vals < 0):
+        raise ValidationError("every cell of the PMF is unpopulated")
+    for i in range(1, vals.size):
+        if vals[i] < 0:
+            vals[i] = vals[i - 1]
+    for i in range(vals.size - 2, -1, -1):
+        if vals[i] < 0:
+            vals[i] = vals[i + 1]
+    return TranslationTable(tuple(int(v) for v in vals), wphi, delta, clipped=tuple(clipped))
+
+
+@pytest.mark.parametrize("mode", ["cn_phi", "vn_llr"])
+def test_raw_values_rounded_per_step_equal_the_table_at_every_grid_step(mode):
+    # a design's channel PMF, random PMFs with gaps, one-sided and
+    # uninformative cells: rounding the raw values computed once gives the
+    # reference table at each of 256 steps, saturated and not
+    rng = np.random.default_rng(11)
+    _, p_ch = design_channel_quantizer(awgn_llr_pmf(ChannelModel(3.3, 0.841)), 4)
+    pmfs = [p_ch] + [random_symmetric_pmf(rng, 8) for _ in range(4)]
+    a = np.array([0.1, 0.0, 0.2, 0.1, 0.0, 0.05, 0.3, 0.0])
+    b = np.array([0.1, 0.0, 0.05, 0.0, 0.0, 0.01, 0.0, 0.0])
+    a, b = a / (2 * (a + b).sum()), b / (2 * (a + b).sum())
+    row0 = np.concatenate([b[::-1], a])
+    pmfs.append(JointPMF(np.r_[-8:0, 1:9], np.vstack([row0, row0[::-1]]),
+                         llr_order=True, symmetric=True))
+    for p in pmfs:
+        raw = raw_translation_values(p, mode)
+        for wphi in (4, 8):
+            for step in build_delta_grid(phi_saturation_delta(p, wphi), 256).tolist():
+                want = loop_translation_table(p, mode, step, wphi)
+                assert round_translation_values(raw, step, wphi) == want
+                assert build_translation_table(p, mode, step, wphi) == want
+    with pytest.raises(ValidationError, match="unknown translation mode"):
+        raw_translation_values(p_ch, "phi")
+    with pytest.raises(ValidationError, match="every cell of the PMF is unpopulated"):
+        round_translation_values(np.full(4, np.nan), 0.5, 6)
