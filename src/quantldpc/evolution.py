@@ -53,6 +53,7 @@ from .quantizers import (
     round_translation_values,
     threshold_edges_llr,
 )
+from .ranking import _cn_rank_masses, _stage_rank, _vn_rank_masses
 
 #: mi_vn level treated as converged
 EARLY_STOP_MI = 1.0 - 1e-6
@@ -200,9 +201,16 @@ class DesignArtifact:
 # node evolution
 # ---------------------------------------------------------------------------
 
-def _cn_sign_magnitude(p_in, dc, table):
-    """Sum and difference u = q0 + q1, v = q0 - q1 of the translated
-    magnitude PMFs of a CN input, q0 given x=0 and q1 given x=1."""
+def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
+    """Distribution of the translated check node sum over dc-1 edges.
+
+    The output symbol is (sign product, sum of translated magnitudes) with
+    the relevant bit being the XOR of the dc-1 participating bits.  Sign
+    and magnitude parts decouple under the parity transform, so the dc-2
+    pairwise convolutions reduce to two plain power-convolutions.  The
+    output uses ``mag_offset=1``: symbols +/-(m+1) carry magnitude m, which
+    keeps the two signs of a zero sum distinct.
+    """
     if dc < 2:
         raise ValidationError("check degree must be at least 2")
     if not p_in.symmetric:
@@ -216,11 +224,13 @@ def _cn_sign_magnitude(p_in, dc, table):
     vmax = int(vals.max())
     q0 = np.bincount(vals, 2.0 * a, vmax + 1)
     q1 = np.bincount(vals, 2.0 * b, vmax + 1)
-    return q0 + q1, q0 - q1
 
-
-def _cn_sum_pmf(U, V, delta):
-    """The CN output PMF from the dc-1 fold powers U of u and V of v."""
+    u = q0 + q1
+    v = q0 - q1
+    U, V = u, v
+    for _ in range(dc - 2):
+        U = np.convolve(U, u)
+        V = np.convolve(V, v)
     even = 0.5 * (U + V)    # parity of sign bits even, conditioned on x=0
     odd = 0.5 * (U - V)
 
@@ -232,115 +242,9 @@ def _cn_sum_pmf(U, V, delta):
     mass[1] = mass[0, ::-1]
     np.maximum(mass, 0.0, out=mass)   # convolution round-off dust
     mass /= mass.sum()
-    values = np.sign(alphabet) * (np.abs(alphabet) - 1) * delta
+    values = np.sign(alphabet) * (np.abs(alphabet) - 1) * table.delta
     return JointPMF(alphabet, mass, llr_order=True, symmetric=True,
                     mag_offset=1, values=values)
-
-
-def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
-    """Distribution of the translated check node sum over dc-1 edges.
-
-    The output symbol is (sign product, sum of translated magnitudes) with
-    the relevant bit being the XOR of the dc-1 participating bits.  Sign
-    and magnitude parts decouple under the parity transform, so the dc-2
-    pairwise convolutions reduce to two plain power-convolutions.  The
-    output uses ``mag_offset=1``: symbols +/-(m+1) carry magnitude m, which
-    keeps the two signs of a zero sum distinct.
-    """
-    u, v = _cn_sign_magnitude(p_in, dc, table)
-    U, V = u, v
-    for _ in range(dc - 2):
-        U = np.convolve(U, u)
-        V = np.convolve(V, v)
-    return _cn_sum_pmf(U, V, table.delta)
-
-
-def _cn_evolve_spectral(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF:
-    """:func:`cn_evolve_comp` with both powers taken by one FFT each.
-
-    U = irfft(rfft(u, m) ** (dc - 1), m) and likewise V, m the power of
-    two at or above the (dc - 1) vmax + 1 sums, clamped and normalized as
-    the chain's.  It differs from the chain in the last bits, so it only
-    ranks the steps of a stage search (:func:`_rank_tolerance`); no table,
-    spec, MI or PMF a design returns comes from it.
-    """
-    u, v = _cn_sign_magnitude(p_in, dc, table)
-    n = (dc - 1) * (u.size - 1) + 1
-    m = 1 << (n - 1).bit_length()
-    U, V = (np.fft.irfft(np.fft.rfft(x, m) ** (dc - 1), m)[:n] for x in (u, v))
-    return _cn_sum_pmf(U, V, table.delta)
-
-
-def _rank_tolerance(dc, w, wphi):
-    """Bound eps on |ranking MI - exact MI| of one step of a uniform CN stage.
-
-    The ranking MI is ``design_uniform`` on :func:`_cn_evolve_spectral`'s
-    PMF, the exact one on :func:`cn_evolve_comp`'s; e = 2**-52 is the
-    double epsilon, n = dc - 1 the factors of each power, T = 2**(wphi-1)
-    - 1 the largest table value, L = nT + 1 the output magnitudes, m the
-    FFT length (the power of two at or above L), l = max(1, log2 m) and K
-    = 2**(w-1) the cells.  Bounds at T hold at every step (a step's tables
-    have vmax <= T, and every term grows with vmax).
-
-    1. Inputs.  u = q0 + q1 >= 0 sums to the input's mass, 1 within
-       MASS_TOL, and |v| <= u, so ||u||_1, ||v||_1 <= 1 (the 1e-12 excess,
-       raised to the n-th power, is inside the 1% slack below).
-    2. Chain.  Each np.convolve entry is a dot product of at most T + 1
-       terms, so after n - 1 of them every entry of U errs by at most
-       (n - 1)(T + 2) e times the same entry of |u|^{*n} (Higham, Accuracy
-       and Stability, 2nd ed., sec. 3.5), and likewise V with |v|: in l1,
-       e_chain = 1.01 (n - 1)(T + 2) e.
-    3. FFT.  A length-m FFT errs by ||dX||_2 <= l eta ||X||_2 with eta =
-       mu + gamma_4 (sqrt2 + mu) <= 8e for twiddles of error mu <= e
-       (ibid., thm. 24.2), and ||X||_2 = sqrt(m) ||u||_2 <= sqrt(m).  As
-       |X_k| <= ||u||_1 <= 1, the n-th power multiplies a coefficient's
-       error by at most 1.01 n, and its own rounding adds 3ne |X_k|
-       (numpy raises to an integer power below 100 by repeated complex
-       products, each within 3e; measured below 1.9ne up to n = 400, but
-       beyond 99 eps is inf); the half spectrum rfft returns carries a
-       sqrt2 to the whole.  The inverse maps an l2 error of the
-       spectrum to 1/sqrt(m) of it and adds l eta ||U||_2 <= l eta.  Over
-       the L entries kept, l1 <= sqrt(L) l2:
-       e_fft = sqrt(L) (sqrt2 n (1.01 l eta + 3e) + l eta).
-    4. Output masses.  The folded masses (a, b) are halves of (U + V)/2
-       and (U - V)/2, so their l1 error is at most the larger of U's and
-       V's.  Clamping at 0 moves an entry toward its nonnegative true
-       value, and normalizing doubles an l1 error at most (||x/|x| - y/|y|
-       ||_1 <= 2 ||x - y||_1 / |y|, |y| >= 0.99).  The two routes' PMFs
-       are therefore within 2.03 (e_fft + e_chain) in l1.
-    5. Designer.  ``_uniform_sweep`` takes a cell's masses as differences
-       of cumsum prefixes (each within L e / 2 for prefixes <= 1/2), so
-       the 2K cell masses of both routes add 4.2 K L e.  With D the total,
-       D = 2.03 (e_fft + e_chain) + 4.2 K L e.
-    6. MI.  A partition's MI is 2 sum_k h(a_k) + h(b_k) - h(a_k + b_k) +
-       a_k + b_k, h(x) = x log2 x, whose modulus of continuity on [0, 1]
-       is w(d) = d log2(1/d) for d <= 1/e.  By concavity of w, an l1
-       change D of the cell masses moves it by at most 2 (2K w(D/2K) + K
-       w(D/K) + D) = 4 D log2(2K/D).  Each route's own rounding of the
-       scores (three x log2 x terms and four sums per cell, then a sum of
-       K) adds at most 32 K e.  The maximum over the same (r, kappa) pairs
-       moves by no more than its largest term, so
-       eps = 4 D log2(2K/D) + 64 K e.
-    At the paper point (dc = 32, w = 4, wphi = 8) eps = 2.3e-8.
-
-    If the exact winner is step s and M the best ranking MI, then
-    rank(s) >= exact(s) - eps >= exact(argmax rank) - eps >= M - 2 eps,
-    and so does every step tying with s: verifying each step within 2 eps
-    of M on the chain finds the first exact maximum of the whole scan.
-    Returns inf, for a stage that then scans exactly, where n >= 100 or
-    D/K is outside the range of w.
-    """
-    e = float(np.finfo(float).eps)
-    n, T, K = dc - 1, (1 << (wphi - 1)) - 1, 1 << (w - 1)
-    L = n * T + 1
-    m = 1 << (L - 1).bit_length()
-    l, eta = max(1, m.bit_length() - 1), 8 * e
-    e_chain = 1.01 * (n - 1) * (T + 2) * e
-    e_fft = math.sqrt(L) * (math.sqrt(2) * n * (1.01 * l * eta + 3 * e) + l * eta)
-    D = 2.03 * (e_fft + e_chain) + 4.2 * K * L * e
-    if n >= 100 or not D / K <= 1 / math.e:
-        return math.inf
-    return 4 * D * math.log2(2 * K / D) + 64 * K * e
 
 
 def _min_index_matrix(k):
@@ -429,8 +333,9 @@ def vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int, tables: dict) -> JointPMF
     mass[1] = 0.5 * acc[::-1]
     np.maximum(mass, 0.0, out=mass)
     mass /= mass.sum()
+    # symmetrize_vn_sum validates its output, which any fault here reaches
     raw = JointPMF(alphabet, mass, symmetric=True,
-                   values=alphabet * tab_c.delta)
+                   values=alphabet * tab_c.delta, validate=False)
     return symmetrize_vn_sum(raw)
 
 
@@ -539,7 +444,7 @@ def _vn_tables(raw_ch, raw_c, wphi, step):
 
 
 def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k,
-                 ranking=False):
+                 ranker=None):
     """Steps ``share``, ``share + k``, ... of a stage's search, in order.
 
     Returns ``(best, raised, caught)``: ``best`` is ``(tables, spec, mi, q,
@@ -551,11 +456,22 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k,
     step, so steps of equal tables are consecutive, and only the last PMF
     is kept.
 
-    With ``ranking`` set (``evolve`` the spectral twin) it returns the
-    ``(index, mi)`` of every step instead, ``mi`` nan where the step
-    warned or raised; the share runs to its end and returns no PMF.
+    With ``ranker`` set it returns ``ranker(steps[share::k])`` instead: the
+    ranking MI of each of those steps, from one batch.  If the ranker
+    warned or raised, every one of them is nan, to be evaluated exactly.
     """
-    best, raised, caught, ranked, last = None, None, [], [], (None, None)
+    if ranker is not None:
+        mine = steps[share::k]
+        try:
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("always")
+                mi = np.asarray(ranker(mine), dtype=np.float64)
+            if not log:
+                return mi
+        except Exception:
+            pass
+        return np.full(len(mine), math.nan)
+    best, raised, caught, last = None, None, [], (None, None)
     for i in range(share, len(steps), k):
         step = float(steps[i])
         with warnings.catch_warnings(record=True) as log:
@@ -574,16 +490,12 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k,
                     spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
             except Exception as exc:
                 raised = i, exc
-        if ranking:
-            ranked.append((i, math.nan if raised or log else mi))
-            raised = None
-            continue
         caught += [(i, w.message) for w in log]
         if raised:
             break
         if best is None or mi > best[2]:
             best = (tables, spec, mi, q, i)
-    return ranked if ranking else (best, raised, caught)
+    return best, raised, caught
 
 
 def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
@@ -610,12 +522,13 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     The window's steps are not searched again with the rest of the grid,
     so their warnings are emitted once.
 
-    ``rank``, if given, is ``(rank_evolve, eps)``: a cheaper evolution
-    whose designed MI is within ``eps`` of ``evolve``'s at every step.
-    A search of several steps then first ranks every step on it (split as
-    above), and only the steps whose ranking MI lies within 2 eps of the
-    best, or is not finite (the ranking warned or raised), are evaluated
-    on ``evolve``, in step order, as the exact search above.  The exact
+    ``rank``, if given, is ``(ranker, eps)``: ``ranker(steps)`` maps an
+    array of steps to their ranking MIs in one batch, each within ``eps``
+    of the MI ``evolve`` gives, or nan (``ranking._rank_steps``).  A search of
+    several steps then first ranks them, share j ranking steps j, j + k,
+    ... as one batch on its worker, and only the steps whose ranking MI
+    lies within 2 eps of the best, or is not finite, are evaluated on
+    ``evolve``, in step order, as the exact search above.  The exact
     winner's ranking MI is within 2 eps of the best, and so is that of
     every step tying with it, so the result is the exhaustive scan's;
     every returned table, spec, MI and PMF comes from ``evolve``.  The
@@ -631,15 +544,15 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     else:
         steps, windowed = [dstar], False
 
-    def split(steps, evolve, ranking):
+    def split(steps, ranker=None):
         k = min(len(team) + 1, len(steps))
         args = (cfg, uniform, kappa_search, tables_at, evolve, steps)
         for j, worker in enumerate(team[:k - 1], 1):
-            worker.send(*args, j, k, ranking)
-        return [_stage_share(*args, 0, k, ranking)] + [w.reply() for w in team[:k - 1]]
+            worker.send(*args, j, k, ranker)
+        return [_stage_share(*args, 0, k, ranker)] + [w.reply() for w in team[:k - 1]]
 
     def scan(steps):
-        shares = split(steps, evolve, False)
+        shares = split(steps)
         raised = min((r for _, r, _ in shares if r), key=lambda r: r[0], default=None)
         last = len(steps) if raised is None else raised[0]
         caught = sorted((c for _, _, cs in shares for c in cs), key=lambda c: c[0])
@@ -653,11 +566,15 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     def search(steps):
         if rank is None or len(steps) < 2:
             return scan(steps)
-        ranked = sorted(r for share in split(steps, rank[0], True) for r in share)
-        top = max((mi for _, mi in ranked if math.isfinite(mi)), default=math.nan)
-        exact = [i for i, mi in ranked if not math.isfinite(mi) or mi >= top - 2 * rank[1]]
-        *best, j = scan([steps[i] for i in exact])
-        return (*best, exact[j])
+        shares = split(steps, rank[0])
+        ranked = np.empty(len(steps))
+        for j, mi in enumerate(shares):
+            ranked[j::len(shares)] = mi
+        finite = np.isfinite(ranked)
+        top = ranked[finite].max(initial=-math.inf)
+        exact = np.flatnonzero(~finite | (ranked >= top - 2 * rank[1]))
+        *best, j = scan(steps[exact])
+        return (*best, int(exact[j]))
 
     best = search(steps)
     spec = best[1]
@@ -680,6 +597,7 @@ def _design_iteration(cfg, t_ch, state, team):
     """
     p_v2c, prev_cn_delta, prev_vn_delta = state
     rec = IterationDesign(mi_cn=0.0, mi_vn=0.0)
+    T = (1 << (cfg.wphi - 1)) - 1
     if cfg.cn_variant == "min":
         p_c2v = cn_evolve_min(p_v2c, cfg.dc)
         rec.mi_cn = mutual_information(p_c2v)
@@ -687,17 +605,17 @@ def _design_iteration(cfg, t_ch, state, team):
         p_c2v = _omsq_cn_evolve(p_v2c, cfg.dc, cfg.beta)
         rec.mi_cn = mutual_information(p_c2v)
     else:
-        # a uniform stage ranks its steps on the FFT evolution; a threshold
-        # stage (the DP prunes its tail, which the bound does not cover)
-        # and the VN stages, whose evolution is a few short convolutions,
-        # scan exactly
+        # a uniform stage ranks its steps by FFT in one batch per share and
+        # verifies the near-best on the chain; a threshold stage (the DP
+        # prunes its tail, which the bound does not cover) scans exactly
         uniform = cfg.cn_variant == "comp_uni"
-        eps = _rank_tolerance(cfg.dc, cfg.w, cfg.wphi)
-        rank = ((partial(_cn_evolve_spectral, p_v2c, cfg.dc), eps)
-                if uniform and math.isfinite(eps) else None)
+        raw = raw_translation_values(p_v2c, "cn_phi")
+        n = cfg.dc - 1
+        rank = (_stage_rank(cfg, n, n * T + 1, partial(_cn_rank_masses, p_v2c, cfg.dc, T),
+                            (raw,), True) if uniform else None)
         rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
             cfg, uniform, phi_saturation_delta(p_v2c, cfg.wphi),
-            partial(_cn_tables, raw_translation_values(p_v2c, "cn_phi"), cfg.wphi),
+            partial(_cn_tables, raw, cfg.wphi),
             partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
             kappa_search=True, rank=rank, team=team)
         prev_cn_delta = rec.cn_quantizer.delta
@@ -706,12 +624,17 @@ def _design_iteration(cfg, t_ch, state, team):
         p_v2c = _omsq_vn_evolve(p_c2v, t_ch, cfg.dv)
         rec.mi_vn = mutual_information(p_v2c)
     else:
+        # a uniform VN stage is ranked as the CN stage is (kappa = 0); a
+        # threshold one scans exactly
+        uniform = cfg.vn_variant == "comp_uni"
+        raws = raw_translation_values(t_ch, "vn_llr"), raw_translation_values(p_c2v, "vn_llr")
+        rank = (_stage_rank(cfg, cfg.dv, 2 * cfg.dv * T + 1,
+                            partial(_vn_rank_masses, p_c2v, t_ch, cfg.dv, T), raws, False)
+                if uniform else None)
         rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
-            cfg, cfg.vn_variant == "comp_uni",
-            llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
-            partial(_vn_tables, raw_translation_values(t_ch, "vn_llr"),
-                    raw_translation_values(p_c2v, "vn_llr"), cfg.wphi),
-            partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, team=team)
+            cfg, uniform, llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
+            partial(_vn_tables, *raws, cfg.wphi),
+            partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, rank=rank, team=team)
         prev_vn_delta = rec.vn_quantizer.delta
     return rec, (p_v2c, prev_cn_delta, prev_vn_delta)
 

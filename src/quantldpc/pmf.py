@@ -264,6 +264,8 @@ def symmetrize_vn_sum(p: JointPMF) -> JointPMF:
     if not (lo <= 0 <= hi) or a.size != hi - lo + 1 or not np.array_equal(a, np.arange(lo, hi + 1)):
         raise ValidationError("expected a contiguous signed alphabet containing 0")
     m = max(-lo, hi)
+    if m < 1:
+        raise ValidationError("alphabet must hold at least two symbols")
 
     # dense signed table indexed by value + m over [-m, +m]
     dense = np.zeros((2, 2 * m + 1))

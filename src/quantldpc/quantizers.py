@@ -254,6 +254,39 @@ def round_translation_values(raw, delta: float, wphi: int) -> TranslationTable:
     return TranslationTable(tuple(vals), wphi, delta, clipped=tuple(clipped))
 
 
+def round_translation_steps(raw, steps, wphi: int):
+    """:func:`round_translation_values` at every step of ``steps`` at once.
+
+    Returns ``(values, clipped, ok)``: ``values[i]`` the table values at
+    ``steps[i]`` (an int64 array of steps x cells), ``clipped`` the
+    tables' ``clipped`` metadata, which does not depend on the step, and
+    ``ok[i]`` False where :func:`round_translation_values` would raise at
+    that step: a step that is not positive, or an x / delta + 0.5 that is
+    not finite (``math.floor`` overflows) or negative.  Such a row's values
+    are 0.  Each value is the same floor(x / delta + 0.5) in IEEE doubles,
+    so every ok row equals the table's values.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    steps = np.asarray(steps, dtype=np.float64)
+    vmax = (1 << (wphi - 1)) - 1
+    populated = ~np.isnan(raw)
+    if not populated.any():
+        raise ValidationError("every cell of the PMF is unpopulated")
+    # the cell each cell copies: itself if populated, else the nearest
+    # populated cell below, else (a leading gap) the first populated one
+    cells = np.arange(raw.size)
+    src = np.maximum.accumulate(np.where(populated, cells, -1))
+    src[src < 0] = cells[populated][0]
+    x = raw[src]
+    clip = np.isinf(x)
+    with np.errstate(all="ignore"):
+        q = np.floor(x / steps[:, None] + 0.5)
+    ok = (steps > 0) & np.all(clip | (np.isfinite(q) & (q >= 0)), axis=1)
+    values = np.where(clip, vmax, np.minimum(q, vmax))
+    values[~ok] = 0
+    return values.astype(np.int64), tuple(int(c) + 1 for c in np.flatnonzero(np.isinf(raw))), ok
+
+
 # ---------------------------------------------------------------------------
 # non-uniform design: exact DP over contiguous magnitude partitions
 # ---------------------------------------------------------------------------
@@ -456,6 +489,23 @@ def _uniform_grid(K, r_limit, kappa_search):
     return grid, rk[:, 0], rk[:, 1]
 
 
+def _uniform_scores(da, db, w, r_limit, kappa_search):
+    """MI of every (r, kappa) pair of :func:`_uniform_sweep`, in sweep order.
+
+    ``da`` and ``db`` may hold one magnitude PMF per row: the scores of
+    each row are along the last axis.
+    """
+    K = 1 << (w - 1)
+    M = da.shape[-1] - 1
+    zero = np.zeros(da.shape[:-1] + (1,))
+    cumA, cumB = (np.concatenate([zero, np.cumsum(d, axis=-1)], axis=-1) for d in (da, db))
+    grid, r, kappa = _uniform_grid(K, r_limit, kappa_search)
+    bnd = np.clip(grid, 0, M + 1)     # column 0 (-kappa) clips to 0
+    bnd[:, K] = M + 1
+    pa, pb = (np.diff(cum[..., bnd], axis=-1) for cum in (cumA, cumB))
+    return 2.0 * np.sum(_cluster_scores(pa, pb), axis=-1), r, kappa
+
+
 def _uniform_sweep(da, db, w, r_limit, kappa_search):
     """Best (mi, shift, offset) for dropping low bits of a magnitude PMF.
 
@@ -468,15 +518,7 @@ def _uniform_sweep(da, db, w, r_limit, kappa_search):
     (kept as the reference in the tests).  Returns (-1.0, 0, 0) if no pair
     scores above -1.
     """
-    K = 1 << (w - 1)
-    M = da.size - 1
-    cumA = np.concatenate([[0.0], np.cumsum(da)])
-    cumB = np.concatenate([[0.0], np.cumsum(db)])
-    grid, r, kappa = _uniform_grid(K, r_limit, kappa_search)
-    bnd = np.clip(grid, 0, M + 1)     # column 0 (-kappa) clips to 0
-    bnd[:, K] = M + 1
-    pa, pb = (np.diff(cum[bnd], axis=1) for cum in (cumA, cumB))
-    mi = 2.0 * np.sum(_cluster_scores(pa, pb), axis=1)
+    mi, r, kappa = _uniform_scores(da, db, w, r_limit, kappa_search)
     # first maximum after a -1.0 seed, NaN read as -1.0: the pair a loop
     # keeping the best under strict improvement would keep
     j = int(np.argmax(np.fmax(np.concatenate([[-1.0], mi]), -1.0)))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantldpc import evolution, workers
+from quantldpc import evolution, quantizers, ranking, workers
 from quantldpc.codes import generate_regular_code
 from quantldpc.complexity import CN_VARIANTS, VN_VARIANTS
 from quantldpc.decoder import DecoderState
@@ -390,6 +390,30 @@ def test_vn_evolve_values_keep_the_signed_unit(monkeypatch):
         unit = float((raw.values[raw.alphabet != 0] / raw.alphabet[raw.alphabet != 0])[0])
         assert np.array_equal(out.values, out.alphabet.astype(np.float64) * unit)
     assert len(raw_sums) == 256
+
+
+@pytest.mark.parametrize("side", ["channel", "check"])
+def test_vn_evolve_rejects_a_nan_input_mass(side):
+    # the adder sum is built unchecked; the symmetrized output's checks
+    # still reject a nan mass on either input (on a positive symbol: the
+    # evolution reads the positive half)
+    p = message_pmf()
+    mass = p.mass.copy()
+    mass[0, -2] = np.nan
+    bad = JointPMF(p.alphabet, mass, llr_order=True, symmetric=True, validate=False)
+    tabs = {key: TranslationTable((1, 2, 3, 4), 4, 0.5) for key in ("phi_ch", "phi_c")}
+    p_cn, p_ch = (p, bad) if side == "channel" else (bad, p)
+    with pytest.raises(ValidationError, match="mass sums to nan"):
+        vn_evolve(p_cn, p_ch, 3, tabs)
+
+
+def test_vn_evolve_rejects_an_adder_sum_of_one_symbol():
+    # all-zero tables leave the adder sum one symbol, 0: the unchecked sum
+    # must still fail loudly
+    p = message_pmf()
+    tabs = {key: TranslationTable((0, 0, 0, 0), 2, 4.0) for key in ("phi_ch", "phi_c")}
+    with pytest.raises(ValidationError, match="alphabet must hold at least two symbols"):
+        vn_evolve(p, p, 2, tabs)
 
 
 def test_artifact_roundtrip_keeps_every_config_field():
@@ -1082,12 +1106,13 @@ def test_design_stage_matches_reference(cn, vn, search_points, warm_window, ebn0
 
 def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
     # the differential cases above must exercise the window-edge fallback:
-    # a stage falls back when its designer sees a step outside its window
+    # a stage falls back when it ranks or designs a step outside its window
     # (a ranked stage designs its verified steps twice, so the calls alone
     # do not tell); the spies count in this process, so the stages run
     # serially in it
     monkeypatch.setattr(workers, "WORKERS", 1)
     stages = []
+    rank_steps = ranking._rank_steps
 
     def subgrid(grid, prev_best, half_width):
         sub, windowed = _search_subgrid(grid, prev_best, half_width)
@@ -1098,8 +1123,13 @@ def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
         stages[-1][1].add(delta)
         return design_uniform(*args, delta=delta, **kwargs)
 
+    def ranker(*args):
+        stages[-1][1].update(args[-1].tolist())
+        return rank_steps(*args)
+
     monkeypatch.setattr(evolution, "_search_subgrid", subgrid)
     monkeypatch.setattr(evolution, "design_uniform", designer)
+    monkeypatch.setattr(ranking, "_rank_steps", ranker)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         design_decoder(stage_cfg("comp_uni", "comp_uni", design_ebn0_db=3.0,
@@ -1160,10 +1190,19 @@ def grid_design_uniform(grid, mi_at):
     return fake
 
 
-def spectral_rank(p, cfg):
-    """The ranking a design's uniform CN stage on input ``p`` gets."""
-    return (partial(evolution._cn_evolve_spectral, p, cfg.dc),
-            evolution._rank_tolerance(cfg.dc, cfg.w, cfg.wphi))
+def designer_ranking(p, cfg, steps):
+    """Each step's MI by the stage's own designer (``evolution.design_uniform``,
+    which a test may replace) on the chain's PMF, one step at a time."""
+    return [evolution.design_uniform(
+        cn_evolve_comp(p, cfg.dc, build_translation_table(p, "cn_phi", step, cfg.wphi)),
+        cfg.w, wphi=cfg.wphi, kappa_search=True, delta=step)[1] for step in steps]
+
+
+def designer_rank(p, cfg):
+    """A ranking of a uniform CN stage on input ``p`` that follows a
+    replaced designer: where that designer warns or raises, the batch is
+    unranked and every step is evaluated exactly."""
+    return partial(designer_ranking, p, cfg), 0.0
 
 
 def cn_stage(cfg, team, rank=None, prev_delta=None):
@@ -1198,7 +1237,7 @@ def test_split_stage_tie_goes_to_the_smallest_step_index(monkeypatch, count):
     want = cn_stage(cfg, ())
     with workers.forked(evolution._stage_share, count - 1) as team:
         got = cn_stage(cfg, team)
-        ranked = cn_stage(cfg, team, spectral_rank)
+        ranked = cn_stage(cfg, team, designer_rank)
     assert multiprocessing.active_children() == []
     assert got == ranked == want
     assert want[0][1].delta == float(grid[5]) and want[0][2] == 0.5
@@ -1221,7 +1260,7 @@ def test_split_stage_raises_the_earliest_step_error(monkeypatch, count):
     want = cn_stage(cfg, ())
     with workers.forked(evolution._stage_share, count - 1) as team:
         got = cn_stage(cfg, team)
-        ranked = cn_stage(cfg, team, spectral_rank)
+        ranked = cn_stage(cfg, team, designer_rank)
     assert multiprocessing.active_children() == []
     assert got == ranked == want == (("raised", "step 4 failed"),
                                      [f"step {i}" for i in range(5)])
@@ -1457,22 +1496,33 @@ def test_a_uniform_vn_stage_with_an_empty_cell_keeps_every_cell():
 
 # --- the FFT-ranked stage search ---------------------------------------------
 
-def ranking_and_exact(p, dc, table, w, wphi):
-    """(ranking PMF, exact PMF, ranking MI, exact MI) of one CN step."""
-    fast = evolution._cn_evolve_spectral(p, dc, table)
-    slow = cn_evolve_comp(p, dc, table)
-    mis = [design_uniform(q, w, wphi=wphi, kappa_search=True)[1] for q in (fast, slow)]
-    return fast, slow, *mis
+def ranked_mi(da, db, w, wphi, kappa_search):
+    """The ranking MI of one row of folded masses, as ranking._rank_steps
+    takes it."""
+    return float(quantizers._uniform_scores(da, db, w, wphi, kappa_search)[0].max())
+
+
+def assert_close_in_l1(da, db, exact, eps):
+    """The ranking's folded masses of one row against the exact PMF's: eps
+    bounds their l1 distance too, as it exceeds 2 D, and D bounds the
+    folded half, which both rows of the mass repeat; the ranking's rows may
+    run on above the exact alphabet, with round-off dust."""
+    a, b = _dense_folded(exact)
+    assert da.size >= a.size and db.size == da.size
+    gap = (np.abs(da[:a.size] - a).sum() + np.abs(db[:b.size] - b).sum()
+           + da[a.size:].sum() + db[b.size:].sum())
+    assert 2 * gap <= eps
 
 
 def assert_within_rank_tolerance(p, dc, table, w, wphi):
-    eps = evolution._rank_tolerance(dc, w, wphi)
-    fast, slow, mi_fast, mi_slow = ranking_and_exact(p, dc, table, w, wphi)
-    assert np.array_equal(fast.alphabet, slow.alphabet)
-    assert np.array_equal(fast.values, slow.values)
-    # eps bounds the l1 distance of the masses too: it exceeds 2 D, and D
-    # bounds the folded half, which both rows of the mass repeat
-    assert np.abs(fast.mass - slow.mass).sum() <= eps
+    """One CN step: the FFT ranking's masses and MI within eps of the chain's."""
+    T, n = (1 << (wphi - 1)) - 1, dc - 1
+    eps = ranking._rank_tolerance(n, n * T + 1, 1 << (w - 1))
+    (da,), (db,) = ranking._cn_rank_masses(p, dc, T, table.as_array()[None])
+    slow = cn_evolve_comp(p, dc, table)
+    assert_close_in_l1(da, db, slow, eps)
+    mi_fast = ranked_mi(da, db, w, wphi, True)
+    mi_slow = design_uniform(slow, w, wphi=wphi, kappa_search=True)[1]
     assert abs(mi_fast - mi_slow) <= eps
     return abs(mi_fast - mi_slow)
 
@@ -1508,7 +1558,7 @@ def test_spectral_evolution_edge_cases_rank_within_the_tolerance(dc, w, wphi, ta
 
 
 def test_rank_tolerance_is_small_at_the_paper_point_and_far_above_the_error():
-    eps = evolution._rank_tolerance(32, 4, 8)
+    eps = ranking._rank_tolerance(31, 31 * 127 + 1, 8)
     assert 1e-8 < eps < 5e-8
     # the worst measured gap on the paper point's first scan is far inside
     _, p = design_channel_quantizer(awgn_llr_pmf(ChannelModel(3.3, 0.841)), 4)
@@ -1516,12 +1566,55 @@ def test_rank_tolerance_is_small_at_the_paper_point_and_far_above_the_error():
     gaps = [assert_within_rank_tolerance(p, 32, build_translation_table(p, "cn_phi", s, 8),
                                          4, 8) for s in grid.tolist()]
     assert max(gaps) < 1e-3 * eps
-    # eps grows with every size it is derived from; the power is bounded
-    # below 100 factors only
-    assert evolution._rank_tolerance(33, 4, 8) > eps
-    assert evolution._rank_tolerance(32, 5, 8) > eps
-    assert evolution._rank_tolerance(32, 4, 9) > eps
-    assert evolution._rank_tolerance(100, 4, 8) < math.inf == evolution._rank_tolerance(101, 4, 8)
+    # eps grows with every size it is derived from (dc, w, wphi through
+    # n, K and L); the power is bounded below 100 factors only
+    assert ranking._rank_tolerance(32, 32 * 127 + 1, 8) > eps
+    assert ranking._rank_tolerance(31, 31 * 127 + 1, 16) > eps
+    assert ranking._rank_tolerance(31, 31 * 255 + 1, 8) > eps
+    assert (ranking._rank_tolerance(99, 99 * 127 + 1, 8) < math.inf
+            == ranking._rank_tolerance(100, 100 * 127 + 1, 8))
+    # the VN's: dv factors over 2 dv T + 1 sums
+    assert 1e-9 < ranking._rank_tolerance(6, 2 * 6 * 127 + 1, 8) < eps
+
+
+def first_vn_stage(cn):
+    """The paper point's first VN stage: its config, channel PMF, input
+    from the CN and grid."""
+    cfg = paper_point(cn, "comp_uni", 3.3, iterations=1)
+    _, t_ch = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    if cn == "min":
+        p_cn = cn_evolve_min(t_ch, cfg.dc)
+    else:
+        rec = design_decoder(cfg)[0].per_iteration[0]
+        p_cn = apply_quantizer(cn_evolve_comp(t_ch, cfg.dc, rec.cn_tables), rec.cn_quantizer)
+    grid = build_delta_grid(llr_saturation_delta([p_cn, t_ch], cfg.wphi), cfg.uniform_grid_points)
+    return cfg, t_ch, p_cn, grid
+
+
+@pytest.mark.parametrize("cn", ["min", "comp_uni"])
+def test_vn_ranking_is_within_the_derived_tolerance_at_every_step(cn):
+    # every step of the paper point's first VN grid, 256 of them: the
+    # ranking's masses and MI are within eps of the chain's, far inside
+    cfg, t_ch, p_cn, grid = first_vn_stage(cn)
+    T = (1 << (cfg.wphi - 1)) - 1
+    raws = (quantizers.raw_translation_values(t_ch, "vn_llr"),
+            quantizers.raw_translation_values(p_cn, "vn_llr"))
+    ranker, eps = ranking._stage_rank(
+        cfg, cfg.dv, 2 * cfg.dv * T + 1,
+        partial(ranking._vn_rank_masses, p_cn, t_ch, cfg.dv, T), raws, False)
+    ranked = ranker(grid)
+    values = [quantizers.round_translation_steps(raw, grid, cfg.wphi)[0] for raw in raws]
+    da, db = ranking._vn_rank_masses(p_cn, t_ch, cfg.dv, T, *values)
+    gaps = []
+    for i, step in enumerate(grid.tolist()):
+        exact = vn_evolve(p_cn, t_ch, cfg.dv,
+                          {"phi_ch": build_translation_table(t_ch, "vn_llr", step, cfg.wphi),
+                           "phi_c": build_translation_table(p_cn, "vn_llr", step, cfg.wphi)})
+        assert_close_in_l1(da[i], db[i], exact, eps)
+        mi = design_uniform(exact, cfg.w, wphi=cfg.wphi, delta=step)[1]
+        assert abs(ranked[i] - mi) <= eps
+        gaps.append(abs(ranked[i] - mi))
+    assert max(gaps) < 1e-3 * eps
 
 
 @functools.lru_cache(maxsize=None)
@@ -1533,41 +1626,89 @@ def cached_reference(cfg):
 @pytest.mark.parametrize("cfg", [
     stage_cfg("comp_uni", "comp_uni", design_ebn0_db=2.2, uniform_warm_window=1),
     stage_cfg("comp_uni", "comp", design_ebn0_db=3.0, uniform_warm_window=2),
-    paper_point("comp_uni", "comp_uni", 3.3, iterations=4)], ids=["dc6", "dc6-comp", "dc32"])
+    paper_point("comp_uni", "comp_uni", 3.3, iterations=4),
+    stage_cfg("min", "comp_uni", design_ebn0_db=2.2, uniform_warm_window=1),
+    stage_cfg("min", "comp_uni", design_ebn0_db=3.0, uniform_warm_window=2),
+    stage_cfg("comp", "comp_uni", design_ebn0_db=2.2, uniform_warm_window=1),
+    stage_cfg("comp", "comp_uni", design_ebn0_db=3.0, uniform_warm_window=2),
+    paper_point("min", "comp_uni", 3.3, iterations=4),
+    paper_point("comp", "comp_uni", 3.3, iterations=4)],
+    ids=["dc6", "dc6-comp", "dc32", "dc6-min-vn-w1", "dc6-min-vn-w2", "dc6-comp-vn-w1",
+         "dc6-comp-vn-w2", "dc32-min-vn", "dc32-comp-vn"])
 def test_ranked_stage_search_equals_the_reference(monkeypatch, count, cfg):
     monkeypatch.setattr(workers, "WORKERS", count)
     assert design_outcome(cfg) == cached_reference(cfg)
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_ranked_vn_stage_raises_where_a_one_symbol_step_raises(monkeypatch, count):
+    # wphi = 2: at the largest steps every VN table rounds to 0, and
+    # vn_evolve rejects the one-symbol adder sum; the ranking leaves those
+    # steps to the chain, so the ranked search raises as the exhaustive one
+    cfg = EnsembleConfig(dc=2, dv=2, w=2, wphi=2, iterations=1, cn_variant="min",
+                         vn_variant="comp_uni", design_ebn0_db=0.0, rate=0.25)
+    with pytest.raises(ValidationError, match="alphabet must hold at least two symbols"):
+        ref_design_decoder(cfg)
+    monkeypatch.setattr(workers, "WORKERS", count)
+    assert design_outcome(cfg) == (("raised", "alphabet must hold at least two symbols"), [])
+    assert multiprocessing.active_children() == []
+
+
+def counted_ranking(monkeypatch, evolve_name):
+    """Counts the steps each node's stages rank and the ``evolve_name``
+    calls, the steps evaluated on the chain."""
+    calls = {"exact": 0, "_cn_rank_masses": 0, "_vn_rank_masses": 0}
+    rank_steps, evolve = ranking._rank_steps, getattr(evolution, evolve_name)
+
+    def ranker(masses, *args):
+        calls[masses.func.__name__] += len(args[-1])
+        return rank_steps(masses, *args)
+
+    def exact(*args):
+        calls["exact"] += 1
+        return evolve(*args)
+
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    monkeypatch.setattr(ranking, "_rank_steps", ranker)
+    monkeypatch.setattr(evolution, evolve_name, exact)
+    return calls
+
+
 def test_ranked_stage_search_evolves_few_steps_exactly(monkeypatch):
     # the paper point's first CN stage scans the 256-step grid: every step
     # is ranked, and only the near-best are evolved on the chain
-    monkeypatch.setattr(workers, "WORKERS", 1)
-    calls = {"exact": 0, "ranking": 0}
-    for name, key in (("cn_evolve_comp", "exact"), ("_cn_evolve_spectral", "ranking")):
-        def spy(*args, fn=getattr(evolution, name), key=key):
-            calls[key] += 1
-            return fn(*args)
-        monkeypatch.setattr(evolution, name, spy)
+    calls = counted_ranking(monkeypatch, "cn_evolve_comp")
     cfg = paper_point("comp_uni", "comp_uni", 3.3, iterations=1)
     assert design_outcome(cfg) == cached_reference(cfg)
-    assert calls["ranking"] > 100 and 1 <= calls["exact"] <= 3
+    assert calls["_cn_rank_masses"] > 100 and 1 <= calls["exact"] <= 3
 
 
-class RankedPMF(JointPMF):
-    """A ranking PMF, told apart by its type."""
-    __slots__ = ()
+def test_ranked_vn_stage_search_evolves_few_steps_exactly(monkeypatch):
+    # likewise the first VN stage: 256 steps ranked, 1 to 3 on vn_evolve
+    calls = counted_ranking(monkeypatch, "vn_evolve")
+    cfg = paper_point("min", "comp_uni", 3.3, iterations=1)
+    assert design_outcome(cfg) == cached_reference(cfg)
+    assert calls["_vn_rank_masses"] == 256 and 1 <= calls["exact"] <= 3
 
 
-def marked_exact_evolve(p, dc, tables):
-    q = cn_evolve_comp(p, dc, tables)
-    return RankedPMF(q.alphabet, q.mass, llr_order=True, symmetric=True,
-                     mag_offset=q.mag_offset, values=q.values)
+def test_a_ranking_that_warns_or_raises_leaves_its_batch_to_the_chain():
+    # a share's ranker that warns or raises ranks none of its steps
+    steps = np.arange(1.0, 8.0)
 
+    def share(ranker):
+        return evolution._stage_share(None, True, False, None, None, steps, 1, 3, ranker)
 
-def constant_evolve(q, tables):
-    return q
+    def warning(s):
+        warnings.warn("ranking", UserWarning)
+        return s
+
+    def failing(s):
+        raise ValueError("ranking")
+
+    assert share(np.negative).tolist() == [-2.0, -5.0]
+    for ranker in (warning, failing):
+        assert np.isnan(share(ranker)).tolist() == [True, True]
 
 
 def exact_stage_mis(cfg):
@@ -1578,6 +1719,17 @@ def exact_stage_mis(cfg):
                                                                              cfg.wphi)),
                           cfg.w, wphi=cfg.wphi, kappa_search=True)[1] for s in grid.tolist()]
     return grid, mis
+
+
+def offset_ranking(mis, index, win, eps, steps):
+    """``mis`` at each step, lowered by 0.999 eps at step ``win`` and raised
+    by as much elsewhere."""
+    return [mis[index[s]] + (-0.999 if index[s] == win else 0.999) * eps
+            for s in steps.tolist()]
+
+
+def constant_ranking(steps):
+    return np.full(len(steps), 0.5)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -1595,18 +1747,15 @@ def test_a_ranking_off_by_less_than_eps_still_finds_the_first_exact_maximum(monk
     exact_calls = []
 
     def designer(q, w, *, delta, **kw):
-        spec, mi = design_uniform(q, w, delta=delta, **kw)
-        if not isinstance(q, RankedPMF):
-            exact_calls.append(index[delta])
-            return spec, mi
-        return spec, mi + (-0.999 if index[delta] == win else 0.999) * eps
+        exact_calls.append(index[delta])
+        return design_uniform(q, w, delta=delta, **kw)
 
     want = cn_stage(cfg, ())
     monkeypatch.setattr(evolution, "design_uniform", designer)
     with workers.forked(evolution._stage_share, count - 1) as team:
         exact_calls.clear()
         got = cn_stage(cfg, team, lambda p, cfg: (
-            partial(marked_exact_evolve, p, cfg.dc), eps))
+            partial(offset_ranking, mis, index, win, eps), eps))
     assert got == want
     assert got[0][1].delta == float(grid[win])
     if count == 1:
@@ -1619,12 +1768,8 @@ def test_a_ranking_that_ties_everywhere_verifies_every_step(monkeypatch, count):
     # exact maximum wins as in the exhaustive scan
     cfg = stage_cfg("comp_uni", "comp_uni")
     want = cn_stage(cfg, ())
-
-    def constant(p, cfg):
-        q = cn_evolve_comp(p, cfg.dc, build_translation_table(p, "cn_phi", 0.1, cfg.wphi))
-        return partial(constant_evolve, q), 0.0
     with workers.forked(evolution._stage_share, count - 1) as team:
-        assert cn_stage(cfg, team, constant) == want
+        assert cn_stage(cfg, team, lambda p, cfg: (constant_ranking, 0.0)) == want
 
 
 @pytest.mark.parametrize("mi_at,win", [(lambda i: i / 100, 15),
@@ -1638,7 +1783,7 @@ def test_window_fallback_searches_only_the_rest_of_the_grid(monkeypatch, mi_at, 
     _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
     grid = build_delta_grid(phi_saturation_delta(p, cfg.wphi), cfg.uniform_grid_points)
     monkeypatch.setattr(evolution, "design_uniform", grid_design_uniform(grid, mi_at))
-    for rank in (None, spectral_rank):
+    for rank in (None, designer_rank):
         (_, spec, mi, *_), caught = cn_stage(cfg, (), rank, prev_delta=float(grid[6]))
         assert spec.delta == float(grid[win]) and mi == mi_at(win)
         assert caught == [f"step {i}" for i in [*range(4, 9), *range(4), *range(9, 16)]]

@@ -558,3 +558,64 @@ def test_raw_values_rounded_per_step_equal_the_table_at_every_grid_step(mode):
         raw_translation_values(p_ch, "phi")
     with pytest.raises(ValidationError, match="every cell of the PMF is unpopulated"):
         round_translation_values(np.full(4, np.nan), 0.5, 6)
+
+
+def scalar_rounding(raw, step, wphi):
+    """round_translation_values' (values, clipped), or None where it raises."""
+    try:
+        tab = round_translation_values(raw, step, wphi)
+    except (ArithmeticError, ValueError):     # a ValidationError is a ValueError
+        return None
+    return tab.values, tab.clipped
+
+
+def test_rounding_every_step_at_once_equals_rounding_step_by_step():
+    # nan and inf cells, leading and inner gaps, values exactly at a
+    # rounding tie (x / delta + 0.5 an integer), saturated values, and
+    # steps at which the scalar rounding raises: each row of the batch is
+    # the table's values, or not ok where the table raises
+    rng = np.random.default_rng(3)
+    raws = [np.array([np.nan, np.nan, 0.75, np.inf, np.nan, 2.25, 0.0, np.nan]),
+            np.array([0.25, np.inf, np.inf, np.nan, 1.25, 3.75, np.nan, 100.0]),
+            np.array([np.nan, 1e300, 0.5, 1.5, 2.5, np.inf, 3.5, 4.5]),
+            np.array([0.3, -0.2, -0.4, 1.0])]
+    for _ in range(20):
+        raw = rng.exponential(2.0, size=8)
+        raw[rng.random(8) < 0.25] = np.nan
+        raw[rng.random(8) < 0.1] = np.inf
+        if not np.isnan(raw).all():
+            raws.append(raw)
+    steps = np.concatenate([build_delta_grid(0.05, 256), [0.5, 0.25, 1.0, 0.125, 1e-310,
+                                                          0.0, -1.0, np.inf, np.nan]])
+    for raw in raws:
+        for wphi in (2, 4, 8):
+            values, clipped, ok = quantizers.round_translation_steps(raw, steps, wphi)
+            assert values.shape == (steps.size, raw.size) and values.dtype == np.int64
+            for i, step in enumerate(steps.tolist()):
+                want = scalar_rounding(raw, step, wphi)
+                assert ok[i] == (want is not None)
+                if want is not None:
+                    assert (tuple(values[i].tolist()), clipped) == want
+    # the ties round up, the overflow and the negative value are caught
+    values, _, ok = quantizers.round_translation_steps(raws[2], [0.5, 1e-310], 8)
+    assert values[0].tolist() == [127, 127, 1, 3, 5, 127, 7, 9] and ok.tolist() == [True, False]
+    assert quantizers.round_translation_steps(raws[3], [1.0, 0.25], 8)[2].tolist() == [True,
+                                                                                       False]
+    with pytest.raises(ValidationError, match="every cell of the PMF is unpopulated"):
+        quantizers.round_translation_steps(np.full(4, np.nan), [0.5], 6)
+
+
+def test_uniform_scores_of_rows_equal_each_row_alone():
+    # the batched sweep scores each row of folded masses as that row alone,
+    # but for the order of the last additions
+    rng = np.random.default_rng(8)
+    rows = [_dense_folded(random_symmetric_pmf(rng, 40)) for _ in range(5)]
+    da, db = (np.array([r[i] for r in rows]) for i in (0, 1))
+    for kappa_search in (False, True):
+        mi, r, kappa = quantizers._uniform_scores(da, db, 4, 7, kappa_search)
+        for i, (a, b) in enumerate(rows):
+            one, r1, k1 = quantizers._uniform_scores(a, b, 4, 7, kappa_search)
+            assert np.allclose(mi[i], one, rtol=0.0, atol=1e-15) and np.array_equal(r, r1)
+            best = _uniform_sweep(a, b, 4, 7, kappa_search)
+            j = int(np.argmax(one))
+            assert best == (float(one[j]), int(r[j]), int(kappa[j]))
