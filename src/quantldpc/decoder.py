@@ -233,14 +233,6 @@ class _Side:
         return a
 
 
-def _cell_table(spec: QuantizerSpec, size):
-    """Quantizer cell 1..2^(w-1) of every magnitude 0..size-1."""
-    mag = np.arange(size)
-    if spec.kind == "non_uniform":
-        return 1 + np.searchsorted(np.asarray(spec.thresholds), mag, side="right")
-    return 1 + np.minimum((mag + spec.offset_kappa) >> spec.shift_r, spec.n_cells - 1)
-
-
 class DecoderState:
     """Edge layout and per-iteration lookup tables of one decoder.
 
@@ -319,11 +311,11 @@ class DecoderState:
         ch = np.where(t < 0, -1, 1) * np.asarray(rec.vn_tables["phi_ch"].values)[cell]
         if self.cn_variant in _SUM_CN:
             cn_in = np.asarray(rec.cn_tables.values)[cell]
-            cn_out = vn_c[_cell_table(rec.cn_quantizer, self.cn_range) - 1]
+            cn_out = vn_c[rec.cn_quantizer.cells(np.arange(self.cn_range)) - 1]
         else:
             cn_in, cn_out = np.abs(t), np.concatenate([[0], vn_c])
         ext = np.arange(-S, S + 1)
-        mag = _cell_table(rec.vn_quantizer, S + 1)[np.abs(ext)]
+        mag = rec.vn_quantizer.cells(np.arange(S + 1))[np.abs(ext)]
         # a zero extrinsic sum takes sign +1 on vn_type 0 and -1 on vn_type 1
         out = np.concatenate([np.where(ext < 0, -mag, mag), np.where(ext > 0, mag, -mag)])
         return ch, cn_in, cn_out, out + H

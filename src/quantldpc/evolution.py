@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import workers
+from . import quantizers, workers
 from .complexity import CN_VARIANTS, VN_VARIANTS, omsq_beta
 from .pmf import (
     ChannelModel,
@@ -115,6 +115,9 @@ class EnsembleConfig:
             raise ValidationError("uniform_grid_points must be at least 2")
         if self.uniform_warm_window < 0:
             raise ValidationError("uniform_warm_window must be nonnegative")
+        # a symmetric PMF's positive half holds mass 0.5, all pruned from 0.5 up
+        if not 0.0 <= self.prune_tol < 0.5:
+            raise ValidationError(f"prune_tol must lie in [0, 0.5), not {self.prune_tol!r}")
 
     def channel_model(self) -> ChannelModel:
         return ChannelModel(self.design_ebn0_db, self.rate,
@@ -155,7 +158,7 @@ class IterationDesign:
     mi_vn: float
     cn_tables: TranslationTable | None = None
     cn_quantizer: QuantizerSpec | None = None
-    vn_tables: dict | None = None           # keys "phi_ch", "phi_c"
+    vn_tables: dict[str, TranslationTable] | None = None    # keys "phi_ch", "phi_c"
     vn_quantizer: QuantizerSpec | None = None
 
 
@@ -171,20 +174,25 @@ class DesignArtifact:
     """
 
     config: EnsembleConfig
-    channel_quantizer: object
+    channel_quantizer: QuantizerSpec | OmsqChannelQuantizer
     channel_pmf: JointPMF
     channel_edges_llr: tuple | None
-    per_iteration: list = field(default_factory=list)
+    per_iteration: list[IterationDesign] = field(default_factory=list)
     format_version: int = 1
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(_artifact_to_tree(self), indent=1)
+        return json.dumps(_to_tree(self), indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "DesignArtifact":
-        return _artifact_from_tree(json.loads(text))
+        tree = json.loads(text)
+        if tree.get("format_version") != 1:
+            raise ValidationError(f"unsupported artifact format {tree.get('format_version')!r}")
+        art = _from_tree(cls, tree, "file")
+        _check_loaded(art)
+        return art
 
     def save(self, path):
         with open(path, "w", encoding="ascii") as f:
@@ -431,11 +439,6 @@ def _search_subgrid(grid, prev_best, half_width):
     return grid[lo:hi], (lo > 0 or hi < grid.size)
 
 
-def _cn_tables(raw, wphi, step):
-    """A CN stage's translation table at a step, from its raw phi values."""
-    return round_translation_values(raw, step, wphi)
-
-
 def _vn_tables(raw_ch, raw_c, wphi, step):
     """A VN stage's translation tables at a step, from the raw cell LLRs of
     the channel and the check messages."""
@@ -615,7 +618,9 @@ def _design_iteration(cfg, t_ch, state, team):
                             (raw,), True) if uniform else None)
         rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
             cfg, uniform, phi_saturation_delta(p_v2c, cfg.wphi),
-            partial(_cn_tables, raw, cfg.wphi),
+            # by the quantizers module's own binding: a partial sent to a worker
+            # pickles its function by name, which fails if a tracer rebinds ours
+            partial(quantizers.round_translation_values, raw, wphi=cfg.wphi),
             partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
             kappa_search=True, rank=rank, team=team)
         prev_cn_delta = rec.cn_quantizer.delta
@@ -894,159 +899,93 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
 # artifact serialization (bit-exact: floats stored as repr strings)
 # ---------------------------------------------------------------------------
 
-def _f2s(x):
-    return repr(float(x))
+#: JSON key order of the records whose keys do not follow their fields
+_KEY_ORDER = {
+    DesignArtifact: ("format_version", "config", "channel_quantizer",
+                     "channel_edges_llr", "channel_pmf", "per_iteration"),
+    IterationDesign: ("cn_tables", "cn_quantizer", "vn_tables", "vn_quantizer",
+                      "mi_cn", "mi_vn"),
+}
+
+#: the fields a QuantizerSpec tree leaves out, by the spec's kind
+_UNUSED = {"non_uniform": ("shift_r", "offset_kappa"), "uniform": ("thresholds",)}
+
+#: how a scalar field is read back, by its annotation
+_SCALARS = {"int": int, "bool": bool, "str": str, "float": float}
+
+#: the record class a field annotation names
+_RECORDS = {c.__name__: c for c in (EnsembleConfig, IterationDesign, JointPMF,
+                                    QuantizerSpec, TranslationTable)}
 
 
-def _s2f(s):
-    return float(s)
+def _keys(cls):
+    """(key, annotation) of each field of a record's tree, in key order."""
+    if cls is JointPMF:
+        return [(s, "") for s in JointPMF.__slots__]
+    hints = {f.name: f.type for f in fields(cls)}
+    return [(k, hints[k]) for k in _KEY_ORDER.get(cls, hints)]
 
 
-def _spec_to_tree(spec):
-    if spec is None:
-        return None
-    if isinstance(spec, OmsqChannelQuantizer):
-        return {"kind": "omsq_uniform_llr", "step": _f2s(spec.step),
-                "width_w": spec.width_w}
-    tree = {"kind": spec.kind, "out_width_w": spec.out_width_w,
-            "delta": _f2s(spec.delta)}
-    if spec.kind == "non_uniform":
-        tree["thresholds"] = list(spec.thresholds)
-    else:
-        tree["shift_r"] = spec.shift_r
-        tree["offset_kappa"] = spec.offset_kappa
+def _to_tree(x, hint=""):
+    """JSON tree of an artifact value.
+
+    A record (a dataclass, or a JointPMF by its slots) becomes a dict of
+    its fields; a float, or any number in a field annotated float, a repr
+    string; a tuple, list or array a list.
+    """
+    if isinstance(x, float) or (hint.startswith("float") and x is not None):
+        return repr(float(x))
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (tuple, list)):
+        return [_to_tree(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _to_tree(v) for k, v in x.items()}
+    if not (is_dataclass(x) or isinstance(x, JointPMF)):
+        return x            # None, a bool, an int or a string
+    tree = {"kind": "omsq_uniform_llr"} if isinstance(x, OmsqChannelQuantizer) else {}
+    skip = _UNUSED[x.kind] if isinstance(x, QuantizerSpec) else ()
+    for key, hint in _keys(type(x)):
+        if key not in skip:
+            tree[key] = _to_tree(getattr(x, key), hint)
     return tree
 
 
-def _spec_from_tree(tree):
-    if tree is None:
+def _from_tree(cls, tree, name):
+    """The record of class ``cls`` that :func:`_to_tree` wrote as the tree
+    of field ``name``; a tree of kind omsq_uniform_llr is an
+    OmsqChannelQuantizer.  A field whose key is missing keeps its default
+    (a config field added after the file was written); a required one is
+    rejected."""
+    if tree.get("kind") == "omsq_uniform_llr":
+        cls = OmsqChannelQuantizer
+    if cls is not JointPMF:
+        for f in fields(cls):
+            if f.name not in tree and f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"artifact {name} has no {f.name!r}")
+    return cls(**{k: _read(tree[k], hint, k) for k, hint in _keys(cls) if k in tree})
+
+
+def _read(v, hint, name):
+    """The value of field ``name`` from its tree ``v``, as the first
+    alternative of the field's annotation ``hint`` reads it: a list or dict
+    of its element type, a record, or a scalar.  Any other list is a tuple
+    of numbers (as a JointPMF's slots, which have no annotation), in which a
+    string is a float."""
+    hint = hint.split(" | ")[0]
+    if v is None:
         return None
-    if tree["kind"] == "omsq_uniform_llr":
-        return OmsqChannelQuantizer(_s2f(tree["step"]), int(tree["width_w"]))
-    if tree["kind"] == "non_uniform":
-        return QuantizerSpec("non_uniform", int(tree["out_width_w"]),
-                             delta=_s2f(tree["delta"]),
-                             thresholds=tuple(tree["thresholds"]))
-    return QuantizerSpec("uniform", int(tree["out_width_w"]),
-                         delta=_s2f(tree["delta"]),
-                         shift_r=int(tree["shift_r"]),
-                         offset_kappa=int(tree["offset_kappa"]))
-
-
-def _table_to_tree(tab):
-    if tab is None:
-        return None
-    return {"values": list(tab.values), "width_wphi": tab.width_wphi,
-            "delta": _f2s(tab.delta), "sign_rule": tab.sign_rule,
-            "clipped": list(tab.clipped)}
-
-
-def _table_from_tree(tree):
-    if tree is None:
-        return None
-    return TranslationTable(tuple(tree["values"]), int(tree["width_wphi"]),
-                            _s2f(tree["delta"]), sign_rule=bool(tree["sign_rule"]),
-                            clipped=tuple(tree["clipped"]))
-
-
-def _pmf_to_tree(p):
-    return {
-        "alphabet": [int(y) for y in p.alphabet],
-        "mass": [[_f2s(v) for v in row] for row in p.mass],
-        "llr_order": p.llr_order,
-        "symmetric": p.symmetric,
-        "mag_offset": p.mag_offset,
-        "values": None if p.values is None else [_f2s(v) for v in p.values],
-    }
-
-
-def _pmf_from_tree(tree):
-    mass = np.array([[_s2f(v) for v in row] for row in tree["mass"]])
-    values = tree["values"]
-    return JointPMF(np.array(tree["alphabet"], dtype=np.int64), mass,
-                    llr_order=bool(tree["llr_order"]),
-                    symmetric=bool(tree["symmetric"]),
-                    mag_offset=int(tree["mag_offset"]),
-                    values=None if values is None else [_s2f(v) for v in values])
-
-
-#: how each EnsembleConfig field annotation is read back from an artifact;
-#: float fields are written as repr strings so they round-trip exactly
-_CONFIG_READERS = {"int": int, "str": str, "float": _s2f, "float | None": _s2f}
-
-
-def _config_to_tree(cfg):
-    tree = {}
-    for f in fields(EnsembleConfig):
-        v = getattr(cfg, f.name)
-        tree[f.name] = _f2s(v) if v is not None and _CONFIG_READERS[f.type] is _s2f else v
-    return tree
-
-
-def _config_from_tree(tree):
-    kwargs = {}
-    for f in fields(EnsembleConfig):
-        if f.name not in tree:
-            if f.default is MISSING:
-                raise ValidationError(f"artifact config has no {f.name!r}")
-            continue    # a field added after the file was written: its default
-        v = tree[f.name]
-        kwargs[f.name] = None if v is None else _CONFIG_READERS[f.type](v)
-    return EnsembleConfig(**kwargs)
-
-
-def _artifact_to_tree(art):
-    return {
-        "format_version": art.format_version,
-        "config": _config_to_tree(art.config),
-        "channel_quantizer": _spec_to_tree(art.channel_quantizer),
-        "channel_edges_llr": (None if art.channel_edges_llr is None
-                              else [_f2s(e) for e in art.channel_edges_llr]),
-        "channel_pmf": _pmf_to_tree(art.channel_pmf),
-        "per_iteration": [
-            {
-                "cn_tables": _table_to_tree(r.cn_tables),
-                "cn_quantizer": _spec_to_tree(r.cn_quantizer),
-                "vn_tables": None if r.vn_tables is None else {
-                    "phi_ch": _table_to_tree(r.vn_tables["phi_ch"]),
-                    "phi_c": _table_to_tree(r.vn_tables["phi_c"]),
-                },
-                "vn_quantizer": _spec_to_tree(r.vn_quantizer),
-                "mi_cn": _f2s(r.mi_cn),
-                "mi_vn": _f2s(r.mi_vn),
-            }
-            for r in art.per_iteration
-        ],
-    }
-
-
-def _artifact_from_tree(tree):
-    if tree.get("format_version") != 1:
-        raise ValidationError(f"unsupported artifact format {tree.get('format_version')!r}")
-    per_iteration = []
-    for r in tree["per_iteration"]:
-        vt = r["vn_tables"]
-        per_iteration.append(IterationDesign(
-            mi_cn=_s2f(r["mi_cn"]), mi_vn=_s2f(r["mi_vn"]),
-            cn_tables=_table_from_tree(r["cn_tables"]),
-            cn_quantizer=_spec_from_tree(r["cn_quantizer"]),
-            vn_tables=None if vt is None else {
-                "phi_ch": _table_from_tree(vt["phi_ch"]),
-                "phi_c": _table_from_tree(vt["phi_c"]),
-            },
-            vn_quantizer=_spec_from_tree(r["vn_quantizer"]),
-        ))
-    edges = tree["channel_edges_llr"]
-    art = DesignArtifact(
-        config=_config_from_tree(tree["config"]),
-        channel_quantizer=_spec_from_tree(tree["channel_quantizer"]),
-        channel_pmf=_pmf_from_tree(tree["channel_pmf"]),
-        channel_edges_llr=None if edges is None else tuple(_s2f(e) for e in edges),
-        per_iteration=per_iteration,
-        format_version=1,
-    )
-    _check_loaded(art)
-    return art
+    if hint.startswith("list["):
+        return [_read(e, hint[5:-1], name) for e in v]
+    if hint.startswith("dict[str, "):
+        return {k: _read(e, hint[10:-1], name) for k, e in v.items()}
+    if hint in _RECORDS:
+        return _from_tree(_RECORDS[hint], v, name)
+    if isinstance(v, list):
+        return tuple(_read(e, "", name) for e in v)
+    if hint in _SCALARS:
+        return _SCALARS[hint](v)
+    return float(v) if isinstance(v, str) else v
 
 
 #: quantizer kind of each node variant's designed records (None: not designed)

@@ -85,13 +85,14 @@ class QuantizerSpec:
         mags = np.abs(p.alphabet) - p.mag_offset
         if np.any(mags < 0):
             raise ValidationError("negative magnitudes under this mag_offset")
+        return np.sign(p.alphabet) * self.cells(mags)
+
+    def cells(self, mags):
+        """Cell index 1..2**(w-1) of each nonnegative integer magnitude."""
         if self.kind == "non_uniform":
-            cells = 1 + np.searchsorted(
-                np.asarray(self.thresholds, dtype=np.int64), mags, side="right")
-        else:
-            cells = np.minimum((mags + self.offset_kappa) >> self.shift_r,
-                               self.n_cells - 1) + 1
-        return np.sign(p.alphabet) * cells
+            return 1 + np.searchsorted(np.asarray(self.thresholds, dtype=np.int64), mags,
+                                       side="right")
+        return np.minimum((mags + self.offset_kappa) >> self.shift_r, self.n_cells - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -225,46 +226,32 @@ def build_translation_table(p: JointPMF, mode: str, delta: float, wphi: int) -> 
 def round_translation_values(raw, delta: float, wphi: int) -> TranslationTable:
     """A translation table from raw cell values at step size ``delta``.
 
+    The one row of :func:`round_translation_steps` at ``delta``; a step
+    at which that row is not ok raises.
+    """
+    values, clipped, ok = round_translation_steps(raw, [delta], wphi)
+    if not ok[0]:
+        raise ValidationError(f"step {delta!r} does not round the raw values into a table")
+    return TranslationTable(tuple(values[0].tolist()), wphi, delta, clipped=clipped)
+
+
+def round_translation_steps(raw, steps, wphi: int):
+    """Translation table values from raw cell values at every step at once.
+
     Each finite value x becomes floor(x / delta + 0.5), saturated at
     2**(wphi-1) - 1; cells whose raw value is infinite are clipped there
-    and listed in the table's ``clipped`` metadata.  Cells with no
+    and listed in the tables' ``clipped`` metadata.  Cells with no
     probability mass (nan) inherit the value of the nearest populated cell
     below (or above, for a leading gap).  The values need not be monotone
     in the cell index: the cells of a quantized sum are contiguous on the
     sum axis, not ordered by reliability.
-    """
-    vmax = (1 << (wphi - 1)) - 1
-    vals, clipped = [], []
-    for i, x in enumerate(np.asarray(raw, dtype=np.float64).tolist()):
-        if math.isnan(x):
-            vals.append(None)
-        elif math.isinf(x):
-            vals.append(vmax)
-            clipped.append(i + 1)
-        else:
-            vals.append(min(math.floor(x / delta + 0.5), vmax))
-    if all(v is None for v in vals):
-        raise ValidationError("every cell of the PMF is unpopulated")
-    for i in range(1, len(vals)):           # forward fill gaps
-        if vals[i] is None:
-            vals[i] = vals[i - 1]
-    for i in range(len(vals) - 2, -1, -1):  # leading gap, if any
-        if vals[i] is None:
-            vals[i] = vals[i + 1]
-    return TranslationTable(tuple(vals), wphi, delta, clipped=tuple(clipped))
-
-
-def round_translation_steps(raw, steps, wphi: int):
-    """:func:`round_translation_values` at every step of ``steps`` at once.
 
     Returns ``(values, clipped, ok)``: ``values[i]`` the table values at
     ``steps[i]`` (an int64 array of steps x cells), ``clipped`` the
     tables' ``clipped`` metadata, which does not depend on the step, and
-    ``ok[i]`` False where :func:`round_translation_values` would raise at
-    that step: a step that is not positive, or an x / delta + 0.5 that is
-    not finite (``math.floor`` overflows) or negative.  Such a row's values
-    are 0.  Each value is the same floor(x / delta + 0.5) in IEEE doubles,
-    so every ok row equals the table's values.
+    ``ok[i]`` False where no table exists at that step: a step that is not
+    positive, or an x / delta + 0.5 that is not finite or negative.  Such
+    a row's values are 0.
     """
     raw = np.asarray(raw, dtype=np.float64)
     steps = np.asarray(steps, dtype=np.float64)
@@ -274,17 +261,15 @@ def round_translation_steps(raw, steps, wphi: int):
         raise ValidationError("every cell of the PMF is unpopulated")
     # the cell each cell copies: itself if populated, else the nearest
     # populated cell below, else (a leading gap) the first populated one
-    cells = np.arange(raw.size)
-    src = np.maximum.accumulate(np.where(populated, cells, -1))
-    src[src < 0] = cells[populated][0]
+    src = np.maximum.accumulate(np.where(populated, np.arange(raw.size), populated.argmax()))
     x = raw[src]
-    clip = np.isinf(x)
     with np.errstate(all="ignore"):
         q = np.floor(x / steps[:, None] + 0.5)
-    ok = (steps > 0) & np.all(clip | (np.isfinite(q) & (q >= 0)), axis=1)
-    values = np.where(clip, vmax, np.minimum(q, vmax))
-    values[~ok] = 0
-    return values.astype(np.int64), tuple(int(c) + 1 for c in np.flatnonzero(np.isinf(raw))), ok
+    q[:, np.isinf(x)] = vmax
+    ok = (steps > 0) & ((q >= 0) & (q < np.inf)).all(axis=1)
+    q[~ok] = 0
+    clipped = tuple((np.flatnonzero(np.isinf(raw)) + 1).tolist())
+    return np.minimum(q, vmax).astype(np.int64), clipped, ok
 
 
 # ---------------------------------------------------------------------------

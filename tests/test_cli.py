@@ -138,3 +138,26 @@ def test_config_contradiction_reports_cleanly(capsys):
             "--rate", "0.5", "--cn", "omsq", "--vn", "comp"]
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_design_rejects_a_nan_prune_tol(tmp_path, capsys):
+    assert main(["design", *DESIGN, "--prune-tol", "nan", "--out", str(tmp_path / "x")]) == 2
+    assert "prune_tol must lie in" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("comp-uni", "comp-uni"),
+                                   ("omsq", "omsq")])
+def test_simulate_a_saved_artifact_equals_designing_in_place(tmp_path, cn, vn):
+    # design, save, load: the loaded decoder simulates as the one designed
+    # by simulate itself
+    flags = [*DESIGN, "--cn", cn, "--vn", vn]
+    sim = ["--gen-n", "96", "--snr", "2.0,3.0", "--frames", "64",
+           "--target-errors", "1000000", "--seed", "5"]
+    assert main(["design", *flags, "--out", str(tmp_path / "d")]) == 0
+    assert main(["simulate", *flags, *sim, "--out", str(tmp_path / "in_place.csv")]) == 0
+    assert main(["simulate", *flags, *sim, "--artifact", str(tmp_path / "d.artifact.json"),
+                 "--out", str(tmp_path / "loaded.csv")]) == 0
+    loaded = (tmp_path / "loaded.csv").read_text()
+    assert loaded == (tmp_path / "in_place.csv").read_text()
+    assert len(loaded.strip().split("\n")) == 3

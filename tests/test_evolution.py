@@ -62,7 +62,23 @@ from quantldpc.quantizers import (
     threshold_edges_llr,
 )
 from quantldpc.sim import simulate_point
+from artifact_oracle import check_against_oracle
 from support import alarm
+
+
+@pytest.fixture(autouse=True)
+def designs_serialize_as_the_field_by_field_writer(monkeypatch):
+    """Every artifact design_decoder makes in these tests is written and
+    read back as the serializers that listed each field did."""
+    design = evolution.design_decoder
+
+    def checked(cfg):
+        artifact, traj = design(cfg)
+        check_against_oracle(artifact)
+        return artifact, traj
+
+    monkeypatch.setattr(evolution, "design_decoder", checked)
+    monkeypatch.setitem(globals(), "design_decoder", checked)
 
 
 def message_pmf(seed=0, half=4):
@@ -266,6 +282,17 @@ def test_config_validation():
         base_cfg(dc=1)
 
 
+@pytest.mark.parametrize("prune_tol", [math.nan, math.inf, -math.inf, 0.5, 1.0, -1e-12])
+def test_config_rejects_a_prune_tol_outside_zero_to_one_half(prune_tol):
+    # a symmetric PMF's positive half holds mass 0.5: from 0.5 up (and at
+    # nan or inf) _folded_prune folded the whole tail and the design came
+    # out degenerate
+    with pytest.raises(ValidationError, match="prune_tol must lie in"):
+        base_cfg(prune_tol=prune_tol)
+    assert base_cfg(prune_tol=0.0).prune_tol == 0.0
+    assert base_cfg(prune_tol=0.4999).prune_tol == 0.4999
+
+
 @pytest.mark.parametrize("beta", [0.5, -1, True, 2.0, "1"])
 def test_config_rejects_a_beta_that_is_not_a_nonnegative_int(beta):
     # 0.5 used to validate and then fail inside design_decoder with an IndexError
@@ -433,6 +460,13 @@ def test_artifact_without_newer_config_field_loads_its_default():
     assert back.config.uniform_warm_window == 10
     del tree["config"]["dc"]
     with pytest.raises(ValidationError, match="'dc'"):
+        DesignArtifact.from_json(json.dumps(tree))
+
+
+def test_artifact_with_a_nan_prune_tol_fails_to_load():
+    tree = json.loads(design_decoder(base_cfg(iterations=1))[0].to_json())
+    tree["config"]["prune_tol"] = "nan"
+    with pytest.raises(ValidationError, match="prune_tol must lie in"):
         DesignArtifact.from_json(json.dumps(tree))
 
 

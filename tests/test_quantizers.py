@@ -507,30 +507,36 @@ def test_uniform_mapping_is_monotone_odd(r, w, data):
     assert np.array_equal(cells[::-1], -cells)
 
 
+def loop_rounding(raw, delta, wphi):
+    """A translation table from raw cell values, one cell at a time: the
+    scalar loop round_translation_values was, kept as the reference of the
+    batched rounding."""
+    vmax = (1 << (wphi - 1)) - 1
+    vals, clipped = [], []
+    for i, x in enumerate(np.asarray(raw, dtype=np.float64).tolist()):
+        if math.isnan(x):
+            vals.append(None)
+        elif math.isinf(x):
+            vals.append(vmax)
+            clipped.append(i + 1)
+        else:
+            vals.append(min(math.floor(x / delta + 0.5), vmax))
+    if all(v is None for v in vals):
+        raise ValidationError("every cell of the PMF is unpopulated")
+    for i in range(1, len(vals)):           # forward fill gaps
+        if vals[i] is None:
+            vals[i] = vals[i - 1]
+    for i in range(len(vals) - 2, -1, -1):  # leading gap, if any
+        if vals[i] is None:
+            vals[i] = vals[i + 1]
+    return TranslationTable(tuple(vals), wphi, delta, clipped=tuple(clipped))
+
+
 def loop_translation_table(p, mode, delta, wphi):
     """build_translation_table as it was before the split into raw values
     and per-step rounding, kept as the reference."""
     raw = quantizers.cn_phi_values(p) if mode == "cn_phi" else quantizers.cell_llr_magnitudes(p)
-    vmax = (1 << (wphi - 1)) - 1
-    vals = np.full(raw.size, -1, dtype=np.int64)
-    clipped = []
-    for i, x in enumerate(raw):
-        if math.isnan(x):
-            continue
-        if math.isinf(x):
-            vals[i] = vmax
-            clipped.append(i + 1)
-        else:
-            vals[i] = min(int(math.floor(x / delta + 0.5)), vmax)
-    if np.all(vals < 0):
-        raise ValidationError("every cell of the PMF is unpopulated")
-    for i in range(1, vals.size):
-        if vals[i] < 0:
-            vals[i] = vals[i - 1]
-    for i in range(vals.size - 2, -1, -1):
-        if vals[i] < 0:
-            vals[i] = vals[i + 1]
-    return TranslationTable(tuple(int(v) for v in vals), wphi, delta, clipped=tuple(clipped))
+    return loop_rounding(raw, delta, wphi)
 
 
 @pytest.mark.parametrize("mode", ["cn_phi", "vn_llr"])
@@ -561,9 +567,9 @@ def test_raw_values_rounded_per_step_equal_the_table_at_every_grid_step(mode):
 
 
 def scalar_rounding(raw, step, wphi):
-    """round_translation_values' (values, clipped), or None where it raises."""
+    """The reference loop's (values, clipped), or None where it raises."""
     try:
-        tab = round_translation_values(raw, step, wphi)
+        tab = loop_rounding(raw, step, wphi)
     except (ArithmeticError, ValueError):     # a ValidationError is a ValueError
         return None
     return tab.values, tab.clipped
@@ -594,8 +600,13 @@ def test_rounding_every_step_at_once_equals_rounding_step_by_step():
             for i, step in enumerate(steps.tolist()):
                 want = scalar_rounding(raw, step, wphi)
                 assert ok[i] == (want is not None)
-                if want is not None:
-                    assert (tuple(values[i].tolist()), clipped) == want
+                if want is None:
+                    with pytest.raises(ValidationError, match="does not round"):
+                        round_translation_values(raw, step, wphi)
+                    continue
+                assert (tuple(values[i].tolist()), clipped) == want
+                tab = round_translation_values(raw, step, wphi)
+                assert (tab.values, tab.clipped, tab.delta) == (*want, step)
     # the ties round up, the overflow and the negative value are caught
     values, _, ok = quantizers.round_translation_steps(raws[2], [0.5, 1e-310], 8)
     assert values[0].tolist() == [127, 127, 1, 3, 5, 127, 7, 9] and ok.tolist() == [True, False]
@@ -603,6 +614,20 @@ def test_rounding_every_step_at_once_equals_rounding_step_by_step():
                                                                                        False]
     with pytest.raises(ValidationError, match="every cell of the PMF is unpopulated"):
         quantizers.round_translation_steps(np.full(4, np.nan), [0.5], 6)
+
+
+@pytest.mark.parametrize("step,loop_error", [
+    (0.0, ZeroDivisionError), (-1.0, ValidationError), (1e-310, OverflowError),
+    (math.nan, ValueError)])
+def test_a_step_that_rounds_to_no_table_raises_a_validation_error(step, loop_error):
+    # the scalar loop raised whatever its arithmetic raised at such a step;
+    # as a row of the batched rounding every one is a ValidationError
+    raw = np.array([np.nan, 1e300, 0.5, 1.5])
+    with pytest.raises(loop_error) as loop:
+        loop_rounding(raw, step, 8)
+    assert type(loop.value) is loop_error
+    with pytest.raises(ValidationError, match="does not round the raw values"):
+        round_translation_values(raw, step, 8)
 
 
 def test_uniform_scores_of_rows_equal_each_row_alone():
