@@ -196,10 +196,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -319,6 +319,4 @@ def bundled_code(name) -> ParityCheckMatrix:
     if name not in _BUNDLED:
         raise ValidationError(f"unknown bundled code {name!r}; "
                               f"choices: {sorted(_BUNDLED)}")
-    return generate_regular_code(**{k: v for k, v in _BUNDLED[name].items()
-                                    if k != "min_girth"},
-                                 min_girth=_BUNDLED[name]["min_girth"])
+    return generate_regular_code(**_BUNDLED[name])

@@ -16,9 +16,11 @@ import numpy as np
 
 from .pmf import ValidationError
 
-#: the node variants, for the cost model, the design configs and the CLI
-CN_VARIANTS = ("comp", "comp_uni", "min", "omsq")
-VN_VARIANTS = ("comp", "comp_uni", "omsq")
+#: the node variants, for the cost model, the design configs, the artifacts
+#: and the CLI, each with the kind of quantizer its designed records carry
+#: (None: the variant designs none)
+CN_VARIANTS = {"comp": "non_uniform", "comp_uni": "uniform", "min": None, "omsq": None}
+VN_VARIANTS = {"comp": "non_uniform", "comp_uni": "uniform", "omsq": None}
 
 
 def omsq_beta(beta):

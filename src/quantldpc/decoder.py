@@ -49,7 +49,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .complexity import cn_input_width, omsq_beta, vn_input_width
+from .complexity import CN_VARIANTS, cn_input_width, omsq_beta, vn_input_width
 from .pmf import ValidationError
 from .quantizers import QuantizerSpec
 
@@ -176,9 +176,6 @@ def cn_exact_llr(llrs):
 # batched decoder
 # ---------------------------------------------------------------------------
 
-_SUM_CN = ("comp", "comp_uni")
-
-
 class _Side:
     """Edge order and per-node reductions of one node side (see module doc)."""
 
@@ -287,6 +284,7 @@ class DecoderState:
         self.vn_inv = np.argsort(self.vn_perm)
         self.vn_type = (np.arange(code.n_vars) + vn_phase) % 2
         self.w, self.half = w, 1 << (w - 1)
+        self.sum_cn = CN_VARIANTS[self.cn_variant] is not None   # a designed CN sums
         # VN sums lie in (-2^(vw-1), 2^(vw-1)); the VN index (sign offset, tie
         # half) takes two bits more.  An encoded message 2 cn_in + 1 is at
         # most 2^wphi + 1 < 2^(vw-1).  The sum CN forms 2T + 1 from the full
@@ -295,7 +293,7 @@ class DecoderState:
         dc, dv = self.checks.deg, self.vars.deg
         cw, vw = cn_input_width(dc, wphi), vn_input_width(dv, wphi)
         bits = vw + 2
-        if self.cn_variant in _SUM_CN:
+        if self.sum_cn:
             bits = max(bits, (2 * dc * ((1 << (wphi - 1)) - 1) + 1).bit_length() + 1)
         self.dtype = np.int16 if bits <= 16 else np.int32 if bits <= 32 else np.int64
         self.cn_range, self.vn_range = 1 << cw, 1 << (vw - 1)
@@ -309,7 +307,7 @@ class DecoderState:
         cell = np.maximum(np.abs(t), 1) - 1     # t = 0 is never sent
         vn_c = np.asarray(rec.vn_tables["phi_c"].values)
         ch = np.where(t < 0, -1, 1) * np.asarray(rec.vn_tables["phi_ch"].values)[cell]
-        if self.cn_variant in _SUM_CN:
+        if self.sum_cn:
             cn_in = np.asarray(rec.cn_tables.values)[cell]
             cn_out = vn_c[rec.cn_quantizer.cells(np.arange(self.cn_range)) - 1]
         else:
@@ -381,7 +379,6 @@ def _flood(state, channel_msgs, max_iter):
     if not tables:
         raise ValidationError("decoder state has no iteration tables")
 
-    sum_cn = state.cn_variant in _SUM_CN
     active = np.flatnonzero(~ok)
     live = np.ones(len(active), dtype=bool)
     u_ch = np.ascontiguousarray((ch[active] + state.half).astype(state.dtype).T)
@@ -398,7 +395,7 @@ def _flood(state, channel_msgs, max_iter):
         v, cidx = checks.view(v2c), checks.view(idx)
         par = checks.reduce(np.bitwise_xor, v)
         par &= 1
-        if sum_cn:
+        if state.sum_cn:
             top = 2 * checks.reduce(np.add, np.right_shift(v, 1, out=checks.view(a))) + 1
             np.bitwise_xor(v, checks.spread(par), out=v)
             np.subtract(checks.spread(top), v, out=cidx)

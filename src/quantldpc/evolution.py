@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import quantizers, workers
-from .complexity import CN_VARIANTS, VN_VARIANTS, omsq_beta
+from .complexity import CN_VARIANTS, VN_VARIANTS, omsq_beta, vn_input_width
 from .pmf import (
     ChannelModel,
     JointPMF,
@@ -47,10 +47,9 @@ from .quantizers import (
     design_channel_quantizer,
     design_nonuniform,
     design_uniform,
-    llr_saturation_delta,
-    phi_saturation_delta,
     raw_translation_values,
     round_translation_values,
+    saturation_delta,
     threshold_edges_llr,
 )
 from .ranking import _cn_rank_masses, _stage_rank, _vn_rank_masses
@@ -255,17 +254,18 @@ def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF
                     mag_offset=1, values=values)
 
 
-def _min_index_matrix(k):
+def _min_chain(base0, base1, dc):
+    """(sign product, minimum magnitude) of dc - 1 independent messages,
+    each folded as ``base0``, ``base1`` (masses given x=0 of the positive
+    and negative sign at each magnitude), by dc - 2 pairwise combines."""
+    k = base0.size
     i = np.arange(k)
-    return np.minimum(i[:, None], i[None, :]).ravel()
-
-
-def _pairwise_min(acc0, acc1, b0, b1, idx):
-    """One (sign product, min magnitude) combine of two folded PMFs."""
-    k = acc0.size
-    z0 = np.bincount(idx, (np.outer(acc0, b0) + np.outer(acc1, b1)).ravel(), k)
-    z1 = np.bincount(idx, (np.outer(acc0, b1) + np.outer(acc1, b0)).ravel(), k)
-    return z0, z1
+    idx = np.minimum(i[:, None], i[None, :]).ravel()
+    q0, q1 = base0, base1
+    for _ in range(dc - 2):
+        q0, q1 = (np.bincount(idx, (np.outer(q0, base0) + np.outer(q1, base1)).ravel(), k),
+                  np.bincount(idx, (np.outer(q0, base1) + np.outer(q1, base0)).ravel(), k))
+    return q0, q1
 
 
 def cn_evolve_min(p_in: JointPMF, dc: int) -> JointPMF:
@@ -279,11 +279,7 @@ def cn_evolve_min(p_in: JointPMF, dc: int) -> JointPMF:
         raise ValidationError("check node evolution expects a symmetric PMF")
     _, a, b = p_in.fold_positive()
     K = a.size
-    base0, base1 = 2.0 * a, 2.0 * b
-    q0, q1 = base0.copy(), base1.copy()
-    idx = _min_index_matrix(K)
-    for _ in range(dc - 2):
-        q0, q1 = _pairwise_min(q0, q1, base0, base1, idx)
+    q0, q1 = _min_chain(2.0 * a, 2.0 * b, dc)
     alphabet = np.concatenate([np.arange(-K, 0), np.arange(1, K + 1)])
     mass = np.zeros((2, 2 * K))
     mass[0, K:] = 0.5 * q0
@@ -325,8 +321,7 @@ def vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int, tables: dict) -> JointPMF
 
     h, Sh = _signed_translated(p_ch, tab_ch)
     span = Sh + (dv - 1) * ((1 << (tab_c.width_wphi - 1)) - 1)
-    adder_limit = 1 << (tab_c.width_wphi - 1 + max(1, math.ceil(math.log2(max(dv, 2)))) + 1)
-    if span >= adder_limit:
+    if span >= 1 << (vn_input_width(dv, tab_c.width_wphi) - 1):
         raise ValidationError("sum range exceeds the declared adder width")
 
     acc, S = h, Sh
@@ -382,10 +377,7 @@ def _omsq_cn_evolve(p_in: JointPMF, dc: int, beta: int) -> JointPMF:
     if dc < 2:
         raise ValidationError("check degree must be at least 2")
     base0, base1, M = _omsq_fold(p_in)
-    idx = _min_index_matrix(M + 1)
-    q0, q1 = base0.copy(), base1.copy()
-    for _ in range(dc - 2):
-        q0, q1 = _pairwise_min(q0, q1, base0, base1, idx)
+    q0, q1 = _min_chain(base0, base1, dc)
     if beta:
         dest = np.maximum(np.arange(M + 1) - beta, 0)
         q0, q1 = np.bincount(dest, q0, M + 1), np.bincount(dest, q1, M + 1)
@@ -411,32 +403,28 @@ def _omsq_vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int) -> JointPMF:
         for _ in range(dv - 1):
             acc = np.convolve(acc, c)
             S += M
-    # clip the sum back to +/-M
-    clipped = np.zeros(2 * M + 1)
+    # clip the sum back to +/-M; the rows are one row mirrored, so exactly
+    # symmetric
     lo = S - M
-    clipped[:] = acc[lo:lo + 2 * M + 1]
+    clipped = acc[lo:lo + 2 * M + 1]
     clipped[0] += acc[:lo].sum()
     clipped[-1] += acc[lo + 2 * M + 1:].sum()
-    alphabet = np.arange(-M, M + 1)
     mass = np.vstack([0.5 * clipped, 0.5 * clipped[::-1]])
-    row = 0.5 * (mass[0] + mass[1][::-1])   # exact symmetry
-    mass = np.vstack([row, row[::-1]])
     mass /= mass.sum()
-    return JointPMF(alphabet, mass, symmetric=True)
+    return JointPMF(np.arange(-M, M + 1), mass, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
 # decoder design
 # ---------------------------------------------------------------------------
 
-def _search_subgrid(grid, prev_best, half_width):
-    """Window of a sorted grid around a previous optimum (None = full)."""
+def _search_window(grid, prev_best, half_width):
+    """Grid indices of the window of a sorted grid around a previous
+    optimum (every index if there is none)."""
     if prev_best is None or half_width <= 0:
-        return grid, False
+        return np.arange(grid.size)
     c = int(np.searchsorted(grid, prev_best))
-    lo = max(0, c - half_width)
-    hi = min(grid.size, c + half_width + 1)
-    return grid[lo:hi], (lo > 0 or hi < grid.size)
+    return np.arange(max(0, c - half_width), min(grid.size, c + half_width + 1))
 
 
 def _vn_tables(raw_ch, raw_c, wphi, step):
@@ -446,58 +434,65 @@ def _vn_tables(raw_ch, raw_c, wphi, step):
             "phi_c": round_translation_values(raw_c, step, wphi)}
 
 
-def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, steps, share, k,
-                 ranker=None):
-    """Steps ``share``, ``share + k``, ... of a stage's search, in order.
+def _recorded(fn, *args):
+    """``(fn(*args), messages)``, or ``(exception, messages)`` if it raised:
+    the messages of every warning it gave, none of them shown."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except Exception as exc:
+            out = exc
+    return out, [w.message for w in log]
+
+
+def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranker=None):
+    """Steps ``grid[idx]`` of a stage's search, in order.
 
     Returns ``(best, raised, caught)``: ``best`` is ``(tables, spec, mi, q,
-    index)`` of the share's first step of highest MI (None if none ran),
+    index)`` of the first step of highest MI (None if none ran),
     ``raised`` the ``(index, exception)`` of a step that raised, which ends
     the share, and ``caught`` the ``(index, warning)`` of every warning a
-    step gave.  A step whose tables round to the values of the share's
-    previous step reuses its evolved PMF: a table is nonincreasing in the
-    step, so steps of equal tables are consecutive, and only the last PMF
-    is kept.
+    step gave, each index a grid index.  A step whose tables round to the
+    values of the share's previous step reuses its evolved PMF: a table is
+    nonincreasing in the step, so steps of equal tables are consecutive,
+    and only the last PMF is kept.
 
-    With ``ranker`` set it returns ``ranker(steps[share::k])`` instead: the
+    With ``ranker`` set it returns ``ranker(grid[idx])`` instead: the
     ranking MI of each of those steps, from one batch.  If the ranker
     warned or raised, every one of them is nan, to be evaluated exactly.
     """
     if ranker is not None:
-        mine = steps[share::k]
-        try:
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                mi = np.asarray(ranker(mine), dtype=np.float64)
-            if not log:
-                return mi
-        except Exception:
-            pass
-        return np.full(len(mine), math.nan)
-    best, raised, caught, last = None, None, [], (None, None)
-    for i in range(share, len(steps), k):
-        step = float(steps[i])
-        with warnings.catch_warnings(record=True) as log:
-            warnings.simplefilter("always")
-            try:
-                tables = tables_at(step)
-                key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
-                       else tables.values)
-                if key != last[0]:
-                    last = key, evolve(tables)
-                q = last[1]
-                if uniform:
-                    spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi,
-                                              kappa_search=kappa_search, delta=step)
-                else:
-                    spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
-            except Exception as exc:
-                raised = i, exc
-        caught += [(i, w.message) for w in log]
-        if raised:
+        mi, log = _recorded(ranker, grid[idx])
+        if log or isinstance(mi, Exception):
+            return np.full(len(idx), math.nan)
+        return np.asarray(mi, dtype=np.float64)
+    last = None, None
+
+    def design(step):
+        nonlocal last
+        tables = tables_at(step)
+        key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
+               else tables.values)
+        if key != last[0]:
+            last = key, evolve(tables)
+        q = last[1]
+        if uniform:
+            spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi, kappa_search=kappa_search,
+                                      delta=step)
+        else:
+            spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+        return tables, spec, mi, q
+
+    best, raised, caught = None, None, []
+    for i in idx.tolist():
+        out, log = _recorded(design, float(grid[i]))
+        caught += [(i, message) for message in log]
+        if isinstance(out, Exception):
+            raised = i, out
             break
-        if best is None or mi > best[2]:
-            best = (tables, spec, mi, q, i)
+        if best is None or out[2] > best[2]:
+            best = (*out, i)
     return best, raised, caught
 
 
@@ -513,24 +508,25 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     window of the ``uniform_grid_points`` grid around ``prev_delta``
     (uniform).  When the best step lands on the window's edge, the rest of
     the grid is searched too and its best step meets the window's at its
-    grid index.  The first step of highest MI wins.
+    grid index.  The first step of highest MI wins.  Every step is named by
+    its grid index (a single step is the grid of one).
 
     A search of k > 1 steps is split over this process and up to k - 1
-    workers of ``team`` (:func:`_stage_share`): step j goes to share j mod
-    k, so every share gets small steps, whose saturated tables evolve the
-    longest.  Of the shares' first maxima the highest MI wins, a tie going
-    to the smallest step index, which is the step a serial scan keeps.  The
-    steps' warnings are re-emitted in step order, and a step that raised
-    raises here if no earlier step did, after the earlier steps' warnings.
-    The window's steps are not searched again with the rest of the grid,
-    so their warnings are emitted once.
+    workers of ``team`` (:func:`_stage_share`): share j receives the
+    indices j, j + k, ... of the search, so every share gets small steps,
+    whose saturated tables evolve the longest.  Of the shares' first maxima
+    the highest MI wins, a tie going to the smallest grid index, which is
+    the step a serial scan keeps.  The steps' warnings are re-emitted in
+    step order, and a step that raised raises here if no earlier step did,
+    after the earlier steps' warnings.  The window's steps are not searched
+    again with the rest of the grid, so their warnings are emitted once.
 
     ``rank``, if given, is ``(ranker, eps)``: ``ranker(steps)`` maps an
     array of steps to their ranking MIs in one batch, each within ``eps``
     of the MI ``evolve`` gives, or nan (``ranking._rank_steps``).  A search of
-    several steps then first ranks them, share j ranking steps j, j + k,
-    ... as one batch on its worker, and only the steps whose ranking MI
-    lies within 2 eps of the best, or is not finite, are evaluated on
+    several steps then first ranks them, each share ranking its steps as
+    one batch on its worker, and only the steps whose ranking MI lies
+    within 2 eps of the best, or is not finite, are evaluated on
     ``evolve``, in step order, as the exact search above.  The exact
     winner's ranking MI is within 2 eps of the best, and so is that of
     every step tying with it, so the result is the exhaustive scan's;
@@ -539,25 +535,21 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
 
     Returns ``(tables, QuantizerSpec, mi, quantized output PMF)``.
     """
-    if uniform:
-        grid = build_delta_grid(dstar, cfg.uniform_grid_points)
-        steps, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
-    elif cfg.delta_search_points > 1:
-        steps, windowed = build_delta_grid(dstar, cfg.delta_search_points), False
-    else:
-        steps, windowed = [dstar], False
+    points = cfg.uniform_grid_points if uniform else cfg.delta_search_points
+    grid = build_delta_grid(dstar, points) if points > 1 else np.array([dstar])
+    idx = _search_window(grid, prev_delta if uniform else None, cfg.uniform_warm_window)
 
-    def split(steps, ranker=None):
-        k = min(len(team) + 1, len(steps))
-        args = (cfg, uniform, kappa_search, tables_at, evolve, steps)
+    def split(idx, ranker=None):
+        k = min(len(team) + 1, len(idx))
+        args = (cfg, uniform, kappa_search, tables_at, evolve, grid)
         for j, worker in enumerate(team[:k - 1], 1):
-            worker.send(*args, j, k, ranker)
-        return [_stage_share(*args, 0, k, ranker)] + [w.reply() for w in team[:k - 1]]
+            worker.send(*args, idx[j::k], ranker)
+        return [_stage_share(*args, idx[::k], ranker)] + [w.reply() for w in team[:k - 1]]
 
-    def scan(steps):
-        shares = split(steps)
+    def scan(idx):
+        shares = split(idx)
         raised = min((r for _, r, _ in shares if r), key=lambda r: r[0], default=None)
-        last = len(steps) if raised is None else raised[0]
+        last = grid.size if raised is None else raised[0]
         caught = sorted((c for _, _, cs in shares for c in cs), key=lambda c: c[0])
         for i, message in caught:
             if i <= last:
@@ -566,27 +558,21 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
             raise raised[1]
         return max(sorted((b for b, _, _ in shares), key=lambda b: b[4]), key=lambda b: b[2])
 
-    def search(steps):
-        if rank is None or len(steps) < 2:
-            return scan(steps)
-        shares = split(steps, rank[0])
-        ranked = np.empty(len(steps))
-        for j, mi in enumerate(shares):
-            ranked[j::len(shares)] = mi
-        finite = np.isfinite(ranked)
-        top = ranked[finite].max(initial=-math.inf)
-        exact = np.flatnonzero(~finite | (ranked >= top - 2 * rank[1]))
-        *best, j = scan(steps[exact])
-        return (*best, int(exact[j]))
+    def search(idx):
+        if rank is not None and len(idx) > 1:
+            shares = split(idx, rank[0])
+            ranked = np.empty(len(idx))
+            for j, mi in enumerate(shares):
+                ranked[j::len(shares)] = mi
+            finite = np.isfinite(ranked)
+            top = ranked[finite].max(initial=-math.inf)
+            idx = idx[~finite | (ranked >= top - 2 * rank[1])]
+        return scan(idx)
 
-    best = search(steps)
-    spec = best[1]
-    if windowed and (spec.delta <= steps[0] or spec.delta >= steps[-1]):
-        lo = int(np.searchsorted(grid, steps[0]))
-        rest = np.r_[0:lo, lo + len(steps):grid.size]
-        *other, j = search(grid[rest])
-        best = max(sorted([(*best[:4], lo + best[4]), (*other, int(rest[j]))],
-                          key=lambda b: b[4]), key=lambda b: b[2])
+    best = search(idx)
+    if idx.size < grid.size and best[4] in (idx[0], idx[-1]):
+        other = search(np.r_[0:idx[0], idx[-1] + 1:grid.size])
+        best = max(sorted([best, other], key=lambda b: b[4]), key=lambda b: b[2])
     tables, spec, mi, q, _ = best
     return tables, spec, mi, apply_quantizer(q, spec)
 
@@ -611,13 +597,13 @@ def _design_iteration(cfg, t_ch, state, team):
         # a uniform stage ranks its steps by FFT in one batch per share and
         # verifies the near-best on the chain; a threshold stage (the DP
         # prunes its tail, which the bound does not cover) scans exactly
-        uniform = cfg.cn_variant == "comp_uni"
+        uniform = CN_VARIANTS[cfg.cn_variant] == "uniform"
         raw = raw_translation_values(p_v2c, "cn_phi")
         n = cfg.dc - 1
         rank = (_stage_rank(cfg, n, n * T + 1, partial(_cn_rank_masses, p_v2c, cfg.dc, T),
                             (raw,), True) if uniform else None)
         rec.cn_tables, rec.cn_quantizer, rec.mi_cn, p_c2v = _design_stage(
-            cfg, uniform, phi_saturation_delta(p_v2c, cfg.wphi),
+            cfg, uniform, saturation_delta([raw], cfg.wphi),
             # by the quantizers module's own binding: a partial sent to a worker
             # pickles its function by name, which fails if a tracer rebinds ours
             partial(quantizers.round_translation_values, raw, wphi=cfg.wphi),
@@ -631,13 +617,13 @@ def _design_iteration(cfg, t_ch, state, team):
     else:
         # a uniform VN stage is ranked as the CN stage is (kappa = 0); a
         # threshold one scans exactly
-        uniform = cfg.vn_variant == "comp_uni"
+        uniform = VN_VARIANTS[cfg.vn_variant] == "uniform"
         raws = raw_translation_values(t_ch, "vn_llr"), raw_translation_values(p_c2v, "vn_llr")
         rank = (_stage_rank(cfg, cfg.dv, 2 * cfg.dv * T + 1,
                             partial(_vn_rank_masses, p_c2v, t_ch, cfg.dv, T), raws, False)
                 if uniform else None)
         rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
-            cfg, uniform, llr_saturation_delta([p_c2v, t_ch], cfg.wphi),
+            cfg, uniform, saturation_delta(raws, cfg.wphi),
             partial(_vn_tables, *raws, cfg.wphi),
             partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, rank=rank, team=team)
         prev_vn_delta = rec.vn_quantizer.delta
@@ -693,20 +679,18 @@ def design_decoder(cfg: EnsembleConfig):
     dips = 0
     # workers for the stages' step scans: only where a stage scans several
     # steps, and none inside a daemonic process (a threshold probe)
-    nodes = {cfg.cn_variant, cfg.vn_variant} & {"comp", "comp_uni"}
-    scans = "comp_uni" in nodes or (nodes and cfg.delta_search_points > 1)
+    kinds = {CN_VARIANTS[cfg.cn_variant], VN_VARIANTS[cfg.vn_variant]}
+    scans = "uniform" in kinds or ("non_uniform" in kinds and cfg.delta_search_points > 1)
     spare = workers.WORKERS - 1 if scans and cfg.iterations and workers.can_fork() else 0
     with workers.forked(_stage_share, spare) as team:
         for it in range(cfg.iterations):
             if cycle is None:
-                try:
-                    with warnings.catch_warnings(record=True) as log:
-                        warnings.simplefilter("always")
-                        rec, state = _design_iteration(cfg, t_ch, state, team)
-                finally:
-                    caught = [w.message for w in log]
-                    for message in caught:
-                        warnings.warn(message, stacklevel=1)
+                out, caught = _recorded(_design_iteration, cfg, t_ch, state, team)
+                for message in caught:
+                    warnings.warn(message, stacklevel=1)
+                if isinstance(out, Exception):
+                    raise out
+                rec, state = out
                 designed.append((rec, caught))
                 key = _state_key(state)
                 cycle = seen.get(key)
@@ -850,14 +834,11 @@ def _speculative_bisection(lo, hi, resolution, idle, ready):
 def _probe(cfg, snr, target_mi):
     """One probe: does the design at ``snr`` reach ``target_mi``?  Returns
     (verdict, the design's warnings), or (exception, []) if it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            _, traj = design_decoder(replace(cfg, design_ebn0_db=snr))
-        except Exception as exc:
-            return exc, []
-    ok = bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
-    return ok, [w.message for w in caught]
+    out, caught = _recorded(design_decoder, replace(cfg, design_ebn0_db=snr))
+    if isinstance(out, Exception):
+        return out, []
+    traj = out[1]
+    return bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi, caught
 
 
 def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
@@ -988,17 +969,13 @@ def _read(v, hint, name):
     return float(v) if isinstance(v, str) else v
 
 
-#: quantizer kind of each node variant's designed records (None: not designed)
-_VARIANT_KIND = {"comp": "non_uniform", "comp_uni": "uniform", "min": None, "omsq": None}
-
-
 def _check_loaded(art):
     """Reject an artifact whose records cannot belong to its config.
 
     Every table has one value per w-bit magnitude cell and fits the
     config's wphi; each node's quantizer kind (and whether it has tables)
-    follows its variant; an artifact configured for iterations carries at
-    least one record.
+    follows its variant; VN tables are exactly phi_ch and phi_c; an
+    artifact configured for iterations carries at least one record.
     """
     cfg = art.config
     if not art.per_iteration and cfg.iterations > 0:
@@ -1006,10 +983,14 @@ def _check_loaded(art):
                               "carries no designed iterations")
     cells = 1 << (cfg.w - 1)
     for i, r in enumerate(art.per_iteration, 1):
+        if r.vn_tables is not None and sorted(r.vn_tables) != ["phi_c", "phi_ch"]:
+            raise ValidationError(f"iteration {i}: vn tables {sorted(r.vn_tables)} "
+                                  "are not phi_c and phi_ch")
         vn_tables = [None] if r.vn_tables is None else list(r.vn_tables.values())
-        for node, variant, q, tables in (("cn", cfg.cn_variant, r.cn_quantizer, [r.cn_tables]),
-                                         ("vn", cfg.vn_variant, r.vn_quantizer, vn_tables)):
-            kind = _VARIANT_KIND[variant]
+        for node, kinds, variant, q, tables in (
+                ("cn", CN_VARIANTS, cfg.cn_variant, r.cn_quantizer, [r.cn_tables]),
+                ("vn", VN_VARIANTS, cfg.vn_variant, r.vn_quantizer, vn_tables)):
+            kind = kinds[variant]
             got = None if q is None else q.kind
             if got != kind or (None in tables) != (kind is None):
                 raise ValidationError(f"iteration {i}: {node} quantizer {got!r} and tables "

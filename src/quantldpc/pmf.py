@@ -127,10 +127,6 @@ class JointPMF:
     def n_symbols(self):
         return self.alphabet.size
 
-    def magnitudes(self):
-        """Magnitude of each symbol (|y| - mag_offset)."""
-        return np.abs(self.alphabet) - self.mag_offset
-
     def p_y(self):
         return self.mass.sum(axis=0)
 
@@ -177,12 +173,14 @@ class ChannelModel:
     clip_llr: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValidationError(f"ebn0_db must be finite, not {self.ebn0_db!r}")
         if not (0.0 < self.rate < 1.0):
             raise ValidationError(f"rate {self.rate} outside (0, 1)")
         if self.grid_size % 2 != 0 or self.grid_size < 512:
             raise ValidationError("grid_size must be even and >= 512")
-        if self.clip_llr is not None and self.clip_llr <= 0:
-            raise ValidationError("clip_llr must be positive")
+        if self.clip_llr is not None and not 0.0 < self.clip_llr < math.inf:
+            raise ValidationError(f"clip_llr must be positive and finite, not {self.clip_llr!r}")
 
     @property
     def noise_variance(self):

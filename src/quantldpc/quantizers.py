@@ -174,26 +174,24 @@ def cn_phi_values(p: JointPMF):
     return out
 
 
+def saturation_delta(raws, wphi: int) -> float:
+    """Step size putting the largest finite raw translation value across
+    the arrays ``raws`` (:func:`raw_translation_values`) exactly at the
+    wphi-bit top."""
+    peak = max((float(x[np.isfinite(x)].max(initial=0.0)) for x in raws), default=0.0)
+    if peak <= 0.0:
+        raise ValidationError("no cell yields a positive finite translation value")
+    return peak / ((1 << (wphi - 1)) - 1)
+
+
 def phi_saturation_delta(p: JointPMF, wphi: int) -> float:
     """Step size putting the largest finite phi exactly at the wphi-bit top."""
-    phis = cn_phi_values(p)
-    finite = phis[np.isfinite(phis)]
-    if finite.size == 0 or float(finite.max()) <= 0.0:
-        raise ValidationError("no cell yields a usable phi value")
-    return float(finite.max()) / ((1 << (wphi - 1)) - 1)
+    return saturation_delta([cn_phi_values(p)], wphi)
 
 
 def llr_saturation_delta(pmfs, wphi: int) -> float:
     """Step size putting the largest finite cell LLR across PMFs at the top."""
-    peak = 0.0
-    for p in pmfs:
-        L = cell_llr_magnitudes(p)
-        finite = L[np.isfinite(L)]
-        if finite.size:
-            peak = max(peak, float(finite.max()))
-    if peak <= 0.0:
-        raise ValidationError("no finite cell LLR found")
-    return peak / ((1 << (wphi - 1)) - 1)
+    return saturation_delta([cell_llr_magnitudes(p) for p in pmfs], wphi)
 
 
 def raw_translation_values(p: JointPMF, mode: str):
@@ -415,18 +413,18 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     return spec, float(2.0 * score)
 
 
-def design_channel_quantizer(fine: JointPMF, w: int, *, prune_tol: float = 0.0):
+def design_channel_quantizer(fine: JointPMF, w: int):
     """Threshold quantizer for a fine channel-LLR grid.
 
-    Same search as :func:`design_nonuniform`; the returned spec's ``delta``
-    is the grid bin width, so integer thresholds convert to LLR units via
-    :func:`threshold_edges_llr`.  Returns the spec together with the
-    quantized channel message PMF.
+    Same search as :func:`design_nonuniform`, with no tail pruned; the
+    returned spec's ``delta`` is the grid bin width, so integer thresholds
+    convert to LLR units via :func:`threshold_edges_llr`.  Returns the spec
+    together with the quantized channel message PMF.
     """
     if fine.values is None:
         raise ValidationError("fine channel grid must carry bin-center values")
     step = float(fine.values[1] - fine.values[0])
-    spec, _ = design_nonuniform(fine, w, delta=step, prune_tol=prune_tol)
+    spec, _ = design_nonuniform(fine, w, delta=step, prune_tol=0.0)
     return spec, apply_quantizer(fine, spec)
 
 
@@ -512,12 +510,12 @@ def _uniform_sweep(da, db, w, r_limit, kappa_search):
     return (float(mi[j - 1]), int(r[j - 1]), int(kappa[j - 1]))
 
 
-def build_delta_grid(delta_star: float, n_points: int = 256,
-                     lo: float = 1.0 / 16.0, hi: float = 4.0):
-    """Geometric step-size grid around a saturation-derived reference."""
+def build_delta_grid(delta_star: float, n_points: int = 256):
+    """Geometric step-size grid from 1/16 to 4 times a saturation-derived
+    reference."""
     if not (delta_star > 0.0):
         raise ValidationError("delta_star must be positive")
-    return np.geomspace(delta_star * lo, delta_star * hi, n_points)
+    return np.geomspace(delta_star / 16.0, delta_star * 4.0, n_points)
 
 
 def design_uniform(p: JointPMF, w: int, *, wphi: int | None = None,

@@ -126,8 +126,8 @@ def test_variant_choices_come_from_the_registry():
                       if isinstance(a, argparse._SubParsersAction))
     for command in ("design", "evolve", "simulate"):
         flags = {a.dest: a for a in subparsers.choices[command]._actions}
-        assert tuple(map(_variant, flags["cn"].choices)) == CN_VARIANTS
-        assert tuple(map(_variant, flags["vn"].choices)) == VN_VARIANTS
+        assert tuple(map(_variant, flags["cn"].choices)) == tuple(CN_VARIANTS)
+        assert tuple(map(_variant, flags["vn"].choices)) == tuple(VN_VARIANTS)
         assert "comp-uni" in flags["cn"].choices and "comp-uni" in flags["vn"].choices
 
 
@@ -138,6 +138,19 @@ def test_config_contradiction_reports_cleanly(capsys):
             "--rate", "0.5", "--cn", "omsq", "--vn", "comp"]
     assert main(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ebn0,extra,message", [
+    ("inf", [], "ebn0_db must be finite"), ("-inf", [], "ebn0_db must be finite"),
+    ("3.0", ["--clip-llr", "nan"], "clip_llr must be positive and finite"),
+    ("3.0", ["--clip-llr", "inf"], "clip_llr must be positive and finite")])
+def test_design_rejects_a_non_finite_channel(tmp_path, capsys, ebn0, extra, message):
+    # an infinite Eb/N0 used to end in a ZeroDivisionError traceback
+    args = ["design", "--dc", "6", "--dv", "3", f"--ebn0={ebn0}", "--rate", "0.5", *extra,
+            "--out", str(tmp_path / "x")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_design_rejects_a_nan_prune_tol(tmp_path, capsys):

@@ -30,7 +30,7 @@ from quantldpc.evolution import (
     _omsq_channel_design,
     _omsq_cn_evolve,
     _omsq_vn_evolve,
-    _search_subgrid,
+    _search_window,
     cn_evolve_comp,
     cn_evolve_min,
     de_threshold,
@@ -553,6 +553,22 @@ def test_artifact_load_rejects_a_designed_node_on_a_min_or_omsq_variant(loaded_p
         DesignArtifact.from_json(_edited(loaded_pairs["comp", "comp"], strip))
 
 
+@pytest.mark.parametrize("edit", [lambda t: t.pop("phi_c"), lambda t: t.pop("phi_ch"),
+                                  lambda t: t.update(phi_x=t["phi_c"])])
+def test_artifact_load_requires_exactly_the_two_vn_tables(loaded_pairs, edit):
+    # a missing table loaded before and raised KeyError in DecoderState
+    art = loaded_pairs["comp", "comp"]
+    text = _edited(art, lambda t: edit(t["per_iteration"][1]["vn_tables"]))
+    with pytest.raises(ValidationError, match="iteration 2: vn tables .* are not phi_c and phi_ch"):
+        DesignArtifact.from_json(text)
+
+
+@pytest.mark.parametrize("ebn0", [math.inf, -math.inf])
+def test_design_rejects_an_infinite_design_snr(ebn0):
+    with pytest.raises(ValidationError, match="ebn0_db must be finite"):
+        design_decoder(base_cfg(design_ebn0_db=ebn0))
+
+
 def test_artifact_load_rejects_missing_iterations(loaded_pairs):
     art = loaded_pairs["comp", "comp"]
     with pytest.raises(ValidationError, match="configured for 2 iterations"):
@@ -899,6 +915,16 @@ def test_de_threshold_stops_at_adjacent_floats(monkeypatch):
 # designer as they stood before the single stage routine, kept verbatim
 # (names aside) as the differential oracle of evolution._design_stage.
 
+def ref_search_subgrid(grid, prev_best, half_width):
+    """Window of a sorted grid around a previous optimum (None = full)."""
+    if prev_best is None or half_width <= 0:
+        return grid, False
+    c = int(np.searchsorted(grid, prev_best))
+    lo = max(0, c - half_width)
+    hi = min(grid.size, c + half_width + 1)
+    return grid[lo:hi], (lo > 0 or hi < grid.size)
+
+
 def ref_design_uniform(p: JointPMF, w: int, *, wphi: int | None = None,
                    kappa_search: bool = False, rebuild=None,
                    delta_grid=None, delta: float | None = None):
@@ -974,7 +1000,7 @@ def ref_design_cn_uniform(p_in, cfg, prev_delta):
             cache[tab.values] = agg
         return agg
 
-    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
+    sub, windowed = ref_search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
     spec, mi = ref_design_uniform(p_in, cfg.w, wphi=cfg.wphi, kappa_search=True,
                               rebuild=rebuild, delta_grid=sub)
     if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
@@ -1028,7 +1054,7 @@ def ref_design_vn_uniform(p_cn, p_ch, cfg, prev_delta):
             cache[key] = sym
         return sym
 
-    sub, windowed = _search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
+    sub, windowed = ref_search_subgrid(grid, prev_delta, cfg.uniform_warm_window)
     spec, mi = ref_design_uniform(p_ch, cfg.w, wphi=cfg.wphi, kappa_search=False,
                               rebuild=rebuild, delta_grid=sub)
     if windowed and (spec.delta <= sub[0] or spec.delta >= sub[-1]):
@@ -1148,10 +1174,10 @@ def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
     stages = []
     rank_steps = ranking._rank_steps
 
-    def subgrid(grid, prev_best, half_width):
-        sub, windowed = _search_subgrid(grid, prev_best, half_width)
-        stages.append((set(sub.tolist()), set()))
-        return sub, windowed
+    def window(grid, prev_best, half_width):
+        idx = _search_window(grid, prev_best, half_width)
+        stages.append((set(grid[idx].tolist()), set()))
+        return idx
 
     def designer(*args, delta, **kwargs):
         stages[-1][1].add(delta)
@@ -1161,7 +1187,7 @@ def test_design_stage_reference_cases_reach_the_fallback(monkeypatch):
         stages[-1][1].update(args[-1].tolist())
         return rank_steps(*args)
 
-    monkeypatch.setattr(evolution, "_search_subgrid", subgrid)
+    monkeypatch.setattr(evolution, "_search_window", window)
     monkeypatch.setattr(evolution, "design_uniform", designer)
     monkeypatch.setattr(ranking, "_rank_steps", ranker)
     with warnings.catch_warnings():
@@ -1483,8 +1509,8 @@ def design_points(draw):
     w = draw(st.integers(2, 4))
     return dict(dc=draw(st.integers(2, 8)), dv=draw(st.integers(1, 4)), w=w,
                 wphi=draw(st.integers(w, 8)), iterations=draw(st.integers(1, 3)),
-                cn_variant=draw(st.sampled_from(CN_VARIANTS)),
-                vn_variant=draw(st.sampled_from(VN_VARIANTS)),
+                cn_variant=draw(st.sampled_from(tuple(CN_VARIANTS))),
+                vn_variant=draw(st.sampled_from(tuple(VN_VARIANTS))),
                 design_ebn0_db=draw(st.floats(-2.0, 6.0)),
                 rate=draw(st.sampled_from([0.25, 0.5, 0.841])),
                 delta_search_points=draw(st.sampled_from([0, 1, 5])),
@@ -1731,7 +1757,8 @@ def test_a_ranking_that_warns_or_raises_leaves_its_batch_to_the_chain():
     steps = np.arange(1.0, 8.0)
 
     def share(ranker):
-        return evolution._stage_share(None, True, False, None, None, steps, 1, 3, ranker)
+        return evolution._stage_share(None, True, False, None, None, steps,
+                                      np.arange(steps.size)[1::3], ranker)
 
     def warning(s):
         warnings.warn("ranking", UserWarning)

@@ -307,3 +307,16 @@ def test_channel_model_validation():
     ch = ChannelModel(ebn0_db=0.0, rate=0.5)
     assert ch.noise_variance == pytest.approx(1.0)
     assert ch.llr_mean == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_channel_model_rejects_a_non_finite_snr_or_clip(bad):
+    # an infinite SNR divided by zero in llr_mean, a nan clip failed only
+    # later as a mass summing to nan
+    with pytest.raises(ValidationError, match="ebn0_db must be finite"):
+        ChannelModel(ebn0_db=bad, rate=0.5)
+    with pytest.raises(ValidationError, match="clip_llr must be positive and finite"):
+        ChannelModel(ebn0_db=1.0, rate=0.5, clip_llr=bad)
+    with pytest.raises(ValidationError, match="clip_llr must be positive and finite"):
+        ChannelModel(ebn0_db=1.0, rate=0.5, clip_llr=0.0)
+    assert ChannelModel(ebn0_db=1.0, rate=0.5, clip_llr=12.5).effective_clip == 12.5
