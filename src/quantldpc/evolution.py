@@ -117,6 +117,7 @@ class EnsembleConfig:
         # a symmetric PMF's positive half holds mass 0.5, all pruned from 0.5 up
         if not 0.0 <= self.prune_tol < 0.5:
             raise ValidationError(f"prune_tol must lie in [0, 0.5), not {self.prune_tol!r}")
+        self.channel_model()    # its rules check the SNR, rate, grid size and clip
 
     def channel_model(self) -> ChannelModel:
         return ChannelModel(self.design_ebn0_db, self.rate,

@@ -10,6 +10,15 @@ stay distinct symbols).
 
 Log-likelihood ratios are natural-log throughout; entropies and mutual
 information are in bits.
+
+The channel PMF needs the standard normal CDF.  ``_ndtr`` is a numpy port
+of Cephes' ndtr/erf/erfc (S. L. Moshier), the code behind
+``scipy.special.ndtr``, with the same branches, coefficient tables and
+Horner order, so every channel PMF is bit for bit the one SciPy gives and
+the package needs numpy alone.  exp(-x*x) is taken with ``math.exp``, one
+element at a time: that is the C library's exp, which Cephes calls, while
+numpy's vectorized ``np.exp`` rounds a few percent of its results
+differently.
 """
 
 from __future__ import annotations
@@ -18,14 +27,78 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 #: absolute tolerance for normalization / symmetry checks
 MASS_TOL = 1e-12
 
+# Cephes' rational approximations (S. L. Moshier), leading coefficient
+# first; a table starting 1.0 is one Cephes evaluates by p1evl
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 0.70710678118654752440
+
 
 class ValidationError(ValueError):
     """A PMF, quantizer, table or configuration violates its contract."""
+
+
+def _horner(x, coef):
+    """coef[0]*x**n + ... + coef[n], in Cephes' polevl order."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x):
+    """Cephes erf of |x| < 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+
+
+def _erfc(x):
+    """Cephes erfc of x >= sqrt(1/2): 1 - erf below 1, exp(-x*x) times the
+    P/Q rational below 8 and the R/S one up to the MAXLOG cut, 0 beyond."""
+    out = np.zeros_like(x)
+    low = x < 1.0
+    out[low] = 1.0 - _erf(x[low])
+    kept = np.square(np.minimum(x, 27.0)) <= _MAXLOG     # 27**2 > MAXLOG, no overflow
+    for part, p, q in ((~low & (x < 8.0), _ERFC_P, _ERFC_Q),
+                       ((x >= 8.0) & kept, _ERFC_R, _ERFC_S)):
+        v = x[part]
+        e = np.fromiter(map(math.exp, (-(v * v)).tolist()), np.float64, v.size)
+        out[part] = e * _horner(v, p) / _horner(v, q)
+    return out
+
+
+def _ndtr(a):
+    """Standard normal CDF, bit for bit as Cephes' ndtr (scipy.special.ndtr).
+
+    0.5 + 0.5*erf(x) for |x| < sqrt(1/2), x = a*sqrt(1/2), otherwise
+    0.5*erfc(|x|), reflected for x > 0; NaN stays NaN.
+    """
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    out = np.full_like(x, np.nan)
+    inner, outer = z < _SQRT1_2, z >= _SQRT1_2
+    out[inner] = 0.5 + 0.5 * _erf(x[inner])
+    y = 0.5 * _erfc(z[outer])
+    out[outer] = np.where(x[outer] > 0, 1.0 - y, y)
+    return out
 
 
 def _xlog2x(v):
@@ -211,7 +284,7 @@ def awgn_llr_pmf(ch: ChannelModel) -> JointPMF:
     sd = math.sqrt(2.0 * mean)  # var of the LLR is 4/sigma^2 = 2*mean
 
     edges = np.linspace(-clip, clip, g + 1)
-    cdf = ndtr((edges - mean) / sd)
+    cdf = _ndtr((edges - mean) / sd)
     row0 = np.diff(cdf)
     row0[0] += cdf[0]
     row0[-1] += 1.0 - cdf[-1]

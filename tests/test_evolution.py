@@ -569,6 +569,23 @@ def test_design_rejects_an_infinite_design_snr(ebn0):
         design_decoder(base_cfg(design_ebn0_db=ebn0))
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("rate", "nan", "rate nan outside"), ("rate", "-0.5", "rate -0.5 outside"),
+    ("rate", "1.0", "rate 1.0 outside"), ("design_ebn0_db", "inf", "ebn0_db must be finite"),
+    ("design_ebn0_db", "nan", "ebn0_db must be finite"),
+    ("channel_grid_size", 511, "grid_size must be even"),
+    ("channel_grid_size", 1001, "grid_size must be even"),
+    ("clip_llr", "nan", "clip_llr must be positive"), ("clip_llr", "-1.0", "clip_llr must be positive")])
+def test_artifact_load_rejects_a_channel_the_config_cannot_model(loaded_pairs, field, value, message):
+    # a nan or negative rate and an infinite design SNR used to load, and
+    # simulate_point then reported FER 0.0 from a nan noise level
+    art = loaded_pairs["comp", "comp"]
+    with pytest.raises(ValidationError, match=message):
+        DesignArtifact.from_json(_edited(art, lambda t: t["config"].update({field: value})))
+    with pytest.raises(ValidationError, match=message):
+        base_cfg(**{field: float(value) if isinstance(value, str) else value})
+
+
 def test_artifact_load_rejects_missing_iterations(loaded_pairs):
     art = loaded_pairs["comp", "comp"]
     with pytest.raises(ValidationError, match="configured for 2 iterations"):

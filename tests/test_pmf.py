@@ -1,14 +1,22 @@
 import math
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
+import quantldpc as ql
+from quantldpc import pmf
+from quantldpc.evolution import EnsembleConfig, _speculate
 from quantldpc.pmf import (
     MASS_TOL,
     ChannelModel,
     JointPMF,
     ValidationError,
+    _ndtr,
     _xlog2x,
     apply_quantizer,
     awgn_llr_pmf,
@@ -320,3 +328,85 @@ def test_channel_model_rejects_a_non_finite_snr_or_clip(bad):
     with pytest.raises(ValidationError, match="clip_llr must be positive and finite"):
         ChannelModel(ebn0_db=1.0, rate=0.5, clip_llr=0.0)
     assert ChannelModel(ebn0_db=1.0, rate=0.5, clip_llr=12.5).effective_clip == 12.5
+
+
+def assert_same_bits(got, want):
+    bad = got.view(np.int64) != want.view(np.int64)
+    assert not bad.any(), (got[bad][:5], want[bad][:5])
+
+
+#: Cephes' MAXLOG: erfc(x) is 0 once x*x exceeds it
+MAXLOG = 7.09782712893383996843e2
+
+
+def ulps_around(v, k=3):
+    """v and the k floats on either side of it, ascending."""
+    lo, hi = [v], [v]
+    for _ in range(k):
+        lo.append(np.nextafter(lo[-1], -math.inf))
+        hi.append(np.nextafter(hi[-1], math.inf))
+    return lo[:0:-1] + hi
+
+
+def test_ndtr_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    sqrt1_2 = math.sqrt(0.5)
+    # each branch point of Cephes' ndtr as a test on z = |a| * sqrt(1/2):
+    # erf inside, 1 - erf, the P/Q rational, the R/S rational, the cut
+    branches = {1.0: lambda z: z < sqrt1_2, math.sqrt(2.0): lambda z: z < 1.0,
+                8.0 * math.sqrt(2.0): lambda z: z < 8.0,
+                math.sqrt(MAXLOG) / sqrt1_2: lambda z: z * z <= MAXLOG}
+    edges = []
+    for a, inside in branches.items():
+        window = np.array(ulps_around(a))
+        assert len(set(inside(window * sqrt1_2))) == 2     # the window straddles it
+        edges += [window, -window]
+    tiny = np.finfo(np.float64).tiny
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny,
+                         np.nextafter(tiny, 0.0), 1e-300, 1e300, -1e300,
+                         np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                         np.inf, -np.inf])
+    for a in [rng.uniform(-40.0, 40.0, 10 ** 6), specials, *edges]:
+        assert_same_bits(_ndtr(a), ndtr(a))
+    nan = np.array([np.nan, -np.nan])
+    assert np.isnan(_ndtr(nan)).all() and np.isnan(ndtr(nan)).all()
+
+
+def _design_points():
+    """(config, snr window, resolution) of every design the acceptance gate
+    and the benchmark make; the window is None for a single design."""
+    paper = dict(dc=32, dv=6, w=4, wphi=8, cn_variant="comp", vn_variant="comp")
+    gate = [(EnsembleConfig(iterations=1, design_ebn0_db=3.3, rate=0.841, **paper), None, None),
+            (EnsembleConfig(iterations=150, design_ebn0_db=3.3, rate=0.841, **paper),
+             (3.0, 3.2), 0.005),
+            (EnsembleConfig(dc=6, dv=3, w=4, wphi=8, iterations=10, cn_variant="comp",
+                            vn_variant="comp", design_ebn0_db=3.0, rate=0.5), None, None)]
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    w = workloads.WORKLOADS
+    seeds = range(len(workloads.DESIGN_OFFSETS_DB))
+    return (gate
+            + [(cfg, window, w["threshold_dp"].resolution_db) for seed in seeds
+               for _, cfg, window in w["threshold_dp"].prepare(ql, seed, None)]
+            + [(cfg, None, None) for seed in seeds
+               for _, cfg in w["design_uniform"].prepare(ql, seed, None)]
+            + [(cfg, None, None) for _, cfg in w["decode"].design_configs(ql)])
+
+
+def test_channel_pmfs_of_every_gate_and_benchmark_design_equal_scipy(monkeypatch):
+    # every SNR a bisection may probe, whatever the verdicts
+    channels = {replace(cfg, design_ebn0_db=snr).channel_model()
+                for cfg, window, resolution in _design_points()
+                for snr in ([cfg.design_ebn0_db] if window is None
+                            else _speculate(*window, resolution, {}))}
+    assert len(channels) > 100
+    got = {ch: awgn_llr_pmf(ch) for ch in channels}
+    monkeypatch.setattr(pmf, "_ndtr", ndtr)
+    for ch, p in got.items():
+        want = awgn_llr_pmf(ch)
+        assert_same_bits(p.mass, want.mass)
+        assert_same_bits(p.values, want.values)
