@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .codes import generate_regular_code, parse_alist
 from .complexity import CN_VARIANTS, VN_VARIANTS, report as complexity_report
@@ -26,6 +27,7 @@ def _flag(variant):
 
 
 def _add_ensemble_flags(p):
+    default = {f.name: f.default for f in fields(EnsembleConfig)}
     p.add_argument("--dc", type=int, required=True, help="check node degree")
     p.add_argument("--dv", type=int, required=True, help="variable node degree")
     p.add_argument("--w", type=int, default=4, help="message width in bits")
@@ -35,14 +37,14 @@ def _add_ensemble_flags(p):
     p.add_argument("--vn", default="comp", choices=[_flag(v) for v in VN_VARIANTS])
     p.add_argument("--ebn0", type=float, required=True, help="design Eb/N0 in dB")
     p.add_argument("--rate", type=float, required=True, help="ensemble code rate")
-    p.add_argument("--grid-size", type=int, default=2000)
-    p.add_argument("--clip-llr", type=float, default=None)
-    p.add_argument("--prune-tol", type=float, default=1e-12)
-    p.add_argument("--delta-search", type=int, default=0,
+    p.add_argument("--grid-size", type=int, default=default["channel_grid_size"])
+    p.add_argument("--clip-llr", type=float, default=default["clip_llr"])
+    p.add_argument("--prune-tol", type=float, default=default["prune_tol"])
+    p.add_argument("--delta-search", type=int, default=default["delta_search_points"],
                    help="grid points for the non-uniform step search (0: saturation step)")
-    p.add_argument("--uniform-grid", type=int, default=256)
-    p.add_argument("--warm-window", type=int, default=10)
-    p.add_argument("--beta", type=int, default=1, help="offset of the omsq baseline")
+    p.add_argument("--uniform-grid", type=int, default=default["uniform_grid_points"])
+    p.add_argument("--warm-window", type=int, default=default["uniform_warm_window"])
+    p.add_argument("--beta", type=int, default=default["beta"], help="offset of the omsq baseline")
 
 
 def _config(args) -> EnsembleConfig:

@@ -138,6 +138,8 @@ class OmsqChannelQuantizer:
     def __post_init__(self):
         if not (self.step > 0):
             raise ValidationError("step must be positive")
+        if self.width_w < 2:
+            raise ValidationError("output width must be at least 2 bits")
 
     @property
     def levels(self):
@@ -447,17 +449,30 @@ def _recorded(fn, *args):
     return out, [w.message for w in log]
 
 
+@dataclass(frozen=True)
+class StageResult:
+    """One evaluated step of a stage search; ``pmf`` is what ``spec`` quantizes."""
+
+    index: int
+    tables: TranslationTable | dict[str, TranslationTable]
+    spec: QuantizerSpec
+    mi: float
+    pmf: JointPMF
+
+
+def _kept(results):
+    """The first result of highest MI in grid-index order (a None is no result)."""
+    return max(sorted((r for r in results if r is not None), key=lambda r: r.index),
+               key=lambda r: r.mi, default=None)
+
+
 def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranker=None):
     """Steps ``grid[idx]`` of a stage's search, in order.
 
-    Returns ``(best, raised, caught)``: ``best`` is ``(tables, spec, mi, q,
-    index)`` of the first step of highest MI (None if none ran),
-    ``raised`` the ``(index, exception)`` of a step that raised, which ends
-    the share, and ``caught`` the ``(index, warning)`` of every warning a
-    step gave, each index a grid index.  A step whose tables round to the
-    values of the share's previous step reuses its evolved PMF: a table is
-    nonincreasing in the step, so steps of equal tables are consecutive,
-    and only the last PMF is kept.
+    Returns ``(best, raised, caught)``: ``best`` the :func:`_kept` of the
+    steps' StageResults, ``raised`` the ``(index, exception)`` of a step
+    that raised, which ends the share, and ``caught`` the ``(index,
+    warning)`` of every warning a step gave, each index a grid index.
 
     With ``ranker`` set it returns ``ranker(grid[idx])`` instead: the
     ranking MI of each of those steps, from one batch.  If the ranker
@@ -468,32 +483,25 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranke
         if log or isinstance(mi, Exception):
             return np.full(len(idx), math.nan)
         return np.asarray(mi, dtype=np.float64)
-    last = None, None
 
-    def design(step):
-        nonlocal last
+    def design(i, step):
         tables = tables_at(step)
-        key = (tuple(t.values for t in tables.values()) if isinstance(tables, dict)
-               else tables.values)
-        if key != last[0]:
-            last = key, evolve(tables)
-        q = last[1]
+        q = evolve(tables)
         if uniform:
             spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi, kappa_search=kappa_search,
                                       delta=step)
         else:
             spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
-        return tables, spec, mi, q
+        return StageResult(i, tables, spec, mi, q)
 
     best, raised, caught = None, None, []
     for i in idx.tolist():
-        out, log = _recorded(design, float(grid[i]))
+        out, log = _recorded(design, i, float(grid[i]))
         caught += [(i, message) for message in log]
         if isinstance(out, Exception):
             raised = i, out
             break
-        if best is None or out[2] > best[2]:
-            best = (*out, i)
+        best = _kept([best, out])
     return best, raised, caught
 
 
@@ -507,32 +515,28 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     when ``uniform`` is set.  The steps tried are ``dstar`` alone or the
     ``delta_search_points`` grid around it (non-uniform), or the warm
     window of the ``uniform_grid_points`` grid around ``prev_delta``
-    (uniform).  When the best step lands on the window's edge, the rest of
-    the grid is searched too and its best step meets the window's at its
-    grid index.  The first step of highest MI wins.  Every step is named by
-    its grid index (a single step is the grid of one).
+    (uniform), each named by its grid index (a single step is the grid of
+    one).  When the kept step lands on the window's edge, the rest of the
+    grid is searched too.  Every choice among steps is :func:`_kept`.
 
     A search of k > 1 steps is split over this process and up to k - 1
     workers of ``team`` (:func:`_stage_share`): share j receives the
     indices j, j + k, ... of the search, so every share gets small steps,
-    whose saturated tables evolve the longest.  Of the shares' first maxima
-    the highest MI wins, a tie going to the smallest grid index, which is
-    the step a serial scan keeps.  The steps' warnings are re-emitted in
-    step order, and a step that raised raises here if no earlier step did,
-    after the earlier steps' warnings.  The window's steps are not searched
-    again with the rest of the grid, so their warnings are emitted once.
+    whose saturated tables evolve the longest.  The steps' warnings are
+    re-emitted in step order, and a step that raised raises here if no
+    earlier step did, after the earlier steps' warnings.  The window's
+    steps are not searched again with the rest of the grid, so their
+    warnings are emitted once.
 
     ``rank``, if given, is ``(ranker, eps)``: ``ranker(steps)`` maps an
     array of steps to their ranking MIs in one batch, each within ``eps``
-    of the MI ``evolve`` gives, or nan (``ranking._rank_steps``).  A search of
-    several steps then first ranks them, each share ranking its steps as
-    one batch on its worker, and only the steps whose ranking MI lies
-    within 2 eps of the best, or is not finite, are evaluated on
-    ``evolve``, in step order, as the exact search above.  The exact
-    winner's ranking MI is within 2 eps of the best, and so is that of
-    every step tying with it, so the result is the exhaustive scan's;
-    every returned table, spec, MI and PMF comes from ``evolve``.  The
-    warnings and exception are those of the steps evaluated exactly.
+    of the MI ``evolve`` gives, or nan (``ranking._rank_steps``).  A search
+    of several steps then first ranks them, one batch per share, and only
+    the steps ranked within 2 eps of the best, or not finite, are evaluated
+    on ``evolve`` as the exact search above.  The exact winner, and every
+    step tying with it, ranks within 2 eps of the best, so the result is
+    the exhaustive scan's; every returned table, spec, MI and PMF, and every
+    warning and exception, comes from the steps evaluated exactly.
 
     Returns ``(tables, QuantizerSpec, mi, quantized output PMF)``.
     """
@@ -557,7 +561,7 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
                 warnings.warn(message, stacklevel=1)
         if raised:
             raise raised[1]
-        return max(sorted((b for b, _, _ in shares), key=lambda b: b[4]), key=lambda b: b[2])
+        return _kept(best for best, _, _ in shares)
 
     def search(idx):
         if rank is not None and len(idx) > 1:
@@ -571,11 +575,9 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
         return scan(idx)
 
     best = search(idx)
-    if idx.size < grid.size and best[4] in (idx[0], idx[-1]):
-        other = search(np.r_[0:idx[0], idx[-1] + 1:grid.size])
-        best = max(sorted([best, other], key=lambda b: b[4]), key=lambda b: b[2])
-    tables, spec, mi, q, _ = best
-    return tables, spec, mi, apply_quantizer(q, spec)
+    if idx.size < grid.size and best.index in (idx[0], idx[-1]):
+        best = _kept([best, search(np.r_[0:idx[0], idx[-1] + 1:grid.size])])
+    return best.tables, best.spec, best.mi, apply_quantizer(best.pmf, best.spec)
 
 
 def _design_iteration(cfg, t_ch, state, team):
@@ -976,13 +978,26 @@ def _check_loaded(art):
     Every table has one value per w-bit magnitude cell and fits the
     config's wphi; each node's quantizer kind (and whether it has tables)
     follows its variant; VN tables are exactly phi_ch and phi_c; an
-    artifact configured for iterations carries at least one record.
+    artifact configured for iterations carries at least one record.  The
+    channel quantizer has width w: the omsq baseline's, with no edges, or a
+    threshold quantizer with one finite, positive and increasing LLR edge
+    per threshold.
     """
     cfg = art.config
     if not art.per_iteration and cfg.iterations > 0:
         raise ValidationError(f"artifact configured for {cfg.iterations} iterations "
                               "carries no designed iterations")
     cells = 1 << (cfg.w - 1)
+    chq, edges = art.channel_quantizer, art.channel_edges_llr
+    if cfg.cn_variant == "omsq":
+        fits = isinstance(chq, OmsqChannelQuantizer) and chq.width_w == cfg.w and edges is None
+    else:
+        e = np.asarray(edges if isinstance(edges, tuple) else (), dtype=np.float64)
+        fits = (isinstance(chq, QuantizerSpec) and chq.kind == "non_uniform"
+                and chq.out_width_w == cfg.w and e.size == cells - 1
+                and np.isfinite(e).all() and e[0] > 0 and (np.diff(e) > 0).all())
+    if not fits:
+        raise ValidationError(f"channel quantizer does not fit {cfg.cn_variant!r} at w={cfg.w}")
     for i, r in enumerate(art.per_iteration, 1):
         if r.vn_tables is not None and sorted(r.vn_tables) != ["phi_c", "phi_ch"]:
             raise ValidationError(f"iteration {i}: vn tables {sorted(r.vn_tables)} "

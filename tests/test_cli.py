@@ -2,9 +2,10 @@ import argparse
 
 import pytest
 
-from quantldpc.cli import _variant, build_parser, main
+from quantldpc.cli import _config, _variant, build_parser, main
 from quantldpc.complexity import CN_VARIANTS, VN_VARIANTS
 from quantldpc.codes import generate_regular_code, write_alist
+from quantldpc.evolution import EnsembleConfig
 
 DESIGN = ["--dc", "6", "--dv", "3", "--w", "3", "--wphi", "6",
           "--ebn0", "3.0", "--rate", "0.5", "--iterations", "4"]
@@ -129,6 +130,16 @@ def test_variant_choices_come_from_the_registry():
         assert tuple(map(_variant, flags["cn"].choices)) == tuple(CN_VARIANTS)
         assert tuple(map(_variant, flags["vn"].choices)) == tuple(VN_VARIANTS)
         assert "comp-uni" in flags["cn"].choices and "comp-uni" in flags["vn"].choices
+
+
+@pytest.mark.parametrize("command", ["design", "evolve"])
+def test_unset_flags_leave_the_config_defaults(command):
+    args = build_parser().parse_args([command, "--dc", "6", "--dv", "3", "--ebn0", "3.0",
+                                      "--rate", "0.5"])
+    # w, wphi, iterations and the variants have no config default: the CLI's own
+    assert _config(args) == EnsembleConfig(dc=6, dv=3, w=4, wphi=8, iterations=50,
+                                           cn_variant="comp", vn_variant="comp",
+                                           design_ebn0_db=3.0, rate=0.5)
 
 
 def test_config_contradiction_reports_cleanly(capsys):

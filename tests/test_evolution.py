@@ -586,6 +586,49 @@ def test_artifact_load_rejects_a_channel_the_config_cannot_model(loaded_pairs, f
         base_cfg(**{field: float(value) if isinstance(value, str) else value})
 
 
+def _edges(edit):
+    """An edit of the tree that replaces its channel edges ``e`` by ``edit(e)``."""
+    return lambda tree: tree.update(channel_edges_llr=edit(tree["channel_edges_llr"]))
+
+
+def _wider_channel(tree):
+    """A valid 4-bit threshold channel quantizer in place of the 3-bit one."""
+    tree["channel_quantizer"].update(out_width_w=4, thresholds=list(range(2, 9)))
+    tree["channel_edges_llr"] = [repr(float(e)) for e in range(1, 8)]
+
+
+#: the tree of a valid omsq channel quantizer at w = 3
+OMSQ_CHANNEL = {"kind": "omsq_uniform_llr", "step": "0.5", "width_w": 3}
+
+
+@pytest.mark.parametrize("pair,edit,message", [
+    (("comp", "comp"), lambda t: t.update(channel_edges_llr=None), "'comp' at w=3"),
+    (("comp", "comp"), _edges(lambda e: e[:1]), "'comp' at w=3"),
+    (("comp", "comp"), _edges(lambda e: ["nan"] * 3), "'comp' at w=3"),
+    (("comp", "comp"), _edges(lambda e: ["-1.0", *e[1:]]), "'comp' at w=3"),
+    (("comp", "comp"), _edges(lambda e: [e[0], e[0], e[2]]), "'comp' at w=3"),
+    (("comp", "comp"), _wider_channel, "'comp' at w=3"),
+    (("comp", "comp"), lambda t: t.update(channel_quantizer=OMSQ_CHANNEL), "'comp' at w=3"),
+    (("comp", "comp"), lambda t: t.update(channel_quantizer=OMSQ_CHANNEL, channel_edges_llr=None),
+     "'comp' at w=3"),
+    (("omsq", "omsq"), lambda t: t["channel_quantizer"].update(width_w=1), "at least 2 bits"),
+    (("omsq", "omsq"), lambda t: t["channel_quantizer"].update(width_w=4), "'omsq' at w=3"),
+    (("omsq", "omsq"), lambda t: t.update(channel_edges_llr=["1.0", "2.0", "3.0"]),
+     "'omsq' at w=3"),
+], ids=["no-edges", "one-edge", "nan-edges", "negative-edge", "repeated-edge", "width",
+        "omsq-quantizer", "omsq-quantizer-no-edges", "omsq-width-1", "omsq-width",
+        "omsq-edges"])
+def test_artifact_load_rejects_a_channel_quantizer_that_does_not_fit(loaded_pairs, pair, edit,
+                                                                     message):
+    # each of these loaded before: the decoder then ran on a channel of the
+    # wrong width or with missing, nan or misordered edges (FER off, or 0.0
+    # at width 1), or simulate_point raised TypeError on no edges at all
+    art = loaded_pairs[pair]
+    assert DesignArtifact.from_json(art.to_json()).to_json() == art.to_json()
+    with pytest.raises(ValidationError, match=message):
+        DesignArtifact.from_json(_edited(art, edit))
+
+
 def test_artifact_load_rejects_missing_iterations(loaded_pairs):
     art = loaded_pairs["comp", "comp"]
     with pytest.raises(ValidationError, match="configured for 2 iterations"):
@@ -1341,6 +1384,37 @@ def test_split_stage_raises_the_earliest_step_error(monkeypatch, count):
     assert multiprocessing.active_children() == []
     assert got == ranked == want == (("raised", "step 4 failed"),
                                      [f"step {i}" for i in range(5)])
+
+
+def same_tables(tables, step):
+    return tables
+
+
+def warning_evolve(p, tables):
+    warnings.warn("evolve", UserWarning)
+    return p
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_each_exactly_evaluated_step_evolves_once(monkeypatch, count):
+    # every step's tables are the same table, and evolve warns: each step
+    # evolves once, so its evolve warning comes back just before its own
+    cfg = stage_cfg("comp_uni", "comp_uni")
+    _, p = design_channel_quantizer(awgn_llr_pmf(cfg.channel_model()), cfg.w)
+    dstar = phi_saturation_delta(p, cfg.wphi)
+    grid = build_delta_grid(dstar, cfg.uniform_grid_points)
+    monkeypatch.setattr(evolution, "design_uniform", grid_design_uniform(grid, lambda i: 0.25))
+    table = build_translation_table(p, "cn_phi", dstar, cfg.wphi)
+    with (workers.forked(evolution._stage_share, count - 1) as team,
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        _, spec, mi, _ = evolution._design_stage(
+            cfg, True, dstar, partial(same_tables, table), partial(warning_evolve, p), None,
+            kappa_search=True, team=team)
+    assert multiprocessing.active_children() == []
+    assert spec.delta == float(grid[0]) and mi == 0.25
+    assert [str(w.message) for w in caught] == [
+        m for i in range(grid.size) for m in ("evolve", f"step {i}")]
 
 
 def test_split_stage_requests_pickle_with_rebound_layer_functions(monkeypatch):
