@@ -980,8 +980,10 @@ def _check_loaded(art):
     follows its variant; VN tables are exactly phi_ch and phi_c; an
     artifact configured for iterations carries at least one record.  The
     channel quantizer has width w: the omsq baseline's, with no edges, or a
-    threshold quantizer with one finite, positive and increasing LLR edge
-    per threshold.
+    threshold quantizer with one positive LLR edge per threshold t, the
+    lower edge (t - 1) * delta of its grid bin within a relative 1e-9 (the
+    grid's rounding leaves under 1e-12 up to 20000 bins; one bin of a grid
+    under 1e9 bins is more).
     """
     cfg = art.config
     if not art.per_iteration and cfg.iterations > 0:
@@ -994,8 +996,9 @@ def _check_loaded(art):
     else:
         e = np.asarray(edges if isinstance(edges, tuple) else (), dtype=np.float64)
         fits = (isinstance(chq, QuantizerSpec) and chq.kind == "non_uniform"
-                and chq.out_width_w == cfg.w and e.size == cells - 1
-                and np.isfinite(e).all() and e[0] > 0 and (np.diff(e) > 0).all())
+                and chq.out_width_w == cfg.w and e.size == cells - 1 and e[0] > 0
+                and np.allclose(e, np.subtract(chq.thresholds, 1) * chq.delta,
+                                rtol=1e-9, atol=0.0))
     if not fits:
         raise ValidationError(f"channel quantizer does not fit {cfg.cn_variant!r} at w={cfg.w}")
     for i, r in enumerate(art.per_iteration, 1):

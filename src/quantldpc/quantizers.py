@@ -7,7 +7,12 @@ Two quantizer families act on symbol magnitudes of a symmetric joint PMF:
   information of the quantized output.  For K cells over n magnitudes it
   takes O(K * n**2) time and O((block + K) * n) memory, walking the
   magnitude axis in fixed row blocks; MI ties go to the leftmost
-  boundary, i.e. the lexicographically smallest threshold vector;
+  boundary, i.e. the lexicographically smallest threshold vector.  When
+  the magnitudes past the first m carry little mass, the DP first runs
+  with no boundary past m and an O(n) certificate (proof and rounding
+  slack in :func:`design_nonuniform`) shows that the unrestricted DP
+  would return the same thresholds and MI bit for bit: O(K * m**2 + n)
+  time when it holds, O(K * n**2) more when it does not;
 * uniform shift-and-offset quantizers (add an offset, drop the r low bits,
   saturate), searched exhaustively: per step size, one vectorized pass
   scores every (shift r, offset kappa) pair; MI ties go to the smaller
@@ -348,6 +353,44 @@ def _dp_layers(A, B, best, pick):
             pick[c, lo:hi] = k + (lo + 1)
 
 
+#: tail mass at or below which the partition search first runs with no
+#: boundary in the tail, and the margin its certificate must hold by (both
+#: in :func:`design_nonuniform`)
+_TAIL_MASS = 1e-3
+_TAIL_SLACK = 1e-12
+
+
+def _partition_dp(A, B, K, m):
+    """Best partition of symbols 0..n-1 into K cells with every boundary
+    in 1..m (m = n: no restriction), n = ``A.size`` - 1.
+
+    Cluster i..e-1 (0 <= i < e <= n) scores _cluster_scores(A[e] - A[i],
+    B[e] - B[i]); the MI of a partition is twice its cluster-score sum.
+    best[c, i] is the top score of symbols i..n-1 split into c + 1 cells
+    (-inf if infeasible), pick[c, i] the start of its second cell.
+    Returns ``(score, boundaries, best)``.
+    """
+    n = A.size - 1
+    best = np.empty((K - 1, m + 1))
+    pick = np.zeros((K - 1, m + 1), dtype=np.intp)
+    best[0] = _cluster_scores(A[n] - A[:m + 1], B[n] - B[:m + 1])
+    best[1:, m] = -np.inf      # no second cell starts past m
+    best[0, n:] = -np.inf      # at m = n, the empty cell n..n-1
+    # Layers 1..K-2, bottom-up in row blocks: row i of layer c reads layer
+    # c-1 only at e > i, which a later block or an earlier layer of this
+    # block has already filled in.
+    if K > 2:
+        _dp_layers(A[:m + 1], B[:m + 1], best, pick)
+    # the last layer (K cells) is only needed at row 0
+    cand = _cluster_scores(A[1:m + 1] - A[0], B[1:m + 1] - B[0]) + best[K - 2, 1:]
+    j = int(np.argmax(cand)) + 1
+    bounds = [j]
+    for c in range(K - 2, 0, -1):
+        j = int(pick[c, j])
+        bounds.append(j)
+    return cand[bounds[0] - 1], bounds, best
+
+
 def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
                       prune_tol: float = 1e-12):
     """MI-optimal magnitude-threshold quantizer for a symmetric PMF.
@@ -369,6 +412,46 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     (:func:`_dp_layers`).  The result is the same, bit for bit, as a DP
     over the full score matrix (kept as the reference in the tests).
 
+    Tail certificate.  Let m >= K be the first boundary index whose tail
+    mass (A[n] - A[m]) + (B[n] - B[m]) is at most ``_TAIL_MASS``, A and B
+    the prefix sums of the folded masses.  If m < n - 1 and no folded mass
+    is negative (``JointPMF`` admits -1e-15), the DP first runs with every
+    boundary in 1..m (:func:`_partition_dp`), in O(K * m**2 + n) time, and
+    keeps its score R_K if an O(n) certificate holds:
+
+        R_{K-1} + max_{b <= m} g(b) + _TAIL_SLACK < R_K,
+        g(b) = S([b, m+1)) + sum_{t > m} S({t}) - S([b, n)),
+
+    with S the score of a cell and R_{K-1} the top score of K - 1 cells
+    with boundaries in 1..m (row 0 of the DP's layer K - 2).  Otherwise it
+    reruns with m = n, the unrestricted O(K * n**2) search.  A kept result
+    is the unrestricted one, thresholds and MI bit for bit:
+
+    * Exactly: take a partition P with r >= 1 boundaries past m.  Without
+      them it is a partition H of K - r cells, boundaries in 1..m, whose
+      last cell is [b, n).  H scores at most R_{K-r} <= R_{K-1}: refining
+      never lowers the score, and m >= K leaves room for K - 2 boundaries.
+      [b, m+1) and the tail singletons refine P's cells inside [b, n), so
+      P scores at most H's score + g(b) <= R_{K-1} + max g.
+    * In floats, the slack covers the rounding, so P's DP sum is below
+      R_K.  A cell's masses are float differences of the prefix sums, each
+      within a relative 2**-53 of the exact difference, and the exact
+      differences add up exactly, so the refinement steps hold for their
+      exact scores.  A cell of mass s scores within about
+      10 * 2**-53 * (s + 3 s log2(1/s)) of its exact score; over N cells of
+      total mass 1/2 that adds up to below 10 * 2**-53 * (2 + 1.5 log2 N),
+      under 6e-14 for N < 2**30.  The four sums compared (P, R_{K-1} and
+      the two sides of g), with the K or fewer additions of a DP path,
+      stay below a quarter of the slack 1e-12.
+    * Rounding is monotone, so each DP value, the first maximum over
+      boundaries of a cell score plus the next layer's value, is the
+      largest float sum of any path from its row.  At a row of the kept
+      path, a path through a boundary past m that reached the truncated
+      DP's value there would reach R_K with the kept path's prefix added,
+      which the second point forbids.  So at each row of the kept path the
+      full DP has the truncated DP's value and maximizing boundaries, and
+      it takes the same boundaries and the same score, ties included.
+
     Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
     """
     if not p.symmetric:
@@ -381,33 +464,19 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
         raise ValidationError(f"{mags.size} magnitudes cannot fill {K} cells")
     mags, a, b = _folded_prune(mags, a, b, prune_tol, K)
     n = mags.size
-
-    # Cluster i..e-1 (0 <= i < e <= n) scores _cluster_scores(A[e] - A[i],
-    # B[e] - B[i]); the MI of a partition is twice its cluster-score sum.
-    # best[c, i] is the top score of symbols i..n-1 split into c + 1
-    # cells (-inf if infeasible), pick[c, i] the start of its second cell.
     A = np.concatenate([[0.0], np.cumsum(a)])
     B = np.concatenate([[0.0], np.cumsum(b)])
-    best = np.empty((K - 1, n + 1))
-    pick = np.zeros((K - 1, n + 1), dtype=np.intp)
-    best[0] = _cluster_scores(A[n] - A, B[n] - B)
-    best[:, n] = -np.inf
-    # Layers 1..K-2, bottom-up in row blocks: row i of layer c reads layer
-    # c-1 only at e > i, which a later block or an earlier layer of this
-    # block has already filled in.
-    if K > 2:
-        _dp_layers(A, B, best, pick)
-    # the last layer (K cells) is only needed at row 0
-    cand = _cluster_scores(A[1:] - A[0], B[1:] - B[0]) + best[K - 2, 1:]
-    j = int(np.argmax(cand)) + 1
-    score = cand[j - 1]
+    m = max(int(np.argmax((A[n] - A) + (B[n] - B) <= _TAIL_MASS)), K)
+    if m >= n - 1 or min(a.min(), b.min()) < 0.0:     # no tail, or no proof
+        m = n
+    score, bounds, best = _partition_dp(A, B, K, m)
+    if m < n:
+        head = _cluster_scores(A[m + 1] - A[:m + 1], B[m + 1] - B[:m + 1])
+        tail = _cluster_scores(np.diff(A[m + 1:]), np.diff(B[m + 1:])).sum()
+        if not best[K - 2, 0] + np.max(head + tail - best[0]) + _TAIL_SLACK < score:
+            score, bounds, _ = _partition_dp(A, B, K, n)
     if not math.isfinite(score):
         raise RuntimeError("partition search found no feasible solution")
-
-    bounds = [j]
-    for c in range(K - 2, 0, -1):
-        j = int(pick[c, j])
-        bounds.append(j)
     thresholds = tuple(int(mags[e]) for e in bounds)
     spec = QuantizerSpec("non_uniform", w, delta=delta, thresholds=thresholds)
     return spec, float(2.0 * score)

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 import warnings
 from dataclasses import MISSING, fields, replace
 from functools import partial
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quantldpc
 from quantldpc import evolution, quantizers, ranking, workers
 from quantldpc.codes import generate_regular_code
 from quantldpc.complexity import CN_VARIANTS, VN_VARIANTS
@@ -627,6 +629,42 @@ def test_artifact_load_rejects_a_channel_quantizer_that_does_not_fit(loaded_pair
     assert DesignArtifact.from_json(art.to_json()).to_json() == art.to_json()
     with pytest.raises(ValidationError, match=message):
         DesignArtifact.from_json(_edited(art, edit))
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.25, 1.0 + 1e-8])
+def test_artifact_load_rejects_edges_off_their_threshold_bins(loaded_pairs, scale):
+    # edges scaled by 2 or by 0.25 used to load, and simulate_point then
+    # quantized the channel there (FER 0.422 -> 0.609 on a 96-bit code at
+    # 2.0 dB); the grid's own rounding, about 1e-13 relative, still loads
+    art = loaded_pairs["comp", "comp"]
+    with pytest.raises(ValidationError, match="'comp' at w=3"):
+        DesignArtifact.from_json(_edited(art, _edges(lambda e: [repr(float(x) * scale)
+                                                                for x in e])))
+    nudged = _edited(art, _edges(lambda e: [repr(float(x) * (1.0 + 1e-12)) for x in e]))
+    assert DesignArtifact.from_json(nudged).channel_edges_llr != art.channel_edges_llr
+
+
+def _benchmark_decoder_configs():
+    """The configs of the decoders the decode benchmark designs into its cache."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return [cfg for _, cfg in workloads.WORKLOADS["decode"].design_configs(quantldpc)]
+
+
+@pytest.mark.parametrize("grid", [None, 512, 20000])
+def test_channel_edges_of_the_benchmark_decoders_load(grid):
+    # the loader ties each edge to its threshold bin; every channel the
+    # decode benchmark's cache holds, and the same designs on a coarse and a
+    # fine grid, load (the channel side is all an edge depends on)
+    for cfg in _benchmark_decoder_configs():
+        cfg = replace(cfg, iterations=0, **({} if grid is None else {"channel_grid_size": grid}))
+        art, _ = design_decoder(cfg)
+        assert DesignArtifact.from_json(art.to_json()).to_json() == art.to_json()
 
 
 def test_artifact_load_rejects_missing_iterations(loaded_pairs):

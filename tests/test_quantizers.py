@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +207,16 @@ def test_dp_bit_identical_to_dense_reference(w, size, kind):
             assert mi == ref_mi
 
 
+def folded_pmf(a, b):
+    """Symmetric PMF whose positive half folds to the masses (a, b), scaled
+    so the whole table sums to 1."""
+    n = a.size
+    row0 = np.concatenate([b[::-1], a]) / (2 * (a.sum() + b.sum()))
+    mass = np.vstack([row0, row0[::-1]])
+    alphabet = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
+    return JointPMF(alphabet, mass, llr_order=True, symmetric=True)
+
+
 def zero_mass_pmf(rng, n, rows):
     """Symmetric PMF over n magnitudes whose folded masses have zero runs:
     on both rows (clusters with pa = pb = 0), or on one row only (pa = 0 <
@@ -220,11 +232,7 @@ def zero_mass_pmf(rng, n, rows):
         zero[1] &= ~zero[0]
     a[zero[0]] = 0.0
     b[zero[1]] = 0.0
-    t = 2 * (a.sum() + b.sum())
-    row0 = np.concatenate([b[::-1], a]) / t
-    mass = np.vstack([row0, row0[::-1]])
-    alphabet = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-    return JointPMF(alphabet, mass, llr_order=True, symmetric=True)
+    return folded_pmf(a, b)
 
 
 @pytest.mark.parametrize("w", [2, 3, 4])
@@ -249,6 +257,203 @@ def test_dp_bit_identical_on_channel_grid():
         for prune_tol in (0.0, 1e-12):
             spec, mi = design_nonuniform(fine, w, prune_tol=prune_tol)
             assert (spec.thresholds, mi) == dense_design_nonuniform(fine, w, prune_tol)
+
+
+class DPRuns(list):
+    """(n, m) of each partition DP run, and in ``layers`` the symbol count
+    of each ``_dp_layers`` input."""
+
+    def __init__(self):
+        super().__init__()
+        self.layers = []
+
+    def reset(self):
+        self.clear()
+        self.layers.clear()
+
+
+@pytest.fixture
+def dp_runs(monkeypatch):
+    """Spy on the partition DP, recording into a :class:`DPRuns`.  Every
+    truncated run must hand the certificate finite values only."""
+    runs = DPRuns()
+    partition_dp, dp_layers = quantizers._partition_dp, quantizers._dp_layers
+
+    def spy_layers(A, B, best, pick):
+        runs.layers.append(A.size - 1)
+        return dp_layers(A, B, best, pick)
+
+    def spy(A, B, K, m):
+        score, bounds, best = partition_dp(A, B, K, m)
+        runs.append((A.size - 1, m))
+        if m < A.size - 1:
+            assert math.isfinite(score) and np.isfinite(best[-1, 0]) and np.isfinite(best[0]).all()
+        return score, bounds, best
+
+    monkeypatch.setattr(quantizers, "_partition_dp", spy)
+    monkeypatch.setattr(quantizers, "_dp_layers", spy_layers)
+    return runs
+
+
+def dp_path(runs, w):
+    """The path one design's spied runs took: "certified", "fallback" or
+    "full" (no truncation tried); the _dp_layers inputs must match them."""
+    assert runs.layers == ([m for _, m in runs] if w > 2 else [])
+    (n, m), *rest = runs
+    if m == n:
+        assert not rest
+        return "full"
+    assert rest in ([], [(n, n)])
+    return "fallback" if rest else "certified"
+
+
+@pytest.fixture(scope="module")
+def cn_sums_dc32():
+    """CN sum PMFs of the paper's check degree (dc = 32, wphi = 6) at two
+    SNRs and two translation steps."""
+    out = []
+    for snr in (3.0, 3.3):
+        fine = awgn_llr_pmf(ChannelModel(ebn0_db=snr, rate=0.841, grid_size=600))
+        _, p_ch = design_channel_quantizer(fine, 4)
+        dstar = phi_saturation_delta(p_ch, 6)
+        for step in (dstar, 0.5 * dstar):
+            out.append(cn_evolve_comp(p_ch, 32, build_translation_table(p_ch, "cn_phi", step, 6)))
+    return out
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_cn_sums_at_dc32_take_the_certified_tail_dp(cn_sums_dc32, dp_runs, w):
+    for q in cn_sums_dc32:
+        dp_runs.reset()
+        spec, mi = design_nonuniform(q, w)
+        assert (spec.thresholds, mi) == dense_design_nonuniform(q, w, 1e-12)
+        assert dp_path(dp_runs, w) == "certified"
+        (n, m), = dp_runs
+        assert m < n // 2
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+@pytest.mark.parametrize("rate", [0.9, 0.95, 0.98])
+def test_geometric_tails_take_the_certified_tail_dp(dp_runs, w, rate):
+    # masses rate**k, reliability saturating early: the tail holds nothing
+    # a boundary could separate
+    k = np.arange(200)
+    frac = 1.0 - 0.5 * np.exp(-k / 5.0)
+    p = folded_pmf(rate ** k * frac, rate ** k * (1.0 - frac))
+    for prune_tol in (0.0, 1e-12):
+        dp_runs.reset()
+        spec, mi = design_nonuniform(p, w, prune_tol=prune_tol)
+        assert (spec.thresholds, mi) == dense_design_nonuniform(p, w, prune_tol)
+        assert dp_path(dp_runs, w) == "certified"
+
+
+@pytest.mark.parametrize("w", [3, 4, 5])
+def test_a_reliable_tail_fails_the_certificate_and_falls_back(dp_runs, w):
+    # 60 unreliable head magnitudes, then a tail of 0.9e-3 of the half-axis
+    # mass: 20 unreliable magnitudes and 20 one-sided ones.  The optimum cuts
+    # the tail at its one-sided part, past m, so the truncated DP is wrong
+    # here and only the fallback finds it (at w = 2 the one boundary stays
+    # in the head, and the certificate holds).
+    rng = np.random.default_rng(w)
+    raw = np.concatenate([np.ones(60), np.full(40, 0.9e-3 * 2 * 60 / 40 / (1 - 0.9e-3 * 2))])
+    frac = np.concatenate([np.sort(rng.uniform(0.5, 0.6, 80)), np.ones(20)])
+    p = folded_pmf(raw * frac, raw * (1.0 - frac))
+    spec, mi = design_nonuniform(p, w, prune_tol=0.0)
+    thresholds, ref_mi = dense_design_nonuniform(p, w, 0.0)
+    assert (spec.thresholds, mi) == (thresholds, ref_mi)
+    assert dp_path(dp_runs, w) == "fallback"
+    (n, m), _ = dp_runs
+    assert thresholds[-1] == 81 and m == 60     # threshold 81 is boundary 80 > m
+    # the tail DP alone would have missed it
+    mags, a, b = p.fold_positive()
+    A, B = np.concatenate([[0.0], np.cumsum(a)]), np.concatenate([[0.0], np.cumsum(b)])
+    assert 2.0 * quantizers._partition_dp(A, B, 1 << (w - 1), m)[0] < ref_mi
+
+
+def fuzz_pmf(rng):
+    """A random folded PMF and width for the tail DP fuzz: geometric, cut,
+    stretched-exponential or sparse masses; sorted, zig-zag, saturating or
+    tail-reliable posteriors."""
+    w = int(rng.integers(2, 6))
+    K = 1 << (w - 1)
+    n = int(rng.integers(K, 100))
+    kind = rng.integers(4)
+    if kind == 0:
+        raw = rng.uniform(0.6, 0.99) ** np.arange(n)
+    elif kind == 1:
+        raw = rng.random(n) + 1e-6
+        raw[int(rng.integers(0, n)):] *= 10.0 ** -rng.uniform(0.0, 8.0)
+    elif kind == 2:
+        raw = np.exp(-rng.uniform(0.01, 0.3) * np.arange(n) ** rng.uniform(1.0, 2.0))
+    else:
+        raw = rng.random(n) ** 6
+        raw[rng.random(n) < 0.3] = 0.0
+        raw[0] = 1.0
+    shape = rng.integers(4)
+    if shape == 0:
+        frac = np.sort(rng.uniform(0.5, 1.0, n))
+    elif shape == 1:
+        frac = rng.uniform(0.5, 1.0, n)
+    elif shape == 2:
+        frac = 1.0 - 0.5 * np.exp(-np.arange(n) / rng.uniform(1.0, 30.0))
+    else:
+        frac = np.sort(rng.uniform(0.5, 0.7, n))
+        frac[int(rng.integers(K, n + 1)):] = 1.0
+    return folded_pmf(raw * frac, raw * (1.0 - frac)), w
+
+
+def test_tail_dp_fuzz_against_the_dense_dp(dp_runs):
+    rng = np.random.default_rng(20)
+    paths = collections.Counter()
+    for _ in range(300):
+        p, w = fuzz_pmf(rng)
+        prune_tol = float(rng.choice([0.0, 1e-12]))
+        dp_runs.reset()
+        spec, mi = design_nonuniform(p, w, prune_tol=prune_tol)
+        assert (spec.thresholds, mi) == dense_design_nonuniform(p, w, prune_tol)
+        paths[dp_path(dp_runs, w)] += 1
+    assert min(paths["certified"], paths["fallback"], paths["full"]) >= 50, paths
+
+
+def edge_case_pmf(case, w):
+    """The edge cases of the tail DP: n == K, all mass on the first, a middle
+    or the last of 40 magnitudes, and an exact-zero tail (for prune_tol=0),
+    bare or holding one slightly negative mass."""
+    K = 1 << (w - 1)
+    rng = np.random.default_rng([w, len(case)])
+    if case == "n_equals_K":
+        a = rng.random(K) + 0.1
+        return folded_pmf(a, a * np.sort(rng.uniform(0.1, 0.9, K))[::-1])
+    if case.startswith("one_"):
+        a, b = np.zeros(40), np.zeros(40)
+        i = {"one_first": 0, "one_middle": 20, "one_last": 39}[case]
+        a[i], b[i] = 0.7, 0.3
+        return folded_pmf(a, b)
+    frac = np.sort(rng.uniform(0.5, 1.0, 60))
+    raw = rng.random(60) + 0.1
+    raw[30:] = 0.0
+    if case == "negative_mass":     # JointPMF admits -1e-15; no proof covers it
+        raw[45] = -1e-17
+    return folded_pmf(raw * frac, raw * (1.0 - frac))
+
+
+@pytest.mark.parametrize("w", [2, 5])
+@pytest.mark.parametrize("case,path", [
+    ("n_equals_K", "full"), ("one_first", "fallback"), ("one_middle", "fallback"),
+    ("one_last", "full"), ("zero_tail", "certified"), ("negative_mass", "full")])
+def test_tail_dp_edge_cases_on_both_paths(dp_runs, monkeypatch, w, case, path):
+    # each case equals the dense DP on the path it takes, and again with the
+    # certificate made to fail; no warning, and no nan from -inf arithmetic
+    p = edge_case_pmf(case, w)
+    want = dense_design_nonuniform(p, w, 0.0)
+    for slack, expected in ((quantizers._TAIL_SLACK, path), (1.0, path.replace("certified", "fallback"))):
+        monkeypatch.setattr(quantizers, "_TAIL_SLACK", slack)
+        dp_runs.reset()
+        with warnings.catch_warnings(), np.errstate(invalid="raise", divide="raise", over="raise"):
+            warnings.simplefilter("error")
+            spec, mi = design_nonuniform(p, w, prune_tol=0.0)
+        assert (spec.thresholds, mi) == want
+        assert dp_path(dp_runs, w) == expected
 
 
 def test_nonuniform_requires_symmetric_ordered_input():
