@@ -32,7 +32,9 @@ minimum m of v over the node's other edges, from running minima forward and
 backward on a regular side (the minimum of 2x + s, shifted right by one, is
 the minimum of x), and indexes by (m | 1) ^ ((v ^ P) & 1).  Both lookup
 indices are written into one intp buffer (edges x frames x 8 bytes per
-decode call), so ``np.take`` casts nothing.  A frame is recorded at its
+decode call), so ``np.take`` casts nothing; every lookup writes into a
+message buffer of the call (``mode="clip"``: the default buffers ``out``, and
+the bound below keeps every index in range).  A frame is recorded at its
 first syndrome success and stays in the working set, decoded but not
 recorded again, until a quarter of the set has finished; only then are the
 per-frame arrays compacted.  The cost model's VN adder width
@@ -353,23 +355,33 @@ class DecoderState:
 _COMPACT_SHARE = 0.25
 
 
+def _integer_messages(channel_msgs):
+    """channel_msgs as an integer array; a float or bool one is rejected, not truncated."""
+    msgs = np.asarray(channel_msgs)
+    if msgs.dtype.kind not in "iu":
+        raise ValidationError(f"channel messages must be integers, not {msgs.dtype}")
+    return msgs
+
+
 def _flood(state, channel_msgs, max_iter):
     """The one flooding loop of every decoder variant.
 
     Each iteration writes both lookup indices, the check side's by the
     arithmetic of the module doc, into one intp buffer of edges x frames x
-    8 bytes per call.  A frame's bits, iteration count and ``ok`` are
-    recorded at its first syndrome success; it is decoded on but never
-    recorded again until _COMPACT_SHARE of the working set has finished and
-    the set is compacted.
+    8 bytes per call, and its lookups into two message buffers and v2c.  A
+    frame's bits, iteration count and ``ok`` are recorded at its first
+    syndrome success; it is decoded on but never recorded again until
+    _COMPACT_SHARE of the working set has finished and the set is compacted.
     """
-    ch = np.asarray(channel_msgs, dtype=np.int64)
+    ch = _integer_messages(channel_msgs)
     if ch.ndim != 2 or ch.shape[1] != state.vars.n:
         raise ValidationError("channel message array must be (frames, n_vars)")
     omsq = state.cn_variant == "omsq"        # zero is an omsq message
-    if (not omsq and np.any(ch == 0)) or np.any(np.abs(ch) > state.half - omsq):
+    limit = state.half - omsq
+    if (not omsq and np.any(ch == 0)) or np.any(ch < -limit) or np.any(ch > limit):
         raise ValidationError(f"channel messages must be {'' if omsq else 'nonzero '}"
                               f"{state.w}-bit values")
+    ch = ch.astype(np.int64, copy=False)
     checks, vars_, tables = state.checks, state.vars, state.tables
     bits = (ch < 0).astype(np.uint8)
     iters_used = np.zeros(len(ch), dtype=np.int64)
@@ -381,7 +393,7 @@ def _flood(state, channel_msgs, max_iter):
 
     active = np.flatnonzero(~ok)
     live = np.ones(len(active), dtype=bool)
-    u_ch = np.ascontiguousarray((ch[active] + state.half).astype(state.dtype).T)
+    u_ch = np.ascontiguousarray((ch[active] + state.half).astype(np.intp, copy=False).T)
     v2c = np.take(np.take(state.forward, u_ch), state.edge_var, axis=0)
     # the index buffer and two message buffers, viewed at the working set's size
     bufs = [np.empty(v2c.size, dtype=t) for t in (np.intp, state.dtype, state.dtype)]
@@ -405,13 +417,14 @@ def _flood(state, channel_msgs, max_iter):
             np.bitwise_xor(v, checks.spread(par), out=v)
             v &= 1
             np.bitwise_xor(m, v, out=cidx)
-        c2v = np.take(cn_out, idx)
+        c2v = np.take(cn_out, idx, out=a, mode="clip")
         # --- variable nodes -------------------------------------------------
-        psi = vars_.view(np.take(c2v, state.vn_perm, axis=0))
+        psi = vars_.view(np.take(c2v, state.vn_perm, axis=0, out=b, mode="clip"))
         app = vars_.reduce(np.add, psi)
         app += psi_ch
         np.subtract(vars_.spread(app + state.vn_base), psi, out=vars_.view(idx))
-        v2c = np.take(np.take(vn_out, idx), state.vn_inv, axis=0)
+        np.take(np.take(vn_out, idx, out=a, mode="clip"), state.vn_inv, axis=0,
+                out=v2c, mode="clip")
 
         hard = (app < 0).view(np.uint8)
         done = state._parity_ok(hard)
@@ -450,7 +463,7 @@ def decode_batch(channel_msgs, code, artifact, max_iter, *, state=None):
 
 def decode(channel_msgs, code, artifact, max_iter, *, state=None):
     """Single-frame wrapper around decode_batch."""
-    msgs = np.asarray(channel_msgs, dtype=np.int64)
+    msgs = _integer_messages(channel_msgs)
     if msgs.ndim != 1:
         raise ValidationError("decode expects one frame; use decode_batch")
     bits, iters, ok = decode_batch(msgs[None, :], code, artifact, max_iter,
@@ -475,7 +488,7 @@ def omsq_decode_batch(channel_msgs, code, w, beta, max_iter, *, state=None):
 
 def omsq_decode(channel_msgs, code, w, beta, max_iter, *, state=None):
     """Single-frame wrapper around omsq_decode_batch."""
-    msgs = np.asarray(channel_msgs, dtype=np.int64)
+    msgs = _integer_messages(channel_msgs)
     if msgs.ndim != 1:
         raise ValidationError("omsq_decode expects one frame")
     bits, iters, ok = omsq_decode_batch(msgs[None, :], code, w, beta, max_iter,

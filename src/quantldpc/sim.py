@@ -4,6 +4,11 @@ All-zero codeword transmission (valid for the symmetric decoders built
 here), counter-based seeding so every frame's noise is reproducible in
 isolation, chunked decoding with early stop on a frame-error target,
 each chunk split across worker processes (see :func:`simulate_point`).
+
+Each process streams its frame range through noise, channel quantizer and
+flooding kernel in blocks of :data:`_BLOCK` frames, so its working set is
+bounded by the block, not the chunk: per frame at most 17 bytes per edge
+and 44 per variable with int16 messages.  No tally depends on the block size.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .pmf import ValidationError
 CSV_HEADER = "ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iterations,seed"
 
 _CHUNK = 256
+#: frames a process decodes at a time: of 16, 24, 32 and 48, 32 timed best on
+#: the decode benchmark; 16 held 4 MB less peak RSS but took 2% longer
+_BLOCK = 32
 
 
 @dataclass
@@ -148,19 +156,25 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
         state = DecoderState(code, artifact)
 
     def decode_range(start, count):
-        """Bit errors and iterations of frames [start, start+count)."""
-        if noiseless:
-            y = np.ones((count, n))
-        else:
-            y = 1.0 + _frame_noise(seed, point_index, start, count, n, sigma)
-        msgs = _quantize_channel(llr_scale * y, artifact)
-        if omsq:
-            bits, iters, _ = omsq_decode_batch(msgs, code, cfg.w, cfg.beta,
-                                               max_iter, state=state)
-        else:
-            bits, iters, _ = decode_batch(msgs, code, artifact, max_iter,
-                                          state=state)
-        return bits.sum(axis=1), iters
+        """Bit errors and iterations of frames [start, start+count), block by block."""
+        parts = []
+        for lo in range(start, start + count, _BLOCK):
+            k = min(_BLOCK, start + count - lo)
+            if noiseless:
+                y = np.ones((k, n))
+            else:
+                y = _frame_noise(seed, point_index, lo, k, n, sigma)
+                y += 1.0
+            y *= llr_scale
+            msgs = _quantize_channel(y, artifact)
+            if omsq:
+                bits, iters, _ = omsq_decode_batch(msgs, code, cfg.w, cfg.beta,
+                                                   max_iter, state=state)
+            else:
+                bits, iters, _ = decode_batch(msgs, code, artifact, max_iter,
+                                              state=state)
+            parts.append((bits.sum(axis=1), iters))
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
     frames = 0
     bit_errors = 0

@@ -304,6 +304,47 @@ def test_decode_batch_validation(small_setup):
     bad[0, 0] = 9
     with pytest.raises(ValidationError):
         decode_batch(bad, code, artifact, 4)
+    # abs() of the most negative int64 is itself, so it used to pass the range check
+    bad[0, 0] = np.iinfo(np.int64).min
+    with pytest.raises(ValidationError, match="4-bit"):
+        decode_batch(bad, code, artifact, 4)
+    with pytest.raises(ValidationError, match="4-bit"):
+        decode_batch(np.full((1, code.n_vars), 2 ** 64 - 1, dtype=np.uint64), code,
+                     artifact, 4)
+    # a float message was truncated (1.7 decoded as 1), a bool one passed as +-1
+    frame = np.full(code.n_vars, 7, dtype=np.int64)
+    for msgs in (frame + 0.7, frame.astype(float), frame > 0):
+        with pytest.raises(ValidationError, match="integers"):
+            decode_batch(msgs[None], code, artifact, 4)
+        with pytest.raises(ValidationError, match="integers"):
+            decode(msgs, code, artifact, 4)
+    # Python ints and any integer dtype keep working
+    want = decode(frame, code, artifact, 4)
+    for msgs in (frame.tolist(), frame.astype(np.int8), frame.astype(np.uint16)):
+        got = decode(msgs, code, artifact, 4)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def test_omsq_decode_batch_validation():
+    code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
+    frame = np.full(code.n_vars, 7, dtype=np.int64)
+    frame[0] = 0        # zero is an omsq message
+    with pytest.raises(ValidationError, match="frames, n_vars"):
+        omsq_decode_batch(frame[None, :5], code, 4, 1, 4)
+    for top in (8, -8, np.iinfo(np.int64).min):
+        bad = frame.copy()
+        bad[1] = top
+        with pytest.raises(ValidationError, match="4-bit"):
+            omsq_decode_batch(bad[None], code, 4, 1, 4)
+    for msgs in (frame + 0.7, frame.astype(float), frame > 0):
+        with pytest.raises(ValidationError, match="integers"):
+            omsq_decode_batch(msgs[None], code, 4, 1, 4)
+        with pytest.raises(ValidationError, match="integers"):
+            omsq_decode(msgs, code, 4, 1, 4)
+    want = omsq_decode(frame, code, 4, 1, 4)
+    for msgs in (frame.tolist(), frame.astype(np.int8)):
+        got = omsq_decode(msgs, code, 4, 1, 4)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
 def test_vn_phase_flips_tie_convention(small_setup):

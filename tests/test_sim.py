@@ -6,16 +6,18 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quantldpc import sim, workers
-from quantldpc.codes import generate_regular_code
+from quantldpc.codes import bundled_code, generate_regular_code
+from quantldpc.decoder import DecoderState, decode_batch, omsq_decode_batch
 from quantldpc.evolution import EnsembleConfig, OmsqChannelQuantizer, design_decoder
 from quantldpc.pmf import ValidationError
-from quantldpc.sim import (CSV_HEADER, _frame_noise, _quantize_channel, simulate_point, sweep,
-                           wilson_interval, write_csv)
+from quantldpc.sim import (CSV_HEADER, SimPoint, _frame_noise, _quantize_channel, simulate_point,
+                           sweep, wilson_interval, write_csv)
 from support import alarm
 
 
@@ -286,6 +288,111 @@ def test_sharded_run_stops_in_the_same_chunk(monkeypatch, setup, count):
         lambda: simulate_point(code, artifact, 1.5, stop=stop, seed=4, point_index=1))
     assert got == want
     assert want["frames"] == 512
+
+
+# --- frame blocks against the unblocked decode of each range ---------------------------
+# The reference is the Monte Carlo loop as it stood before frame blocks: each chunk
+# split into the ranges of a k-process run, and each range decoded in one
+# decode_batch call on llr_scale * (1.0 + noise).
+
+def ref_llrs(artifact, ebn0_db, seed, start, count, n):
+    """Channel LLRs of frames [start, start+count) at point 0, in one batch."""
+    sigma = np.sqrt(1.0 / (2.0 * artifact.config.rate * 10.0 ** (ebn0_db / 10.0)))
+    llr_scale = 2.0 / sigma ** 2
+    y = 1.0 + _frame_noise(seed, 0, start, count, n, sigma)
+    return llr_scale * y
+
+
+def ref_simulate_point(code, artifact, ebn0_db, max_frames, seed, k):
+    """Reference: every frame range of a k-process run decoded as one batch."""
+    cfg = artifact.config
+    n = code.n_vars
+
+    def decode_range(start, count):
+        msgs = _quantize_channel(ref_llrs(artifact, ebn0_db, seed, start, count, n), artifact)
+        if cfg.cn_variant == "omsq":
+            bits, iters, _ = omsq_decode_batch(msgs, code, cfg.w, cfg.beta, cfg.iterations)
+        else:
+            bits, iters, _ = decode_batch(msgs, code, artifact, cfg.iterations)
+        return bits.sum(axis=1), iters
+
+    frames = bit_errors = frame_errors = 0
+    hist = {}
+    while frames < max_frames:
+        count = min(sim._CHUNK, max_frames - frames)
+        parts = min(k, count)
+        bounds = [frames + count * i // parts for i in range(parts + 1)]
+        ranges = [decode_range(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        errs, iters = (np.concatenate(p) for p in zip(*ranges))
+        bit_errors += int(errs.sum())
+        frame_errors += int((errs > 0).sum())
+        for used, c in zip(*np.unique(iters, return_counts=True)):
+            hist[int(used)] = hist.get(int(used), 0) + int(c)
+        frames += count
+    return SimPoint(float(ebn0_db), frames, bit_errors, frame_errors, hist, seed, 0.0, n)
+
+
+B = sim._BLOCK
+
+
+@pytest.mark.parametrize("count", sorted({1, workers.WORKERS, 3}))
+@pytest.mark.parametrize("max_frames", [1, B - 1, B, B + 1, 2 * B + 1, 300])
+@pytest.mark.parametrize("cn", ["comp", "comp_uni", "min", "omsq"])
+def test_blocked_tallies_equal_the_unblocked_reference(monkeypatch, decoders, cn, max_frames,
+                                                       count):
+    code, artifacts = decoders
+    monkeypatch.setattr(workers, "WORKERS", count)
+    stop = {"max_frames": max_frames, "target_frame_errors": 10 ** 9}
+    got = simulate_point(code, artifacts[cn], 2.0, stop=stop, seed=5)
+    want = ref_simulate_point(code, artifacts[cn], 2.0, max_frames, 5, count)
+    assert tally(got) == tally(want)
+    assert multiprocessing.active_children() == []
+
+
+def test_blocked_llrs_are_bit_identical_to_one_batch(monkeypatch, setup):
+    # tallies alone miss a rounding change that crosses no cell boundary
+    code, artifact = setup
+    seen = []
+
+    def spy(llr, art):
+        seen.append(llr.copy())
+        return _quantize_channel(llr, art)
+
+    monkeypatch.setattr(sim, "_quantize_channel", spy)
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    simulate_point(code, artifact, 2.0, stop={"max_frames": 2 * B + 1}, seed=5)
+    assert [len(llr) for llr in seen] == [B, B, 1]
+    want = ref_llrs(artifact, 2.0, 5, 0, 2 * B + 1, code.n_vars)
+    assert np.array_equal(np.concatenate(seen).view(np.int64), want.view(np.int64))
+
+
+def test_decode_working_set_is_bounded_by_the_block(monkeypatch):
+    code = bundled_code("dv3_dc6_n8000")
+    cfg = EnsembleConfig(dc=6, dv=3, w=4, wphi=8, iterations=5, cn_variant="comp",
+                         vn_variant="comp", design_ebn0_db=2.0, rate=0.5)
+    artifact, _ = design_decoder(cfg)
+    state = DecoderState(code, artifact)
+    edges, n, msg = state.edge_var.size, code.n_vars, np.dtype(state.dtype).itemsize
+    del state
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    tracemalloc.start()
+    try:
+        point = simulate_point(code, artifact, 2.0, seed=3,
+                               stop={"max_frames": 256, "target_frame_errors": 10 ** 9})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert point.frames == 256
+    # Per frame of a block, per edge: the intp index buffer, two message
+    # buffers, the messages v2c and their compacted copy, and one byte of hard
+    # decisions.  Per variable: the float64 LLRs, the int64 messages, the intp
+    # channel index and at most two 8-byte temporaries forming one of them,
+    # and a few bytes of bits and masks.  The decoder state and its
+    # construction take under 16 intp arrays per edge.  Measured: 20 MiB,
+    # where decoding the 256-frame chunk as one batch took 181 MiB.
+    per_frame = edges * (8 + 4 * msg + 1) + n * (5 * 8 + 4)
+    bound = B * per_frame + 16 * 8 * edges
+    assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 
 
 def test_worker_error_is_raised_and_leaves_no_worker(monkeypatch, setup):
