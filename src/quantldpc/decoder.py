@@ -31,10 +31,11 @@ passes (shift, add-reduce, xor-reduce, xor, subtract).  A min CN takes the
 minimum m of v over the node's other edges, from running minima forward and
 backward on a regular side (the minimum of 2x + s, shifted right by one, is
 the minimum of x), and indexes by (m | 1) ^ ((v ^ P) & 1).  Both lookup
-indices are written into one intp buffer (edges x frames x 8 bytes per
-decode call), so ``np.take`` casts nothing; every lookup writes into a
-message buffer of the call (``mode="clip"``: the default buffers ``out``, and
-the bound below keeps every index in range).  A frame is recorded at its
+indices are written into one intp buffer (edges x frames x 8 bytes), so
+``np.take`` casts nothing; every lookup writes into one of two message
+buffers (``mode="clip"``: the default buffers ``out``, and the bound below
+keeps every index in range).  The DecoderState keeps all three buffers
+across decode calls.  A frame is recorded at its
 first syndrome success and stays in the working set, decoded but not
 recorded again, until a quarter of the set has finished; only then are the
 per-frame arrays compacted.  The cost model's VN adder width
@@ -46,6 +47,7 @@ point dc=32, dv=6, wphi=8) and in int32 or int64 otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 
@@ -242,7 +244,8 @@ class DecoderState:
     min(i+1, len(tables)-1), and ``forward`` encodes the channel for
     iteration 1.  vn_type alternates with node index; ``vn_phase=1`` swaps
     the two roles.  The offset-min-sum baseline has no artifact;
-    :meth:`offset_min_sum` builds its state.
+    :meth:`offset_min_sum` builds its state.  A state also keeps the
+    flooding loop's scratch buffers, so it runs one decode call at a time.
     """
 
     def __init__(self, code, artifact, *, vn_phase=0):
@@ -273,17 +276,25 @@ class DecoderState:
         return self
 
     def _layout(self, code, w, wphi, vn_phase):
-        rows = [np.asarray(r, dtype=np.intp) for r in code.row_adjacency]
-        deg_c = np.array([len(r) for r in rows])
+        """The edge layout, in O(E) array passes over E edges."""
+        deg_c = np.fromiter(map(len, code.row_adjacency), dtype=np.intp,
+                            count=len(code.row_adjacency))
         if np.any(deg_c < 2):
             raise ValidationError("every check node needs degree at least 2")
-        deg_v = np.bincount(np.concatenate(rows), minlength=code.n_vars)
+        E = int(deg_c.sum())
+        flat = np.fromiter(itertools.chain.from_iterable(code.row_adjacency), dtype=np.intp,
+                           count=E)
+        deg_v = np.bincount(flat, minlength=code.n_vars)
         if np.any(deg_v == 0):
             raise ValidationError("every variable node needs at least one edge")
         self.checks, self.vars = _Side(deg_c), _Side(deg_v)
-        self.edge_var = self.checks.order(np.concatenate(rows))
-        self.vn_perm = self.vars.order(np.argsort(self.edge_var, kind="stable"))
-        self.vn_inv = np.argsort(self.vn_perm)
+        self.edge_var = self.checks.order(flat)
+        # a stable sort by variable: the keys var * E + edge are distinct
+        edges = np.arange(E)
+        self.vn_perm = self.vars.order(np.argsort(self.edge_var * E + edges))
+        self.vn_inv = np.empty_like(self.vn_perm)
+        self.vn_inv[self.vn_perm] = edges
+        self._buffers = None
         self.vn_type = (np.arange(code.n_vars) + vn_phase) % 2
         self.w, self.half = w, 1 << (w - 1)
         self.sum_cn = CN_VARIANTS[self.cn_variant] is not None   # a designed CN sums
@@ -339,6 +350,13 @@ class DecoderState:
                         encode(cn_in, vn_out))
                        for (ch, _, cn_out, vn_out), cn_in in zip(raw, next_in)]
 
+    def _scratch(self, size):
+        """The loop's intp index buffer and two message buffers, each of at
+        least ``size`` entries, kept on the state across decode calls."""
+        if self._buffers is None or self._buffers[0].size < size:
+            self._buffers = [np.empty(size, dtype=t) for t in (np.intp, self.dtype, self.dtype)]
+        return self._buffers
+
     def _parity_ok(self, hard):
         """Per frame, from (n_vars, frames) hard decisions: every check satisfied?"""
         edges = self.checks.view(np.take(hard, self.edge_var, axis=0))
@@ -368,7 +386,8 @@ def _flood(state, channel_msgs, max_iter):
 
     Each iteration writes both lookup indices, the check side's by the
     arithmetic of the module doc, into one intp buffer of edges x frames x
-    8 bytes per call, and its lookups into two message buffers and v2c.  A
+    8 bytes, and its lookups into two message buffers and v2c; the three
+    buffers are the state's (:meth:`DecoderState._scratch`).  A
     frame's bits, iteration count and ``ok`` are recorded at its first
     syndrome success; it is decoded on but never recorded again until
     _COMPACT_SHARE of the working set has finished and the set is compacted.
@@ -395,8 +414,8 @@ def _flood(state, channel_msgs, max_iter):
     live = np.ones(len(active), dtype=bool)
     u_ch = np.ascontiguousarray((ch[active] + state.half).astype(np.intp, copy=False).T)
     v2c = np.take(np.take(state.forward, u_ch), state.edge_var, axis=0)
-    # the index buffer and two message buffers, viewed at the working set's size
-    bufs = [np.empty(v2c.size, dtype=t) for t in (np.intp, state.dtype, state.dtype)]
+    # the state's index buffer and two message buffers, viewed at the working set's size
+    bufs = state._scratch(v2c.size)
     ch_tab = psi_ch = None
     for it in range(max_iter):
         tab_ch, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused

@@ -466,8 +466,13 @@ def _kept(results):
                key=lambda r: r.mi, default=None)
 
 
-def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranker=None):
+def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranker=None,
+                 anchors=None):
     """Steps ``grid[idx]`` of a stage's search, in order.
+
+    ``anchors``, if given, maps a grid index to the
+    :class:`quantizers.Anchors` of its threshold DP (a new one for an index
+    not yet in it).
 
     Returns ``(best, raised, caught)``: ``best`` the :func:`_kept` of the
     steps' StageResults, ``raised`` the ``(index, exception)`` of a step
@@ -491,7 +496,9 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranke
             spec, mi = design_uniform(q, cfg.w, wphi=cfg.wphi, kappa_search=kappa_search,
                                       delta=step)
         else:
-            spec, mi = design_nonuniform(q, cfg.w, delta=step, prune_tol=cfg.prune_tol)
+            spec, mi = design_nonuniform(
+                q, cfg.w, delta=step, prune_tol=cfg.prune_tol,
+                anchors=None if anchors is None else anchors.setdefault(i, quantizers.Anchors()))
         return StageResult(i, tables, spec, mi, q)
 
     best, raised, caught = None, None, []
@@ -506,7 +513,7 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranke
 
 
 def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
-                  kappa_search=False, rank=None, team=()):
+                  kappa_search=False, rank=None, team=(), anchors=None):
     """One designed node stage: tables at a step, evolution, quantizer.
 
     ``tables_at(step)`` builds the stage's translation tables at a step
@@ -527,6 +534,10 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     earlier step did, after the earlier steps' warnings.  The window's
     steps are not searched again with the rest of the grid, so their
     warnings are emitted once.
+
+    ``anchors``, if given, holds the threshold DP's anchors of this stage
+    by grid index (:func:`_stage_share`).  Only this process's share uses
+    them; a worker's share runs without.
 
     ``rank``, if given, is ``(ranker, eps)``: ``ranker(steps)`` maps an
     array of steps to their ranking MIs in one batch, each within ``eps``
@@ -549,7 +560,8 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
         args = (cfg, uniform, kappa_search, tables_at, evolve, grid)
         for j, worker in enumerate(team[:k - 1], 1):
             worker.send(*args, idx[j::k], ranker)
-        return [_stage_share(*args, idx[::k], ranker)] + [w.reply() for w in team[:k - 1]]
+        return ([_stage_share(*args, idx[::k], ranker, anchors)]
+                + [w.reply() for w in team[:k - 1]])
 
     def scan(idx):
         shares = split(idx)
@@ -580,11 +592,13 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     return best.tables, best.spec, best.mi, apply_quantizer(best.pmf, best.spec)
 
 
-def _design_iteration(cfg, t_ch, state, team):
+def _design_iteration(cfg, t_ch, state, team, anchors):
     """One iteration designed from the state the previous one left.
 
     ``state`` is ``(p_v2c, prev_cn_delta, prev_vn_delta)``: the VN output
-    PMF and the step sizes the designed nodes chose last.  Returns the
+    PMF and the step sizes the designed nodes chose last.  ``anchors`` maps
+    "cn" and "vn" to the stages' threshold-DP anchors by grid index; they
+    change how fast a stage is designed, never what.  Returns the
     iteration's record and the state it leaves.
     """
     p_v2c, prev_cn_delta, prev_vn_delta = state
@@ -611,7 +625,7 @@ def _design_iteration(cfg, t_ch, state, team):
             # pickles its function by name, which fails if a tracer rebinds ours
             partial(quantizers.round_translation_values, raw, wphi=cfg.wphi),
             partial(cn_evolve_comp, p_v2c, cfg.dc), prev_cn_delta,
-            kappa_search=True, rank=rank, team=team)
+            kappa_search=True, rank=rank, team=team, anchors=anchors["cn"])
         prev_cn_delta = rec.cn_quantizer.delta
 
     if cfg.vn_variant == "omsq":
@@ -628,7 +642,8 @@ def _design_iteration(cfg, t_ch, state, team):
         rec.vn_tables, rec.vn_quantizer, rec.mi_vn, p_v2c = _design_stage(
             cfg, uniform, saturation_delta(raws, cfg.wphi),
             partial(_vn_tables, *raws, cfg.wphi),
-            partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, rank=rank, team=team)
+            partial(vn_evolve, p_c2v, t_ch, cfg.dv), prev_vn_delta, rank=rank, team=team,
+            anchors=anchors["vn"])
         prev_vn_delta = rec.vn_quantizer.delta
     return rec, (p_v2c, prev_cn_delta, prev_vn_delta)
 
@@ -680,6 +695,9 @@ def design_decoder(cfg: EnsembleConfig):
     prev_mi_vn = None
     stall = 0
     dips = 0
+    # the threshold DP's anchors of this run, by stage and grid index: never
+    # part of the state, as they change no result
+    anchors = {"cn": {}, "vn": {}}
     # workers for the stages' step scans: only where a stage scans several
     # steps, and none inside a daemonic process (a threshold probe)
     kinds = {CN_VARIANTS[cfg.cn_variant], VN_VARIANTS[cfg.vn_variant]}
@@ -688,7 +706,7 @@ def design_decoder(cfg: EnsembleConfig):
     with workers.forked(_stage_share, spare) as team:
         for it in range(cfg.iterations):
             if cycle is None:
-                out, caught = _recorded(_design_iteration, cfg, t_ch, state, team)
+                out, caught = _recorded(_design_iteration, cfg, t_ch, state, team, anchors)
                 for message in caught:
                     warnings.warn(message, stacklevel=1)
                 if isinstance(out, Exception):

@@ -12,7 +12,9 @@ Two quantizer families act on symbol magnitudes of a symmetric joint PMF:
   with no boundary past m and an O(n) certificate (proof and rounding
   slack in :func:`design_nonuniform`) shows that the unrestricted DP
   would return the same thresholds and MI bit for bit: O(K * m**2 + n)
-  time when it holds, O(K * n**2) more when it does not;
+  time when it holds, O(K * n**2) more when it does not.  Across a
+  design's iterations, a second O(n) certificate reuses an earlier DP's
+  thresholds when the input has drifted less than that result's margin;
 * uniform shift-and-offset quantizers (add an offset, drop the r low bits,
   saturate), searched exhaustively: per step size, one vectorized pass
   scores every (shift r, offset kappa) pair; MI ties go to the smaller
@@ -297,13 +299,16 @@ def _folded_prune(mags, a, b, prune_tol, min_keep):
     return mags, a, b
 
 
-#: rows of the partition DP per block; a block's four buffers (rows x n
-#: floats each) stay in L2 while the scores are built and every layer of
-#: the DP runs over them
-_DP_BLOCK = 32
+#: rows of the partition DP per block.  A block's four buffers hold rows x
+#: m floats each, m the DP's (truncated) symbol count: about 560 at the
+#: paper point's CN and 210 at its VN, so 1.1 MiB and 0.4 MiB in all, which
+#: stay in a 2 MiB L2 while the scores are built and every layer runs over
+#: them.  Replaying the 3.0 dB comp/comp probe's DPs on one core, 48 to 64
+#: rows beat 32 by 2-11% and 96 rows lose again
+_DP_BLOCK = 64
 
 
-def _dp_layers(A, B, best, pick):
+def _dp_layers(A, B, best, pick, runner=None):
     """Layers 1.. of the partition DP, filled in place, bottom-up in blocks.
 
     ``A`` and ``B`` are the prefix sums of the folded masses; ``best[0]``
@@ -317,6 +322,14 @@ def _dp_layers(A, B, best, pick):
     is ((-0.0 + -0.0) - -0.0) + 0.0 = +0.0 either way.  Each DP layer then
     adds the previous layer to the scores in a freed buffer and takes the
     first maximum per row.
+
+    ``runner``, if given, is shaped as ``best`` with ``runner[0]`` = -inf
+    (one cell is one path) and is filled alongside it: runner[c, i] is the
+    larger of the best candidate of row i at any other boundary than the
+    picked one, and the picked cell's score plus runner[c - 1] there.  By
+    induction, and as float addition is monotone, no DP path from row i
+    but the picked one sums to more than runner[c, i]; this costs one
+    masked maximum per layer and block.
     """
     n = A.size - 1
     block = min(_DP_BLOCK, n)
@@ -351,6 +364,10 @@ def _dp_layers(A, B, best, pick):
             k = np.argmax(cand, axis=1)     # first max: smallest boundary
             best[c, lo:hi] = cand[rows[:h], k]
             pick[c, lo:hi] = k + (lo + 1)
+            if runner is not None:
+                own = G[rows[:h], k] + runner[c - 1, k + (lo + 1)]
+                cand[rows[:h], k] = -np.inf
+                np.maximum(cand.max(axis=1), own, out=runner[c, lo:hi])
 
 
 #: tail mass at or below which the partition search first runs with no
@@ -360,7 +377,7 @@ _TAIL_MASS = 1e-3
 _TAIL_SLACK = 1e-12
 
 
-def _partition_dp(A, B, K, m):
+def _partition_dp(A, B, K, m, runner=False):
     """Best partition of symbols 0..n-1 into K cells with every boundary
     in 1..m (m = n: no restriction), n = ``A.size`` - 1.
 
@@ -369,6 +386,11 @@ def _partition_dp(A, B, K, m):
     best[c, i] is the top score of symbols i..n-1 split into c + 1 cells
     (-inf if infeasible), pick[c, i] the start of its second cell.
     Returns ``(score, boundaries, best)``.
+
+    With ``runner`` set, as numpy's ``return_counts``, the DP keeps runners-up
+    (:func:`_dp_layers`) and returns ``(score, boundaries, best, gap)``:
+    no other path's float sum comes within ``gap`` of ``score`` (inf if
+    there is no other path).
     """
     n = A.size - 1
     best = np.empty((K - 1, m + 1))
@@ -376,23 +398,115 @@ def _partition_dp(A, B, K, m):
     best[0] = _cluster_scores(A[n] - A[:m + 1], B[n] - B[:m + 1])
     best[1:, m] = -np.inf      # no second cell starts past m
     best[0, n:] = -np.inf      # at m = n, the empty cell n..n-1
+    second = np.full((K - 1, m + 1), -np.inf) if runner else None
+    layers = functools.partial(_dp_layers, runner=second) if runner else _dp_layers
     # Layers 1..K-2, bottom-up in row blocks: row i of layer c reads layer
     # c-1 only at e > i, which a later block or an earlier layer of this
     # block has already filled in.
     if K > 2:
-        _dp_layers(A[:m + 1], B[:m + 1], best, pick)
+        layers(A[:m + 1], B[:m + 1], best, pick)
     # the last layer (K cells) is only needed at row 0
-    cand = _cluster_scores(A[1:m + 1] - A[0], B[1:m + 1] - B[0]) + best[K - 2, 1:]
+    first = _cluster_scores(A[1:m + 1] - A[0], B[1:m + 1] - B[0])
+    cand = first + best[K - 2, 1:]
     j = int(np.argmax(cand)) + 1
+    score = cand[j - 1]
     bounds = [j]
     for c in range(K - 2, 0, -1):
-        j = int(pick[c, j])
-        bounds.append(j)
-    return cand[bounds[0] - 1], bounds, best
+        bounds.append(int(pick[c, bounds[-1]]))
+    if not runner:
+        return score, bounds, best
+    cand[j - 1] = first[j - 1] + second[K - 2, j]
+    return score, bounds, best, score - cand.max()
+
+
+def _mi_shift(D, K):
+    """Largest change of the MI of a K-cell partition when its 2K cell
+    masses, all in [0, 1], move by D in l1: 4 D log2(2K/D), or inf where
+    D/K exceeds 1/e.
+
+    The MI is 2 sum_k h(a_k) + h(b_k) - h(a_k + b_k) + a_k + b_k, h(x) =
+    x log2 x, whose modulus of continuity on [0, 1] is w(d) = d log2(1/d)
+    for d <= 1/e.  By concavity of w, an l1 change D of the cell masses
+    moves the MI by at most 2 (2K w(D/2K) + K w(D/K) + D) = 4 D log2(2K/D).
+    """
+    if D == 0.0:
+        return 0.0
+    if not D / K <= 1 / math.e:
+        return math.inf
+    return 4 * D * math.log2(2 * K / D)
+
+
+def _path_score(A, B, bounds):
+    """The partition DP's float sum along ``bounds``: its cell scores added
+    in the DP's nesting order, the last cell first."""
+    edges = np.array([0] + list(bounds) + [A.size - 1])
+    cells = _cluster_scores(A[edges[1:]] - A[edges[:-1]], B[edges[1:]] - B[edges[:-1]])
+    score = cells[-1]
+    for s in cells[-2::-1]:
+        score = s + score
+    return score
+
+
+#: the margin a stage's phase is taken to have before its first anchor
+_FIRST_MARGIN = 1e-7
+
+
+class Anchors:
+    """The anchors of one threshold-DP stage over the iterations of one
+    design run, for the drift certificate of :func:`design_nonuniform`.
+
+    A design that settles into a period-2 cycle feeds the stage two
+    alternating inputs, so the store keeps two anchors, one per parity of
+    the call count: ``kept`` maps a parity to ``(mags, A, B, boundaries,
+    margin)``, and ``recent`` holds the ``(mags, A, B)`` of the last two
+    calls, oldest first.  ``certified`` counts the calls that reused an
+    anchor, ``built`` the anchors made.
+    """
+
+    def __init__(self):
+        self.kept = {}
+        self.recent = []
+        self.calls = self.certified = self.built = 0
+
+    def certify(self, mags, A, B, K):
+        """The boundaries of an anchor that provably stay optimal on the
+        prefix sums ``A``, ``B`` of the pruned alphabet ``mags``, or None."""
+        for mags0, A0, B0, bounds, margin in self.kept.values():
+            if len(bounds) == K - 1 and np.array_equal(mags, mags0):
+                if margin > _mi_shift(_drift(A, B, A0, B0), K) + _TAIL_SLACK:
+                    self.certified += 1
+                    return bounds
+        return None
+
+    def wants(self, mags, A, B, K):
+        """Whether a call that no anchor certified should make one: the
+        call two back had the same pruned alphabet, and four times the
+        drift from it stays inside the margin of this parity's last anchor
+        (``_FIRST_MARGIN`` if it has none).  A cycle's drift shrinks about
+        geometrically, so its later inputs then stay near the new anchor."""
+        if len(self.recent) < 2 or not np.array_equal(mags, self.recent[0][0]):
+            return False
+        margin = self.kept[self.calls % 2][4] if self.calls % 2 in self.kept else _FIRST_MARGIN
+        return _mi_shift(4 * _drift(A, B, *self.recent[0][1:]), K) < margin
+
+    def add(self, mags, A, B, bounds, margin):
+        self.kept[self.calls % 2] = mags, A, B, bounds, margin
+        self.built += 1
+
+    def remember(self, mags, A, B):
+        self.recent = self.recent[-1:] + [(mags, A, B)]
+        self.calls += 1
+
+
+def _drift(A, B, A0, B0):
+    """An upper bound on how far any partition's cell masses move in l1
+    between the prefix sums ``A0``, ``B0`` and ``A``, ``B``."""
+    D = np.abs(np.diff(A - A0)).sum() + np.abs(np.diff(B - B0)).sum()
+    return float(D) * (1.0 + (A.size - 1) * 2.0 ** -50)
 
 
 def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
-                      prune_tol: float = 1e-12):
+                      prune_tol: float = 1e-12, anchors: Anchors | None = None):
     """MI-optimal magnitude-threshold quantizer for a symmetric PMF.
 
     Dynamic programming over contiguous partitions of the magnitude axis
@@ -452,6 +566,48 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
       full DP has the truncated DP's value and maximizing boundaries, and
       it takes the same boundaries and the same score, ties included.
 
+    Drift certificate.  ``anchors``, an :class:`Anchors` kept by the caller
+    across similar inputs (one stage over a design's iterations), lets a
+    call skip the DP in O(n).  A DP that makes an anchor keeps runners-up
+    (:func:`_partition_dp`, 10-60% more time at the paper point) and stores the pruned
+    alphabet, the prefix sums A0, B0, its partition P0 and its margin M:
+    the smaller of the 2-best gap and, after a truncated run, the tail
+    certificate's gap R_K - (R_{K-1} + max g) - _TAIL_SLACK.  A later call
+    on the same pruned alphabet with no negative mass returns P0 if
+
+        M > _mi_shift(D) + _TAIL_SLACK,  _mi_shift(D) = 4 D log2(2K/D),
+
+    D the l1 drift of the masses measured on the prefix sums,
+    sum_j |(A - A0)[j+1] - (A - A0)[j]| + the same for B (:func:`_drift`),
+    with the score summed along P0 in the DP's order (:func:`_path_score`).
+    That is the DP's result, thresholds and MI bit for bit:
+
+    * Let F(P) be the float sum the DP forms along a partition P, which
+      the truncated and the full DP form alike, and E(P) the exact score
+      of P's cells, their masses the exact differences of the float prefix
+      sums (nonnegative and at most 1/2, as the masses are).  By the tail
+      certificate's second point |F - E| < 6.1e-14.  On the anchor's input
+      every other partition has F0(P0) - F0(P) >= M: inside 1..m as the
+      runners-up bound every other path's sum, past m as the tail
+      certificate bounds F0(P) by R_{K-1} + max g + _TAIL_SLACK.
+    * Exactly, a cell [i, e) of any partition moves by (A - A0)[e] -
+      (A - A0)[i] between the two inputs, and by the triangle inequality
+      along i..e the 2K cell masses move by at most D in l1.  So each
+      exact score, half the MI, moves by at most _mi_shift(D) / 2
+      (:func:`_mi_shift`; ``ranking._rank_tolerance`` step 6), and
+      E(P0) - E(P) >= M - 1.22e-13 - _mi_shift(D) on the new input.
+    * In floats, the new input's F(P0) - F(P) then exceeds M - 2.44e-13 -
+      _mi_shift(D), which is positive by the rule with 7.5e-13 to spare.
+      That covers the rounding of the rule itself: :func:`_drift` scales
+      its float sums by 1 + n 2**-50, above the relative error 4 (n + 1)
+      2**-53 of the differences and sums it takes, _mi_shift increases in
+      D, and the terms of the comparison round within 1e-15 of 1.
+    * Rounding is monotone, so the DP's value at each row is the largest
+      float sum of any path from it, and its score is F(P0).  Any boundary
+      where a first maximum could fall leads to a path of sum F(P0), which
+      only P0 has: the DP returns P0 and F(P0), the sum formed here by the
+      same operations on the same operands.
+
     Returns ``(QuantizerSpec, mutual_information_of_quantized_output)``.
     """
     if not p.symmetric:
@@ -466,17 +622,31 @@ def design_nonuniform(p: JointPMF, w: int, *, delta: float = 1.0,
     n = mags.size
     A = np.concatenate([[0.0], np.cumsum(a)])
     B = np.concatenate([[0.0], np.cumsum(b)])
-    m = max(int(np.argmax((A[n] - A) + (B[n] - B) <= _TAIL_MASS)), K)
-    if m >= n - 1 or min(a.min(), b.min()) < 0.0:     # no tail, or no proof
-        m = n
-    score, bounds, best = _partition_dp(A, B, K, m)
-    if m < n:
-        head = _cluster_scores(A[m + 1] - A[:m + 1], B[m + 1] - B[:m + 1])
-        tail = _cluster_scores(np.diff(A[m + 1:]), np.diff(B[m + 1:])).sum()
-        if not best[K - 2, 0] + np.max(head + tail - best[0]) + _TAIL_SLACK < score:
-            score, bounds, _ = _partition_dp(A, B, K, n)
+    signed = min(a.min(), b.min()) < 0.0     # no proof covers a negative mass
+    bounds = None if anchors is None or signed else anchors.certify(mags, A, B, K)
+    build = bounds is None and anchors is not None and not signed and anchors.wants(mags, A, B, K)
+    if bounds is not None:
+        score = _path_score(A, B, bounds)
+    else:
+        m = max(int(np.argmax((A[n] - A) + (B[n] - B) <= _TAIL_MASS)), K)
+        if m >= n - 1 or signed:        # no tail, or no proof
+            m = n
+        dp = functools.partial(_partition_dp, runner=True) if build else _partition_dp
+        score, bounds, best, *margin = dp(A, B, K, m)
+        if m < n:
+            head = _cluster_scores(A[m + 1] - A[:m + 1], B[m + 1] - B[:m + 1])
+            tail = _cluster_scores(np.diff(A[m + 1:]), np.diff(B[m + 1:])).sum()
+            bound = best[K - 2, 0] + np.max(head + tail - best[0])
+            if bound + _TAIL_SLACK < score:     # a margin over the tail's partitions too
+                margin = [min(margin + [score - bound - _TAIL_SLACK])]
+            else:
+                score, bounds, _, *margin = dp(A, B, K, n)
     if not math.isfinite(score):
         raise RuntimeError("partition search found no feasible solution")
+    if anchors is not None:
+        if build:
+            anchors.add(mags, A, B, bounds, margin[0])
+        anchors.remember(mags, A, B)
     thresholds = tuple(int(mags[e]) for e in bounds)
     spec = QuantizerSpec("non_uniform", w, delta=delta, thresholds=thresholds)
     return spec, float(2.0 * score)

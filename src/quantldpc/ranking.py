@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .quantizers import _uniform_grid, _uniform_scores, round_translation_steps
+from .quantizers import _mi_shift, _uniform_grid, _uniform_scores, round_translation_steps
 
 #: bytes the arrays of one block of ranked steps may take; a block is as
 #: many steps as fit, and at least one.  With 1 MiB the paper point's
@@ -182,11 +182,10 @@ def _rank_tolerance(n, L, K):
        of cumsum prefixes over at most L entries (each within L e / 2 for
        prefixes <= 1/2), so the 2K cell masses of both routes add 4.2 K L
        e.  With D the total, D = 2.03 (e_fft + e_chain) + 4.2 K L e.
-    6. MI.  A partition's MI is 2 sum_k h(a_k) + h(b_k) - h(a_k + b_k) +
-       a_k + b_k, h(x) = x log2 x, whose modulus of continuity on [0, 1]
-       is w(d) = d log2(1/d) for d <= 1/e.  By concavity of w, an l1
-       change D of the cell masses moves it by at most 2 (2K w(D/2K) + K
-       w(D/K) + D) = 4 D log2(2K/D).  Each route's own rounding of the
+    6. MI.  An l1 change D of a partition's cell masses moves its MI by
+       at most ``quantizers._mi_shift(D, K)`` = 4 D log2(2K/D), by the
+       continuity of x log2 x (proof there; the threshold DP's drift
+       certificate uses the same bound).  Each route's own rounding of the
        scores (three x log2 x terms and four sums per cell, then a sum of
        K) adds at most 32 K e.  The maximum over the same (r, kappa) pairs
        moves by no more than its largest term, so
@@ -199,7 +198,7 @@ def _rank_tolerance(n, L, K):
     and so does every step tying with s: verifying each step within 2 eps
     of M on the chain finds the first exact maximum of the whole scan.
     Returns inf, for a stage that then scans exactly, where n >= 100 or
-    D/K is outside the range of w.
+    D/K exceeds 1/e (where ``_mi_shift`` is inf).
     """
     e = float(np.finfo(float).eps)
     d = (L - 1) // n + 1
@@ -208,9 +207,9 @@ def _rank_tolerance(n, L, K):
     e_chain = 1.01 * (n - 1) * (d + 1) * e
     e_fft = math.sqrt(L) * (math.sqrt(2) * n * (1.01 * l * eta + 3 * e) + l * eta)
     D = 2.03 * (e_fft + e_chain) + 4.2 * K * L * e
-    if n >= 100 or not D / K <= 1 / math.e:
+    if n >= 100:
         return math.inf
-    return 4 * D * math.log2(2 * K / D) + 64 * K * e
+    return _mi_shift(D, K) + 64 * K * e
 
 
 def _stage_rank(cfg, n, span, masses, raws, kappa_search):

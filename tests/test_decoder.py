@@ -2,13 +2,14 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quantldpc import decoder
-from quantldpc.codes import ParityCheckMatrix, generate_regular_code
+from quantldpc.codes import ParityCheckMatrix, bundled_code, generate_regular_code
 from quantldpc.decoder import (
     DecoderState,
     cn_exact_llr,
@@ -915,6 +916,57 @@ def test_variable_without_edges_is_rejected(small_setup, n_vars, rows):
         decode_batch(ch, code, artifact, 1)
     with pytest.raises(ValidationError, match="at least one edge"):
         omsq_decode_batch(ch, code, 4, 0, 1)
+
+
+def sorted_layout(state, code):
+    """edge_var, vn_perm and vn_inv by the per-row arrays and stable sorts
+    the O(E) layout replaced."""
+    edge_var = state.checks.order(np.concatenate([np.asarray(r, dtype=np.intp)
+                                                  for r in code.row_adjacency]))
+    vn_perm = state.vars.order(np.argsort(edge_var, kind="stable"))
+    return edge_var, vn_perm, np.argsort(vn_perm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code=codes())
+def test_layout_equals_the_sorted_layout(code):
+    state = DecoderState.offset_min_sum(code, 3, 1)
+    for got, want in zip((state.edge_var, state.vn_perm, state.vn_inv),
+                         sorted_layout(state, code)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["dv3_dc6_n8000", "dv6_dc32_n2048"])
+def test_layout_of_the_bundled_codes(name):
+    code = bundled_code(name)
+    state = DecoderState.offset_min_sum(code, 4, 1)
+    for got, want in zip((state.edge_var, state.vn_perm, state.vn_inv),
+                         sorted_layout(state, code)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["comp", "min", "omsq"])
+def test_scratch_buffers_carry_nothing_between_calls(designed, variant):
+    # one state decodes batches of growing and shrinking sizes as fresh
+    # states do; its buffers are reused while they are large enough
+    code, arts = designed
+    art = arts[variant]
+    if variant == "omsq":
+        state = DecoderState.offset_min_sum(code, 4, art.config.beta)
+        run = partial(omsq_decode_batch, code=code, w=4, beta=art.config.beta, max_iter=8)
+        levels, zero = 7, True
+    else:
+        state = DecoderState(code, art)
+        run = partial(decode_batch, code=code, artifact=art, max_iter=8)
+        levels, zero = 8, False
+    kept = None
+    for seed, frames in enumerate((40, 8, 40, 1, 64, 3)):
+        msgs = random_frames(seed, frames, code.n_vars, levels, zero=zero)
+        assert_same(run(msgs, state=state), run(msgs))
+        if kept is not None and frames <= 40:
+            assert all(a is b for a, b in zip(state._buffers, kept))
+        kept = list(state._buffers)
+    assert kept[0].size > 40 * code.n_edges
 
 
 def test_states_are_tied_to_their_decoder(small_setup):

@@ -1594,6 +1594,37 @@ def test_replayed_iterations_re_emit_their_warnings(monkeypatch):
     assert sum(m.startswith("vn stage") for m in got[1]) == 150
 
 
+@pytest.mark.parametrize("cn,ebn0,calls,certified", [("comp", 3.0, 278, 100),
+                                                     ("min", 3.05, 150, 50)])
+def test_drift_certificate_leaves_the_cycling_probes_byte_identical(monkeypatch, cn, ebn0,
+                                                                    calls, certified):
+    # failing probes of the threshold benchmark at the paper point: a
+    # period-2 cycle whose floats keep drifting, so no state repeats and
+    # every iteration is designed.  Many late threshold DPs are certified
+    # from an anchor, and the outcome is that of a run whose certificate
+    # always misses.
+    cfg = paper_point(cn, "comp", ebn0)
+    certify, add = quantizers.Anchors.certify, quantizers.Anchors.add
+    tried, built = [], []
+
+    def counted_certify(self, *args):
+        out = certify(self, *args)
+        tried.append(out is not None)
+        return out
+
+    def counted_add(self, *args):
+        built.append(args[3])
+        return add(self, *args)
+
+    monkeypatch.setattr(quantizers.Anchors, "certify", counted_certify)
+    monkeypatch.setattr(quantizers.Anchors, "add", counted_add)
+    got = design_outcome(cfg)
+    assert len(tried) == calls and sum(tried) >= certified and 2 <= len(built) <= 12
+    monkeypatch.setattr(quantizers.Anchors, "certify", lambda self, *args: None)
+    assert got == design_outcome(cfg)
+    assert len(got[0][1]) == 150
+
+
 def test_state_key_tells_apart_every_part_of_the_state():
     # a cycle is declared only on an exact repeat of everything the next
     # iteration reads

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantldpc import quantizers
+from quantldpc import evolution, quantizers
 from quantldpc.evolution import EnsembleConfig, _design_stage, cn_evolve_comp, vn_evolve
 from quantldpc.pmf import (
     ChannelModel,
@@ -454,6 +454,217 @@ def test_tail_dp_edge_cases_on_both_paths(dp_runs, monkeypatch, w, case, path):
             spec, mi = design_nonuniform(p, w, prune_tol=0.0)
         assert (spec.thresholds, mi) == want
         assert dp_path(dp_runs, w) == expected
+
+
+@pytest.fixture
+def always_anchor(monkeypatch):
+    """Every call that no anchor certifies makes one."""
+    monkeypatch.setattr(quantizers.Anchors, "wants", lambda self, *args: True)
+
+
+def thresholds_mi(p, w, prune_tol, anchors=None):
+    """``design_nonuniform``'s thresholds and MI, as the dense DP gives them."""
+    spec, mi = design_nonuniform(p, w, prune_tol=prune_tol, anchors=anchors)
+    return spec.thresholds, mi
+
+
+def anchored(p, w, prune_tol):
+    """A fresh Anchors holding the anchor of one design of ``p``."""
+    anchors = quantizers.Anchors()
+    assert thresholds_mi(p, w, prune_tol, anchors) == thresholds_mi(p, w, prune_tol)
+    assert anchors.built == 1 and anchors.certified == 0
+    return anchors
+
+
+def drifted(rng, p, eps):
+    """``p`` with each folded mass scaled by 1 + eps * U(-1, 1), renormalized:
+    the same alphabet, moved by about eps / 2 in l1."""
+    _, a, b = p.fold_positive()
+    a = a * (1.0 + eps * rng.uniform(-1.0, 1.0, a.size))
+    b = b * (1.0 + eps * rng.uniform(-1.0, 1.0, b.size))
+    row0 = np.concatenate([b[::-1], a]) / (2 * (a.sum() + b.sum()))
+    return JointPMF(p.alphabet, np.vstack([row0, row0[::-1]]), llr_order=True,
+                    symmetric=True, mag_offset=p.mag_offset, values=p.values)
+
+
+@pytest.fixture(scope="module")
+def recorded_dp_inputs():
+    """The threshold DP inputs of a 12-iteration comp/comp design at the
+    paper point (CN sums and VN outputs, alternating)."""
+    cfg = EnsembleConfig(dc=32, dv=6, w=4, wphi=8, iterations=12, cn_variant="comp",
+                         vn_variant="comp", design_ebn0_db=3.0, rate=0.841)
+    seen = []
+
+    def spy(p, w, **kw):
+        seen.append(p)
+        return design_nonuniform(p, w, **kw)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(evolution, "design_nonuniform", spy)
+        warnings.simplefilter("ignore", RuntimeWarning)
+        evolution.design_decoder(cfg)
+    return seen
+
+
+def test_drift_certificate_fuzz_against_the_dense_dp(always_anchor, recorded_dp_inputs):
+    # each anchored input is moved by l1 amounts from far inside to far
+    # outside its certificate; every certified call must be the dense DP's
+    # result, and both outcomes must occur many times
+    rng = np.random.default_rng(22)
+    inputs = [("recorded", p, 4, 1e-12) for p in recorded_dp_inputs[-6:]]
+    inputs += [("random", p, w, float(rng.choice([0.0, 1e-12])))
+               for p, w in (fuzz_pmf(rng) for _ in range(60))]
+    outcomes = collections.Counter()
+    for kind, p, w, prune_tol in inputs:
+        anchors = anchored(p, w, prune_tol)
+        for eps in 10.0 ** rng.uniform(-15.0, -4.0, 6):
+            q = drifted(rng, p, eps)
+            before = anchors.certified
+            got = thresholds_mi(q, w, prune_tol, anchors)
+            certified = anchors.certified > before
+            outcomes[kind, certified] += 1
+            if certified:
+                assert got == dense_design_nonuniform(q, w, prune_tol)
+            assert got == thresholds_mi(q, w, prune_tol)
+    assert min(outcomes["recorded", True], outcomes["recorded", False]) >= 10, outcomes
+    assert min(outcomes["random", True], outcomes["random", False]) >= 80, outcomes
+
+
+def test_drift_certificate_accepts_only_inside_its_margin(always_anchor, recorded_dp_inputs):
+    # on a recorded CN sum: a drift whose bound fits the anchor's margin is
+    # certified, one that does not is recomputed, and the margin is the DP's
+    # 2-best gap against an explicit second-best search
+    p = recorded_dp_inputs[-2]
+    anchors = anchored(p, 4, 1e-12)
+    (mags0, A0, B0, bounds, margin), = anchors.kept.values()
+    assert 0.0 < margin < 1e-6
+    rng = np.random.default_rng(5)
+    for eps, certified in ((1e-14, True), (1e-4, False)):
+        q = drifted(rng, p, eps)
+        mags, a, b = _folded_prune(*q.fold_positive(), 1e-12, 8)
+        A, B = np.concatenate([[0.0], np.cumsum(a)]), np.concatenate([[0.0], np.cumsum(b)])
+        D = quantizers._drift(A, B, A0, B0)
+        assert (quantizers._mi_shift(D, 8) + quantizers._TAIL_SLACK < margin) == certified
+        assert (anchors.certify(mags, A, B, 8) is not None) == certified
+
+
+def test_runner_up_gap_equals_the_enumerated_second_best():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        w = int(rng.integers(2, 4))
+        K = 1 << (w - 1)
+        p = random_symmetric_pmf(rng, int(rng.integers(K, 11)), concentrated=bool(rng.integers(2)))
+        _, a, b = p.fold_positive()
+        A, B = np.concatenate([[0.0], np.cumsum(a)]), np.concatenate([[0.0], np.cumsum(b)])
+        sums = sorted((quantizers._path_score(A, B, list(c))
+                       for c in itertools.combinations(range(1, a.size), K - 1)), reverse=True)
+        score, bounds, _, gap = quantizers._partition_dp(A, B, K, a.size, runner=True)
+        assert score == sums[0] == quantizers._path_score(A, B, bounds)
+        assert gap == (sums[0] - sums[1] if len(sums) > 1 else math.inf)
+
+
+def test_near_ties_and_changed_alphabets_are_never_certified(always_anchor):
+    # a tie (two zero-mass symbols between the cells) has margin 0, so not
+    # even its own input is certified
+    a = np.array([0.02, 0.0, 0.0, 0.30, 0.1])
+    b = np.array([0.08, 0.0, 0.0, 0.10, 0.01])
+    tie = folded_pmf(a, b)
+    anchors = anchored(tie, 2, 0.0)
+    assert anchors.kept[0][4] == 0.0
+    assert thresholds_mi(tie, 2, 0.0, anchors) == dense_design_nonuniform(tie, 2, 0.0)
+    assert anchors.certified == 0
+    # a pruned alphabet that gains or loses a symbol, another width, and a
+    # negative mass are never certified, however small the drift
+    k = np.arange(120)
+    frac = 1.0 - 0.5 * np.exp(-k / 20.0)
+    base = 0.8 ** k
+    p = folded_pmf(base * frac, base * (1.0 - frac))
+    anchors = anchored(p, 3, 1e-12)
+    assert thresholds_mi(p, 3, 1e-12, anchors) == dense_design_nonuniform(p, 3, 1e-12)
+    assert anchors.certified == 1       # the anchor's own input
+    n = _folded_prune(*p.fold_positive(), 1e-12, 4)[0].size
+    for raw in (np.where(k == n, base * 1e3, base), np.where(k == n - 1, 0.0, base)):
+        q = folded_pmf(raw * frac, raw * (1.0 - frac))
+        assert _folded_prune(*q.fold_positive(), 1e-12, 4)[0].size != n
+        assert thresholds_mi(q, 3, 1e-12, anchors) == dense_design_nonuniform(q, 3, 1e-12)
+    assert thresholds_mi(p, 4, 1e-12, anchors) == dense_design_nonuniform(p, 4, 1e-12)
+    assert anchors.certified == 1
+    # without pruning, a drift of 1e-17 is certified, unless it is a
+    # negative mass
+    anchors = anchored(p, 3, 0.0)
+    for mass, certified in ((1e-17, 1), (-1e-17, 0)):
+        q = folded_pmf(np.where(k == 100, mass, base) * frac, base * (1.0 - frac))
+        before = anchors.certified
+        assert thresholds_mi(q, 3, 0.0, anchors) == dense_design_nonuniform(q, 3, 0.0)
+        assert anchors.certified - before == certified
+
+
+def test_two_phases_with_the_same_thresholds_keep_an_anchor_each():
+    # a period-2 cycle whose two inputs quantize alike but lie far apart:
+    # each parity of the call count keeps its own anchor, built once the
+    # input repeats the one two calls back, and both phases are certified
+    rng = np.random.default_rng(8)
+    base = random_symmetric_pmf(rng, 40)
+    phases = base, drifted(rng, base, 1e-3)
+    assert thresholds_mi(phases[0], 3, 1e-12)[0] == thresholds_mi(phases[1], 3, 1e-12)[0]
+    anchors = quantizers.Anchors()
+    for t in range(12):
+        p = drifted(rng, phases[t % 2], 1e-12 * 0.5 ** t)
+        assert thresholds_mi(p, 3, 1e-12, anchors) == thresholds_mi(p, 3, 1e-12)
+    assert (anchors.built, anchors.certified) == (2, 8)
+
+
+def test_same_masses_on_another_alphabet_and_margins_within_the_slack_are_not_certified():
+    rng = np.random.default_rng(4)
+    p = random_symmetric_pmf(rng, 30)
+    mags, a, b = p.fold_positive()
+    A, B = np.concatenate([[0.0], np.cumsum(a)]), np.concatenate([[0.0], np.cumsum(b)])
+    anchors = quantizers.Anchors()
+    for margin in (0.9, 1.1):
+        anchors.kept = {0: (mags, A, B, [5, 10, 20], margin * quantizers._TAIL_SLACK)}
+        assert (anchors.certify(mags, A, B, 4) is not None) == (margin > 1)
+        assert anchors.certify(mags * 2, A, B, 4) is None
+        assert anchors.certify(mags, A, B, 8) is None
+
+
+def test_anchor_margin_bounds_the_gap_to_every_partition(always_anchor):
+    # after a certified tail DP the margin must also cover the partitions
+    # with a boundary past m, which its runners-up never saw: it may not
+    # exceed the full DP's own 2-best gap
+    rng = np.random.default_rng(12)
+    truncated = 0
+    for _ in range(400):
+        p, w = fuzz_pmf(rng)
+        K = 1 << (w - 1)
+        anchors = anchored(p, w, 0.0)
+        (mags, A, B, bounds, margin), = anchors.kept.values()
+        score, full, _, gap = quantizers._partition_dp(A, B, K, A.size - 1, runner=True)
+        assert full == bounds and margin <= gap
+        m = max(int(np.argmax((A[-1] - A) + (B[-1] - B) <= quantizers._TAIL_MASS)), K)
+        truncated += m < A.size - 2
+    assert truncated >= 100
+
+
+def test_drift_bounds_the_l1_change_of_the_masses():
+    # dyadic masses make every prefix sum exact: the drift is the l1 change
+    # of the masses, scaled up by 1 + n 2**-50, even where it alternates in
+    # sign and the prefix sums hardly move
+    rng = np.random.default_rng(6)
+    n = 200
+    a0 = rng.integers(1, 1 << 20, n) * 2.0 ** -30
+    b0 = rng.integers(1, 1 << 20, n) * 2.0 ** -30
+    step = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 2.0 ** -30
+    for a, b in ((a0 + step, b0), (a0, b0 - step), (a0 + 3 * step, b0 + step)):
+        cums = [np.concatenate([[0.0], np.cumsum(x)]) for x in (a, b, a0, b0)]
+        l1 = np.abs(a - a0).sum() + np.abs(b - b0).sum()
+        assert quantizers._drift(*cums) == l1 * (1.0 + n * 2.0 ** -50) > l1
+
+
+def test_mi_shift_is_the_rank_tolerance_bound():
+    assert quantizers._mi_shift(0.0, 8) == 0.0
+    assert quantizers._mi_shift(1e-9, 8) == 4 * 1e-9 * math.log2(16 / 1e-9)
+    assert quantizers._mi_shift(8 / math.e * 1.0001, 8) == math.inf
+    assert quantizers._mi_shift(math.nan, 8) == math.inf
 
 
 def test_nonuniform_requires_symmetric_ordered_input():
