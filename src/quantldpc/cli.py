@@ -58,6 +58,14 @@ def _config(args) -> EnsembleConfig:
         uniform_warm_window=args.warm_window, beta=args.beta)
 
 
+def _snrs(text):
+    """The numbers of an ``--snr`` comma list."""
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"--snr must be a comma list of numbers, not {text!r}") from None
+
+
 def _trajectory_rows(artifact):
     rows = ["iteration,mi_cn,mi_vn,delta_cn,delta_vn,r,kappa"]
     for i, rec in enumerate(artifact.per_iteration):
@@ -93,7 +101,7 @@ def run_design(args):
 def run_evolve(args):
     cfg = _config(args)
     if args.bisect:
-        window = tuple(float(s) for s in args.snr.split(","))
+        window = _snrs(args.snr)
         if len(window) != 2:
             raise ValidationError("--snr must be 'lo,hi' for --bisect")
         res = de_threshold(cfg, args.target_mi, window)
@@ -118,12 +126,12 @@ def run_evolve(args):
 def run_simulate(args, parser):
     if args.frames < 1:
         parser.error("--frames must be positive")
+    snrs = _snrs(args.snr)
     code = _load_code(args, parser)
     if args.artifact:
         artifact = DesignArtifact.load(args.artifact)
     else:
         artifact, _ = design_decoder(_config(args))
-    snrs = [float(s) for s in args.snr.split(",")]
     points = sweep(code, artifact, snrs,
                    stop={"max_frames": args.frames,
                          "target_frame_errors": args.target_errors},

@@ -102,8 +102,9 @@ class EnsembleConfig:
             raise ValidationError("variable degree must be at least 1")
         if not (2 <= self.w <= self.wphi):
             raise ValidationError("need 2 <= w <= wphi")
-        if self.iterations < 0:
-            raise ValidationError("iterations must be nonnegative")
+        for name in ("iterations", "delta_search_points", "uniform_warm_window"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be nonnegative")
         if self.cn_variant not in CN_VARIANTS:
             raise ValidationError(f"unknown cn_variant {self.cn_variant!r}")
         if self.vn_variant not in VN_VARIANTS:
@@ -112,8 +113,6 @@ class EnsembleConfig:
             raise ValidationError("the omsq baseline fixes both node variants together")
         if self.uniform_grid_points < 2:
             raise ValidationError("uniform_grid_points must be at least 2")
-        if self.uniform_warm_window < 0:
-            raise ValidationError("uniform_warm_window must be nonnegative")
         # a symmetric PMF's positive half holds mass 0.5, all pruned from 0.5 up
         if not 0.0 <= self.prune_tol < 0.5:
             raise ValidationError(f"prune_tol must lie in [0, 0.5), not {self.prune_tol!r}")
@@ -437,18 +436,6 @@ def _vn_tables(raw_ch, raw_c, wphi, step):
             "phi_c": round_translation_values(raw_c, step, wphi)}
 
 
-def _recorded(fn, *args):
-    """``(fn(*args), messages)``, or ``(exception, messages)`` if it raised:
-    the messages of every warning it gave, none of them shown."""
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        try:
-            out = fn(*args)
-        except Exception as exc:
-            out = exc
-    return out, [w.message for w in log]
-
-
 @dataclass(frozen=True)
 class StageResult:
     """One evaluated step of a stage search; ``pmf`` is what ``spec`` quantizes."""
@@ -474,20 +461,19 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranke
     :class:`quantizers.Anchors` of its threshold DP (a new one for an index
     not yet in it).
 
-    Returns ``(best, raised, caught)``: ``best`` the :func:`_kept` of the
-    steps' StageResults, ``raised`` the ``(index, exception)`` of a step
-    that raised, which ends the share, and ``caught`` the ``(index,
-    warning)`` of every warning a step gave, each index a grid index.
+    Returns ``(best, steps)``: ``best`` the :func:`_kept` of the steps'
+    StageResults, ``steps`` the ``(grid index, workers.Report)`` of each
+    step, its value the exception it raised (which ends the share) or None.
 
     With ``ranker`` set it returns ``ranker(grid[idx])`` instead: the
     ranking MI of each of those steps, from one batch.  If the ranker
     warned or raised, every one of them is nan, to be evaluated exactly.
     """
     if ranker is not None:
-        mi, log = _recorded(ranker, grid[idx])
-        if log or isinstance(mi, Exception):
+        ranked = workers.recorded(ranker, grid[idx])
+        if ranked.warned or isinstance(ranked.value, Exception):
             return np.full(len(idx), math.nan)
-        return np.asarray(mi, dtype=np.float64)
+        return np.asarray(ranked.value, dtype=np.float64)
 
     def design(i, step):
         tables = tables_at(step)
@@ -501,15 +487,14 @@ def _stage_share(cfg, uniform, kappa_search, tables_at, evolve, grid, idx, ranke
                 anchors=None if anchors is None else anchors.setdefault(i, quantizers.Anchors()))
         return StageResult(i, tables, spec, mi, q)
 
-    best, raised, caught = None, None, []
+    best, steps = None, []
     for i in idx.tolist():
-        out, log = _recorded(design, i, float(grid[i]))
-        caught += [(i, message) for message in log]
-        if isinstance(out, Exception):
-            raised = i, out
-            break
-        best = _kept([best, out])
-    return best, raised, caught
+        step = workers.recorded(design, i, float(grid[i]))
+        if isinstance(step.value, Exception):
+            return best, steps + [(i, step)]
+        best = _kept([best, step.value])
+        steps.append((i, workers.Report(None, step.warned)))
+    return best, steps
 
 
 def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
@@ -529,11 +514,8 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     A search of k > 1 steps is split over this process and up to k - 1
     workers of ``team`` (:func:`_stage_share`): share j receives the
     indices j, j + k, ... of the search, so every share gets small steps,
-    whose saturated tables evolve the longest.  The steps' warnings are
-    re-emitted in step order, and a step that raised raises here if no
-    earlier step did, after the earlier steps' warnings.  The window's
-    steps are not searched again with the rest of the grid, so their
-    warnings are emitted once.
+    whose saturated tables evolve the longest.  The steps' reports are
+    replayed in grid-index order (:func:`workers.replayed`).
 
     ``anchors``, if given, holds the threshold DP's anchors of this stage
     by grid index (:func:`_stage_share`).  Only this process's share uses
@@ -558,22 +540,14 @@ def _design_stage(cfg, uniform, dstar, tables_at, evolve, prev_delta, *,
     def split(idx, ranker=None):
         k = min(len(team) + 1, len(idx))
         args = (cfg, uniform, kappa_search, tables_at, evolve, grid)
-        for j, worker in enumerate(team[:k - 1], 1):
-            worker.send(*args, idx[j::k], ranker)
-        return ([_stage_share(*args, idx[::k], ranker, anchors)]
-                + [w.reply() for w in team[:k - 1]])
+        return workers.replayed(workers.spread(_stage_share, team, [
+            (*args, idx[j::k], ranker, None if j else anchors) for j in range(k)]))
 
     def scan(idx):
         shares = split(idx)
-        raised = min((r for _, r, _ in shares if r), key=lambda r: r[0], default=None)
-        last = grid.size if raised is None else raised[0]
-        caught = sorted((c for _, _, cs in shares for c in cs), key=lambda c: c[0])
-        for i, message in caught:
-            if i <= last:
-                warnings.warn(message, stacklevel=1)
-        if raised:
-            raise raised[1]
-        return _kept(best for best, _, _ in shares)
+        steps = sorted((step for _, share in shares for step in share), key=lambda s: s[0])
+        workers.replayed([report for _, report in steps])
+        return _kept(best for best, _ in shares)
 
     def search(idx):
         if rank is not None and len(idx) > 1:
@@ -673,9 +647,9 @@ def design_decoder(cfg: EnsembleConfig):
     design has entered a cycle, and iterations t+1, t+2, ... would design
     records s+1, s+2, ... again bit for bit.  The loop then stops designing
     and replays records s+1..t periodically up to ``cfg.iterations``,
-    running the same early-stop and stall rules on them and re-emitting
-    each replayed iteration's warnings; the artifact, trajectory and
-    warnings are those of designing every iteration.  The artifact of a
+    running the same early-stop and stall rules on them and replaying each
+    iteration's report (:func:`workers.replayed`); the artifact, trajectory
+    and warnings are those of designing every iteration.  The artifact of a
     cycling design therefore holds replayed copies of records.
     """
     fine = awgn_llr_pmf(cfg.channel_model())
@@ -689,7 +663,7 @@ def design_decoder(cfg: EnsembleConfig):
     trajectory = []
 
     state = (t_ch, None, None)
-    designed = []       # (record, warnings) of every designed iteration
+    designed = []       # Report(record, warnings) of every designed iteration
     seen = {}           # state key -> index of the iteration designed from it
     cycle = None        # index of the first record of the cycle, once found
     prev_mi_vn = None
@@ -706,23 +680,17 @@ def design_decoder(cfg: EnsembleConfig):
     with workers.forked(_stage_share, spare) as team:
         for it in range(cfg.iterations):
             if cycle is None:
-                out, caught = _recorded(_design_iteration, cfg, t_ch, state, team, anchors)
-                for message in caught:
-                    warnings.warn(message, stacklevel=1)
-                if isinstance(out, Exception):
-                    raise out
-                rec, state = out
-                designed.append((rec, caught))
+                out = workers.recorded(_design_iteration, cfg, t_ch, state, team, anchors)
+                [(rec, state)] = workers.replayed([out])
+                designed.append(workers.Report(rec, out.warned))
                 key = _state_key(state)
                 cycle = seen.get(key)
                 seen[key] = it + 1
             else:
-                rec, caught = designed[cycle + (it - cycle) % (len(designed) - cycle)]
-                rec = replace(rec)
-                for message in caught:
-                    warnings.warn(message, stacklevel=1)
+                report = designed[cycle + (it - cycle) % (len(designed) - cycle)]
+                [rec] = workers.replayed([report])
 
-            artifact.per_iteration.append(rec)
+            artifact.per_iteration.append(replace(rec))
             trajectory.append((rec.mi_cn, rec.mi_vn))
 
             if prev_mi_vn is not None and rec.mi_vn < prev_mi_vn - 1e-9:
@@ -821,14 +789,15 @@ def _speculate(lo, hi, resolution, verdicts):
 
 def _speculative_bisection(lo, hi, resolution, idle, ready):
     """The bisection with its probes on the ``idle`` workers and ``ready``
-    of :mod:`quantldpc.workers`, which reply with :func:`_probe`'s result.
+    of :mod:`quantldpc.workers`, which reply with :func:`_probe`'s report.
 
     Each idle worker takes the first SNR of :func:`_speculate` that is
     neither known nor running; a verdict off the decision path is kept but
     never used.  With one worker the probes run in the sequential order.
     """
-    verdicts, caught, running = {}, {}, {}
+    reports, running = {}, {}
     while True:
+        verdicts = {s: report.value for s, report in reports.items()}
         path, snr, outcome = _replay(lo, hi, resolution, verdicts)
         if snr is None or snr in verdicts:
             break
@@ -840,26 +809,19 @@ def _speculative_bisection(lo, hi, resolution, idle, ready):
                 worker.send(s)
                 running[worker] = s
         for worker in ready(list(running)):
-            s = running.pop(worker)
-            verdicts[s], caught[s] = worker.reply()
+            reports[running.pop(worker)] = worker.reply()
             idle.append(worker)
-    for s in path:
-        for message in caught[s]:
-            warnings.warn(message, stacklevel=1)
     if snr is not None:
-        raise verdicts[snr]
+        path.append(snr)        # its probe raised: replaying the path raises it
+    decided = workers.replayed([reports[s] for s in path])
     status, snr_db = outcome
-    return ThresholdResult(snr_db, status, tuple((s, verdicts[s]) for s in path))
+    return ThresholdResult(snr_db, status, tuple(zip(path, decided)))
 
 
 def _probe(cfg, snr, target_mi):
-    """One probe: does the design at ``snr`` reach ``target_mi``?  Returns
-    (verdict, the design's warnings), or (exception, []) if it raised."""
-    out, caught = _recorded(design_decoder, replace(cfg, design_ebn0_db=snr))
-    if isinstance(out, Exception):
-        return out, []
-    traj = out[1]
-    return bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi, caught
+    """One probe: does the design at ``snr`` reach ``target_mi``?"""
+    traj = design_decoder(replace(cfg, design_ebn0_db=snr))[1]
+    return bool(traj) and max(mi_vn for _, mi_vn in traj) >= target_mi
 
 
 def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
@@ -875,11 +837,8 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     :mod:`quantldpc.workers` run them ahead: while the probe the search
     needs runs, idle workers run the probes it may need next under either
     verdict.  The result is that of the sequential search: ``probes``
-    holds the decision path only, its probes' warnings are re-emitted here
-    in decision order, and an exception from a probe is raised only if the
-    decision path reaches it (one raised by a probe off the path is
-    dropped, as the sequential search never ran it; the warnings a probe
-    gave before raising are lost).
+    holds the decision path only, whose reports alone are replayed here
+    (:func:`workers.replayed`), as the sequential search never ran the rest.
     """
     lo, hi = float(snr_window[0]), float(snr_window[1])
     resolution = float(resolution_db)

@@ -187,10 +187,8 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
             count = min(_CHUNK, max_frames - frames)
             k = min(len(team) + 1, count)
             bounds = [frames + count * i // k for i in range(k + 1)]
-            for worker, lo, hi in zip(team, bounds[1:], bounds[2:]):
-                worker.send(lo, hi - lo)
-            parts = [decode_range(bounds[0], bounds[1] - bounds[0])]
-            parts += [worker.reply() for worker in team[:k - 1]]
+            parts = workers.replayed(workers.spread(
+                decode_range, team, [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]))
             errs, iters = (np.concatenate(p) for p in zip(*parts))
             bit_errors += int(errs.sum())
             frame_errors += int((errs > 0).sum())

@@ -2,8 +2,8 @@
 
 :func:`forked` forks ``n`` workers (``fork`` start method, POSIX only)
 that inherit the caller's state and serve ``fn`` over one pipe each:
-``send(*args)`` runs ``fn(*args)``, ``reply()`` returns its result or
-raises its exception, and :func:`ready` waits for a busy worker's reply.
+``send(*args)`` runs ``fn(*args)``, ``reply()`` returns its
+:class:`Report`, and :func:`ready` waits for a busy worker's reply.
 A worker that dies reads as EOF and raises RuntimeError with its exit
 code.  On exit each worker is sent ``None``, joined within :data:`GRACE_S`
 seconds and then terminated, so none outlives the call.  A daemonic
@@ -14,7 +14,9 @@ rather do the work itself there asks :func:`can_fork` first.
 
 import os
 import time
+import warnings
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from functools import partial
 
 #: worker count of every parallel path: one per usable core, at most 8 (a
@@ -25,14 +27,50 @@ WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 GRACE_S = 1.0
 
 
+@dataclass(frozen=True)
+class Report:
+    """A unit of work's result or raised exception, and its unshown warnings."""
+
+    value: object
+    warned: tuple = ()
+
+
+def recorded(fn, *args):
+    """The :class:`Report` of ``fn(*args)``."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except Exception as exc:
+            value = exc
+    return Report(value, tuple(w.message for w in log))
+
+
+def replayed(reports):
+    """The values of a list of reports, as if their work ran here in turn:
+    each report's warnings are emitted, and the first exception raised after them."""
+    for report in reports:
+        for message in report.warned:
+            warnings.warn(message, stacklevel=1)
+        if isinstance(report.value, Exception):
+            raise report.value
+    return [report.value for report in reports]
+
+
+def spread(fn, team, requests):
+    """Reports of ``fn(*args)`` for each ``args`` of ``requests``, in order, each
+    but the first from its own worker of ``team``.  The first runs here, called
+    directly: its warnings show as given, and its exception leaves at once."""
+    busy = team[:len(requests) - 1]
+    for worker, args in zip(busy, requests[1:]):
+        worker.send(*args)
+    return [Report(fn(*requests[0]))] + [w.reply() for w in busy]
+
+
 def _serve(conn, fn):
     """A worker's request loop, until it receives None."""
     while (args := conn.recv()) is not None:
-        try:
-            reply = True, fn(*args)
-        except Exception as exc:    # raised by the caller's reply()
-            reply = False, exc
-        conn.send(reply)
+        conn.send(recorded(fn, *args))
 
 
 class _Forked:
@@ -47,14 +85,11 @@ class _Forked:
 
     def reply(self):
         try:
-            ok, value = self.conn.recv()
+            return self.conn.recv()
         except EOFError:
             self.proc.join(GRACE_S)
             raise RuntimeError(f"worker {self.proc.pid} exited "
                                f"(exit code {self.proc.exitcode})") from None
-        if not ok:
-            raise value
-        return value
 
 
 class _InProcess:
@@ -64,7 +99,7 @@ class _InProcess:
         self.fn = fn
 
     def send(self, *args):
-        self.reply = partial(self.fn, *args)
+        self.reply = partial(recorded, self.fn, *args)
 
 
 def ready(busy):

@@ -170,6 +170,25 @@ def test_design_rejects_a_nan_prune_tol(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,snr", [("evolve", "1,x"), ("evolve", ""),
+                                         ("simulate", "3.0,x"), ("simulate", "")])
+def test_a_malformed_snr_list_is_a_usage_error(tmp_path, capsys, command, snr):
+    # float() raised a ValueError that main did not catch: a traceback
+    extra = ["--bisect"] if command == "evolve" else ["--gen-n", "96"]
+    assert main([command, *DESIGN, *extra, f"--snr={snr}",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: --snr must be a comma list of numbers, not {snr!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["design", "evolve"])
+def test_a_negative_delta_search_is_an_error(tmp_path, capsys, command):
+    # it used to be accepted and act as 0
+    assert main([command, *DESIGN, "--delta-search", "-3", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: delta_search_points must be nonnegative")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("comp-uni", "comp-uni"),
                                    ("omsq", "omsq")])
 def test_simulate_a_saved_artifact_equals_designing_in_place(tmp_path, cn, vn):

@@ -588,6 +588,18 @@ def test_artifact_load_rejects_a_channel_the_config_cannot_model(loaded_pairs, f
         base_cfg(**{field: float(value) if isinstance(value, str) else value})
 
 
+@pytest.mark.parametrize("points", [-1, -4])
+def test_config_and_loading_reject_a_negative_delta_search(loaded_pairs, points):
+    # a negative count used to validate and act as 0, the saturation step
+    with pytest.raises(ValidationError, match="delta_search_points must be nonnegative"):
+        base_cfg(delta_search_points=points)
+    art = loaded_pairs["comp", "comp"]
+    with pytest.raises(ValidationError, match="delta_search_points must be nonnegative"):
+        DesignArtifact.from_json(_edited(art, lambda t: t["config"].update(
+            delta_search_points=points)))
+    assert base_cfg(delta_search_points=0).delta_search_points == 0
+
+
 def _edges(edit):
     """An edit of the tree that replaces its channel edges ``e`` by ``edit(e)``."""
     return lambda tree: tree.update(channel_edges_llr=edit(tree["channel_edges_llr"]))
@@ -804,7 +816,8 @@ def seq_de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
 
 class FakeWorker:
     """In-process stand-in for a forked probe worker: it runs its probe when
-    its reply is read."""
+    its reply is read, and replies with the probe's report as a real worker
+    does."""
 
     def __init__(self, probe):
         self.probe = probe
@@ -816,7 +829,7 @@ class FakeWorker:
 
     def reply(self):
         args, self.args = self.args, None
-        return self.probe(*args)
+        return workers.recorded(self.probe, *args)
 
 
 def fake_worker_threshold(cfg, target_mi, window, resolution, workers, pick=lambda n: 0):
@@ -830,18 +843,24 @@ def fake_worker_threshold(cfg, target_mi, window, resolution, workers, pick=lamb
 
 
 class FakeDesign:
-    """design_decoder stand-in: a verdict, an error and a warning per SNR."""
+    """design_decoder stand-in: a verdict, an error and a warning per SNR.
+    With ``warn_first`` a probe warns before it errors, else only if it
+    does not error."""
 
-    def __init__(self, verdict, error=lambda snr: False, warn=lambda snr: False):
+    def __init__(self, verdict, error=lambda snr: False, warn=lambda snr: False,
+                 warn_first=False):
         self.verdict, self.error, self.warn = verdict, error, warn
+        self.warn_first = warn_first
         self.calls = []
 
     def __call__(self, cfg):
         snr = cfg.design_ebn0_db
         self.calls.append(snr)
+        if self.warn_first and self.warn(snr):
+            warnings.warn(f"probe at {snr!r}", RuntimeWarning)
         if self.error(snr):
             raise ValidationError(f"probe at {snr!r} failed")
-        if self.warn(snr):
+        if not self.warn_first and self.warn(snr):
             warnings.warn(f"probe at {snr!r}", RuntimeWarning)
         return None, [(0.5, 1.0 if self.verdict(snr) else 0.5)]
 
@@ -874,7 +893,7 @@ def fake_designs(draw):
         verdict = lambda snr, ok=kind == "all_converge": ok  # noqa: E731
     p_err = draw(st.sampled_from([0.0, 0.1, 0.3]))
     return FakeDesign(verdict, lambda snr: _coin("e", seed, snr, p_err),
-                      lambda snr: _coin("w", seed, snr, 0.5))
+                      lambda snr: _coin("w", seed, snr, 0.5), draw(st.booleans()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -924,6 +943,32 @@ def test_error_on_the_decision_path_is_raised_after_the_path_warnings():
                                                     pick=lambda n: n - 1))
     assert got == want == (("raised", "probe at 0.25 failed"),
                            ["probe at 0.0", "probe at 1.0", "probe at 0.5"])
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_a_probe_that_warns_and_raises_on_the_path_warns_first(count):
+    # the sequential search shows the failing probe's warning before its
+    # error; a worker must carry both back on one report
+    design = FakeDesign(lambda snr: snr >= 0.3, error=lambda snr: snr == 0.25,
+                        warn=lambda snr: True, warn_first=True)
+    with mock.patch.object(evolution, "design_decoder", design):
+        want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
+        got = outcome(lambda: fake_worker_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2,
+                                                    count, pick=lambda n: n - 1))
+    assert got == want == (("raised", "probe at 0.25 failed"),
+                           ["probe at 0.0", "probe at 1.0", "probe at 0.5", "probe at 0.25"])
+
+
+def test_de_threshold_pool_replays_a_raising_probe_s_warnings(monkeypatch):
+    # the same on forked workers: the warning crosses the pipe with the error
+    design = FakeDesign(lambda snr: snr >= 0.3, error=lambda snr: snr == 0.25,
+                        warn=lambda snr: True, warn_first=True)
+    monkeypatch.setattr(evolution, "design_decoder", design)
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    want = outcome(lambda: seq_de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2))
+    assert outcome(lambda: de_threshold(base_cfg(), 0.9999, (0.0, 1.0), 0.2)) == want
+    assert want[1][-1] == "probe at 0.25"
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cn,vn", [("comp", "comp"), ("min", "comp_uni")])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,33 @@ def test_worker_error_is_raised_and_leaves_no_worker(monkeypatch, setup):
     monkeypatch.setattr(workers, "WORKERS", 3)
     with pytest.raises(ValidationError, match="noise for frame 33 failed"):
         simulate_point(code, artifact, 3.0, stop={"max_frames": 100}, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_warnings_come_back_in_frame_order(monkeypatch, setup):
+    # a forked worker's warnings used to die in the child; each block's noise
+    # warns once per frame, so the blocks of any frame split give one list
+    code, artifact = setup
+    real = sim._frame_noise
+
+    def noise(seed, point_index, frame_start, count, n, sigma):
+        for frame in range(frame_start, frame_start + count):
+            warnings.warn(f"frame {frame}", UserWarning)
+        return real(seed, point_index, frame_start, count, n, sigma)
+
+    def run():
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            point = simulate_point(code, artifact, 2.0, seed=2,
+                                   stop={"max_frames": 300, "target_frame_errors": 10 ** 9})
+        return tally(point), [str(w.message) for w in log]
+
+    monkeypatch.setattr(sim, "_frame_noise", noise)
+    monkeypatch.setattr(workers, "WORKERS", 1)
+    want = run()
+    monkeypatch.setattr(workers, "WORKERS", 3)
+    assert run() == want
+    assert want[1] == [f"frame {f}" for f in range(300)]
     assert multiprocessing.active_children() == []
 
 

@@ -1,0 +1,99 @@
+"""The worker mechanism's one return channel: a Report per request."""
+
+import multiprocessing
+import os
+import warnings
+
+import pytest
+
+from quantldpc import workers
+from support import alarm
+
+
+def warn_then(kind, x):
+    """Warns with ``x``, then returns ``2 * x``, raises ValueError (kind
+    "raise") or ends the process (kind "die")."""
+    warnings.warn(f"saw {x}", UserWarning)
+    if kind == "raise":
+        raise ValueError(f"bad {x}")
+    if kind == "die":
+        os._exit(3)
+    return 2 * x
+
+
+def texts(report):
+    return [(type(m).__name__, str(m)) for m in report.warned]
+
+
+def shown(run):
+    """(run()'s result or the ValueError's text, the warnings it shows)."""
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        try:
+            res = run()
+        except ValueError as exc:
+            res = ("raised", str(exc))
+    return res, [str(w.message) for w in log]
+
+
+def test_recorded_carries_the_value_or_the_exception_and_the_warnings():
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        ok = workers.recorded(warn_then, "return", 4)
+        bad = workers.recorded(warn_then, "raise", 5)
+    assert log == []        # recorded, not shown
+    assert ok.value == 8 and texts(ok) == [("UserWarning", "saw 4")]
+    assert isinstance(bad.value, ValueError) and str(bad.value) == "bad 5"
+    assert texts(bad) == [("UserWarning", "saw 5")]
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_reply_is_the_report_of_the_request(in_process):
+    def reply(kind, x):
+        if in_process:
+            worker = workers._InProcess(warn_then)
+            worker.send(kind, x)
+            return worker.reply()
+        with workers.forked(warn_then, 1) as [worker]:
+            worker.send(kind, x)
+            return worker.reply()
+
+    ok, bad = reply("return", 3), reply("raise", 7)
+    assert isinstance(ok, workers.Report) and isinstance(bad, workers.Report)
+    assert ok.value == 6 and texts(ok) == [("UserWarning", "saw 3")]
+    assert isinstance(bad.value, ValueError) and str(bad.value) == "bad 7"
+    assert texts(bad) == [("UserWarning", "saw 7")]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_still_raises():
+    with alarm(30), workers.forked(warn_then, 1) as [worker]:
+        worker.send("die", 1)
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            worker.reply()
+    assert multiprocessing.active_children() == []
+
+
+def test_replayed_emits_in_order_up_to_the_first_exception():
+    reports = [workers.recorded(warn_then, "return", 1), workers.recorded(warn_then, "raise", 2),
+               workers.recorded(warn_then, "raise", 3)]
+    assert shown(lambda: workers.replayed(reports[:1])) == ([2], ["saw 1"])
+    assert shown(lambda: workers.replayed(reports)) == (("raised", "bad 2"), ["saw 1", "saw 2"])
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_spread_equals_running_the_requests_in_order(count):
+    requests = [("return", x) for x in range(count)]
+    want = shown(lambda: [warn_then(*args) for args in requests])
+    with workers.forked(warn_then, count - 1) as team:
+        got = shown(lambda: workers.replayed(workers.spread(warn_then, team, requests)))
+    assert got == want == ([2 * x for x in range(count)], [f"saw {x}" for x in range(count)])
+    assert multiprocessing.active_children() == []
+
+
+def test_spread_raises_a_worker_s_exception_after_the_earlier_warnings():
+    requests = [("return", 0), ("raise", 1), ("raise", 2)]
+    with workers.forked(warn_then, 2) as team:
+        got = shown(lambda: workers.replayed(workers.spread(warn_then, team, requests)))
+    assert got == (("raised", "bad 1"), ["saw 0", "saw 1"])
+    assert multiprocessing.active_children() == []
