@@ -171,7 +171,7 @@ def build_parser():
                    help="bisect the convergence threshold over --snr lo,hi")
     p.add_argument("--target-mi", type=float, default=0.9999)
     p.add_argument("--snr", default="2.9,3.6",
-                   help="bisection window 'lo,hi' (with --bisect)")
+                   help="bisection window 'lo,hi' (with --bisect; --snr=-1.0,2.0 if lo < 0)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=lambda a, pr: run_evolve(a))
 
@@ -182,7 +182,7 @@ def build_parser():
     p.add_argument("--gen-n", type=int, default=None,
                    help="generate a (dv,dc)-regular code of this length")
     p.add_argument("--gen-seed", type=int, default=1)
-    p.add_argument("--snr", required=True, help="comma list of Eb/N0 points")
+    p.add_argument("--snr", required=True, help="Eb/N0 points 'a,b,...' (--snr=-1.0,2.0 if a < 0)")
     p.add_argument("--frames", type=int, default=10_000_000)
     p.add_argument("--target-errors", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -35,6 +35,7 @@ from .pmf import (
     ChannelModel,
     JointPMF,
     ValidationError,
+    _aligned,
     apply_quantizer,
     awgn_llr_pmf,
     mutual_information,
@@ -236,10 +237,7 @@ def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF
 
     u = q0 + q1
     v = q0 - q1
-    U, V = u, v
-    for _ in range(dc - 2):
-        U = np.convolve(U, u)
-        V = np.convolve(V, v)
+    U, V = _power_chain(u, u, dc - 2), _power_chain(v, v, dc - 2)
     even = 0.5 * (U + V)    # parity of sign bits even, conditioned on x=0
     odd = 0.5 * (U - V)
 
@@ -256,18 +254,33 @@ def cn_evolve_comp(p_in: JointPMF, dc: int, table: TranslationTable) -> JointPMF
                     mag_offset=1, values=values)
 
 
+def _power_chain(acc, kernel, times):
+    """``acc`` convolved ``times`` times with ``kernel``, each step ``np.convolve``'s
+    bit for bit (same ``ddot``s on the same operands, ``kernel`` reversed once
+    into an aligned array; a longer kernel swaps the operands, as there)."""
+    rev = _aligned(kernel.size)
+    rev[:] = kernel[::-1]
+    for _ in range(times):
+        acc = np.correlate(acc, rev, "full") if rev.size <= acc.size else np.convolve(acc, kernel)
+    return acc
+
+
 def _min_chain(base0, base1, dc):
     """(sign product, minimum magnitude) of dc - 1 independent messages,
     each folded as ``base0``, ``base1`` (masses given x=0 of the positive
-    and negative sign at each magnitude), by dc - 2 pairwise combines."""
+    and negative sign at each magnitude), by dc - 2 pairwise combines, each
+    one product against [[base0, base1], [base1, base0]] and one
+    ``bincount`` over both outputs."""
     k = base0.size
     i = np.arange(k)
     idx = np.minimum(i[:, None], i[None, :]).ravel()
-    q0, q1 = base0, base1
+    idx = np.concatenate([idx, idx + k])
+    pair = np.array([[base0, base1], [base1, base0]])[:, :, None, :]
+    q = np.array([base0, base1])
     for _ in range(dc - 2):
-        q0, q1 = (np.bincount(idx, (np.outer(q0, base0) + np.outer(q1, base1)).ravel(), k),
-                  np.bincount(idx, (np.outer(q0, base1) + np.outer(q1, base0)).ravel(), k))
-    return q0, q1
+        prod = q[:, :, None] * pair
+        q = np.bincount(idx, (prod[:, 0] + prod[:, 1]).ravel(), 2 * k).reshape(2, k)
+    return q[0], q[1]
 
 
 def cn_evolve_min(p_in: JointPMF, dc: int) -> JointPMF:
@@ -329,9 +342,7 @@ def vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int, tables: dict) -> JointPMF
     acc, S = h, Sh
     if dv > 1:
         c, Sc = _signed_translated(p_cn, tab_c)
-        for _ in range(dv - 1):
-            acc = np.convolve(acc, c)
-            S += Sc
+        acc, S = _power_chain(acc, c, dv - 1), S + (dv - 1) * Sc
     alphabet = np.arange(-S, S + 1)
     mass = np.zeros((2, alphabet.size))
     mass[0] = 0.5 * acc
@@ -401,10 +412,7 @@ def _omsq_vn_evolve(p_cn: JointPMF, p_ch: JointPMF, dv: int) -> JointPMF:
     acc = 2.0 * p_ch.mass[0]
     S = M
     if dv > 1:
-        c = 2.0 * p_cn.mass[0]
-        for _ in range(dv - 1):
-            acc = np.convolve(acc, c)
-            S += M
+        acc, S = _power_chain(acc, 2.0 * p_cn.mass[0], dv - 1), S + (dv - 1) * M
     # clip the sum back to +/-M; the rows are one row mirrored, so exactly
     # symmetric
     lo = S - M

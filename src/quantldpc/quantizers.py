@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pmf import JointPMF, ValidationError, _cluster_scores, _magnitude_unit, apply_quantizer
+from .pmf import (JointPMF, ValidationError, _aligned, _cluster_scores, _magnitude_unit,
+                  apply_quantizer)
 
 
 @dataclass(frozen=True)
@@ -333,7 +334,7 @@ def _dp_layers(A, B, best, pick, runner=None):
     """
     n = A.size - 1
     block = min(_DP_BLOCK, n)
-    pa, pb, s, g = (np.empty(block * n) for _ in range(4))
+    pa, pb, s, g = (_aligned(block * n) for _ in range(4))
     below = np.tri(block, k=-1, dtype=bool)     # e <= i within a block
     rows = np.arange(block)
     for hi in range(n, 0, -block):
@@ -455,12 +456,12 @@ class Anchors:
     """The anchors of one threshold-DP stage over the iterations of one
     design run, for the drift certificate of :func:`design_nonuniform`.
 
-    A design that settles into a period-2 cycle feeds the stage two
-    alternating inputs, so the store keeps two anchors, one per parity of
-    the call count: ``kept`` maps a parity to ``(mags, A, B, boundaries,
-    margin)``, and ``recent`` holds the ``(mags, A, B)`` of the last two
-    calls, oldest first.  ``certified`` counts the calls that reused an
-    anchor, ``built`` the anchors made.
+    A design that settles into a cycle of period 2 or 3 feeds the stage
+    inputs that repeat with that lag, so the store keys its anchors by
+    (lag, call count mod lag): ``kept`` maps a key to ``(mags, A, B,
+    boundaries, margin)``, and ``recent`` holds the ``(mags, A, B)`` of the
+    last three calls, oldest first.  ``certified`` counts the calls that
+    reused an anchor, ``built`` the anchors made.
     """
 
     def __init__(self):
@@ -478,23 +479,30 @@ class Anchors:
                     return bounds
         return None
 
+    def _lag(self, mags):
+        """2, or else 3, if the call that many back had the pruned alphabet ``mags``."""
+        return next((lag for lag in (2, 3) if len(self.recent) >= lag
+                     and np.array_equal(mags, self.recent[-lag][0])), None)
+
     def wants(self, mags, A, B, K):
         """Whether a call that no anchor certified should make one: the
-        call two back had the same pruned alphabet, and four times the
-        drift from it stays inside the margin of this parity's last anchor
+        call ``_lag`` back had the same pruned alphabet, and four times the
+        drift from it stays inside the margin of the last anchor of its key
         (``_FIRST_MARGIN`` if it has none).  A cycle's drift shrinks about
         geometrically, so its later inputs then stay near the new anchor."""
-        if len(self.recent) < 2 or not np.array_equal(mags, self.recent[0][0]):
+        if (lag := self._lag(mags)) is None:
             return False
-        margin = self.kept[self.calls % 2][4] if self.calls % 2 in self.kept else _FIRST_MARGIN
-        return _mi_shift(4 * _drift(A, B, *self.recent[0][1:]), K) < margin
+        key = lag, self.calls % lag
+        margin = self.kept[key][4] if key in self.kept else _FIRST_MARGIN
+        return _mi_shift(4 * _drift(A, B, *self.recent[-lag][1:]), K) < margin
 
     def add(self, mags, A, B, bounds, margin):
-        self.kept[self.calls % 2] = mags, A, B, bounds, margin
+        lag = self._lag(mags) or 2      # lag 2 where no earlier call matches
+        self.kept[lag, self.calls % lag] = mags, A, B, bounds, margin
         self.built += 1
 
     def remember(self, mags, A, B):
-        self.recent = self.recent[-1:] + [(mags, A, B)]
+        self.recent = self.recent[-2:] + [(mags, A, B)]
         self.calls += 1
 
 

@@ -151,8 +151,9 @@ def _rank_tolerance(n, L, K):
        1 within MASS_TOL (u = q0 + q1 at a CN with |v| <= u, h and c at a
        VN), so each has l1 norm <= 1 (the 1e-12 excess, raised to the n-th
        power, is inside the 1% slack below).
-    2. Chain.  Each np.convolve entry is a dot product of at most d terms,
-       so after n - 1 of them every entry of the product errs by at most
+    2. Chain.  Each np.convolve entry is a dot product of at most d terms
+       (the chain's aligned np.correlate forms the same dot products), so
+       after n - 1 of them every entry of the product errs by at most
        (n - 1)(d + 1) e times the same entry of the product of the |factors|
        (Higham, Accuracy and Stability, 2nd ed., sec. 3.5): in l1, e_chain
        = 1.01 (n - 1)(d + 1) e.

@@ -25,6 +25,7 @@ WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1, 8)
 #: seconds a worker gets to exit after its last request
 GRACE_S = 1.0
+_SHOWN = {}     # replayed's warning registry, as a module's is warnings.warn's
 
 
 @dataclass(frozen=True)
@@ -36,22 +37,22 @@ class Report:
 
 
 def recorded(fn, *args):
-    """The :class:`Report` of ``fn(*args)``."""
+    """The :class:`Report` of ``fn(*args)``, each warning with its place."""
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         try:
             value = fn(*args)
         except Exception as exc:
             value = exc
-    return Report(value, tuple(w.message for w in log))
+    return Report(value, tuple((w.message, w.category, w.filename, w.lineno) for w in log))
 
 
 def replayed(reports):
-    """The values of a list of reports, as if their work ran here in turn:
-    each report's warnings are emitted, and the first exception raised after them."""
+    """The values of a list of reports, as if their work ran here in turn: each
+    report's warnings, shown where given, and the first exception raised after them."""
     for report in reports:
-        for message in report.warned:
-            warnings.warn(message, stacklevel=1)
+        for warned in report.warned:
+            warnings.warn_explicit(*warned, registry=_SHOWN)
         if isinstance(report.value, Exception):
             raise report.value
     return [report.value for report in reports]

@@ -1640,12 +1640,14 @@ def test_replayed_iterations_re_emit_their_warnings(monkeypatch):
 
 
 @pytest.mark.parametrize("cn,ebn0,calls,certified", [("comp", 3.0, 278, 100),
-                                                     ("min", 3.05, 150, 50)])
+                                                     ("min", 3.05, 150, 50),
+                                                     ("min", 3.0, 92, 35)])
 def test_drift_certificate_leaves_the_cycling_probes_byte_identical(monkeypatch, cn, ebn0,
                                                                     calls, certified):
     # failing probes of the threshold benchmark at the paper point: a
-    # period-2 cycle whose floats keep drifting, so no state repeats and
-    # every iteration is designed.  Many late threshold DPs are certified
+    # period-2 cycle (period 3 at the 3.0 dB min/comp VN stage) whose floats
+    # keep drifting, so no state repeats for many iterations and each is
+    # designed.  Many late threshold DPs are certified
     # from an anchor, and the outcome is that of a run whose certificate
     # always misses.
     cfg = paper_point(cn, "comp", ebn0)

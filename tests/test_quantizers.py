@@ -570,7 +570,7 @@ def test_near_ties_and_changed_alphabets_are_never_certified(always_anchor):
     b = np.array([0.08, 0.0, 0.0, 0.10, 0.01])
     tie = folded_pmf(a, b)
     anchors = anchored(tie, 2, 0.0)
-    assert anchors.kept[0][4] == 0.0
+    assert anchors.kept[2, 0][4] == 0.0
     assert thresholds_mi(tie, 2, 0.0, anchors) == dense_design_nonuniform(tie, 2, 0.0)
     assert anchors.certified == 0
     # a pruned alphabet that gains or loses a symbol, another width, and a
@@ -612,6 +612,21 @@ def test_two_phases_with_the_same_thresholds_keep_an_anchor_each():
         p = drifted(rng, phases[t % 2], 1e-12 * 0.5 ** t)
         assert thresholds_mi(p, 3, 1e-12, anchors) == thresholds_mi(p, 3, 1e-12)
     assert (anchors.built, anchors.certified) == (2, 8)
+
+
+def test_a_period_3_cycle_keeps_an_anchor_per_phase():
+    # three phases on three pruned alphabets: the call two back never
+    # matches, the call three back does, so each phase gets its own
+    # (3, phase) anchor once it repeats and is certified from then on
+    rng = np.random.default_rng(3)
+    phases = [random_symmetric_pmf(rng, half) for half in (38, 40, 42)]
+    anchors = quantizers.Anchors()
+    for t in range(12):
+        p = drifted(rng, phases[t % 3], 1e-12 * 0.5 ** t)
+        assert thresholds_mi(p, 3, 1e-12, anchors) == thresholds_mi(p, 3, 1e-12)
+    assert sorted(anchors.kept) == [(3, 0), (3, 1), (3, 2)]
+    assert (anchors.built, anchors.certified) == (3, 6)
+    assert len(anchors.recent) == 3
 
 
 def test_same_masses_on_another_alphabet_and_margins_within_the_slack_are_not_certified():

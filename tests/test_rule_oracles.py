@@ -172,6 +172,22 @@ def test_min_chain_is_the_old_pairwise_loop_bit_for_bit():
                     assert bits(*_min_chain(x0, x1, dc)) == bits(*old_min_loop(x0, x1, dc))
 
 
+def test_min_chain_is_the_old_pairwise_loop_on_fuzzed_masses():
+    # one product and one bincount per combine, against the two outer
+    # products and two bincounts it replaced, on masses that are zero,
+    # subnormal or slightly negative (as JointPMF admits)
+    rng = np.random.default_rng(24)
+    specials = np.array([0.0, 5e-324, 3e-310, -1e-16, -0.0])
+    for trial in range(600):
+        k = int(rng.integers(1, 17))
+        base = rng.random((2, k)) * rng.choice([1.0, 1e-3, 1e-300], size=(2, k))
+        spots = rng.random((2, k)) < rng.choice([0.0, 0.3, 0.8])
+        base[spots] = rng.choice(specials, size=int(spots.sum()))
+        dc = 2 + trial % 39
+        want = old_min_loop(base[0], base[1], dc)
+        assert bits(*_min_chain(base[0], base[1], dc)) == bits(*want)
+
+
 def test_omsq_vn_without_the_mirror_average_is_the_old_one_bit_for_bit():
     points = 0
     for ebn0 in EBN0S:

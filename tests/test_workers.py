@@ -1,5 +1,6 @@
 """The worker mechanism's one return channel: a Report per request."""
 
+import inspect
 import multiprocessing
 import os
 import warnings
@@ -22,7 +23,7 @@ def warn_then(kind, x):
 
 
 def texts(report):
-    return [(type(m).__name__, str(m)) for m in report.warned]
+    return [(type(m).__name__, str(m)) for m, *_ in report.warned]
 
 
 def shown(run):
@@ -97,3 +98,20 @@ def test_spread_raises_a_worker_s_exception_after_the_earlier_warnings():
         got = shown(lambda: workers.replayed(workers.spread(warn_then, team, requests)))
     assert got == (("raised", "bad 1"), ["saw 0", "saw 1"])
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_a_replayed_warning_keeps_the_place_that_gave_it(in_process):
+    # shown at warn_then's warnings.warn line, not at the replay site
+    lines, first = inspect.getsourcelines(warn_then)
+    line = first + next(i for i, text in enumerate(lines) if "warnings.warn(" in text)
+    with alarm(30), workers.forked(warn_then, 0 if in_process else 1) as team:
+        worker = workers._InProcess(warn_then) if in_process else team[0]
+        worker.send("return", 5)
+        report = worker.reply()
+    assert [where[1:] for where in report.warned] == [(UserWarning, __file__, line)]
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        assert workers.replayed([report]) == [10]
+    assert [(w.category, w.filename, w.lineno, str(w.message)) for w in log] == [
+        (UserWarning, __file__, line, "saw 5")]
