@@ -30,12 +30,13 @@ its table by 2T + 1 - (v ^ P), T the full sum of v >> 1: five full-size
 passes (shift, add-reduce, xor-reduce, xor, subtract).  A min CN takes the
 minimum m of v over the node's other edges, from running minima forward and
 backward on a regular side (the minimum of 2x + s, shifted right by one, is
-the minimum of x), and indexes by (m | 1) ^ ((v ^ P) & 1).  Both lookup
-indices are written into one intp buffer (edges x frames x 8 bytes), so
-``np.take`` casts nothing; every lookup writes into one of two message
-buffers (``mode="clip"``: the default buffers ``out``, and the bound below
-keeps every index in range).  The DecoderState keeps all three buffers
-across decode calls.  A frame is recorded at its
+the minimum of x), and indexes by (m | 1) ^ ((v ^ P) & 1).  Lookup
+indices are formed in one intp buffer, so ``np.take`` casts nothing: of
+max(checks, variables) entries per frame, as many node rows as fit at a
+time (every edge's where a side is irregular).  Each lookup writes into one of two
+message buffers (``mode="clip"``: the default buffers ``out``, and the bound
+below keeps every index in range).  The DecoderState keeps all three
+buffers across decode calls.  A frame is recorded at its
 first syndrome success and stays in the working set, decoded but not
 recorded again, until a quarter of the set has finished; only then are the
 per-frame arrays compacted.  The cost model's VN adder width
@@ -186,8 +187,9 @@ class _Side:
     def __init__(self, deg):
         self.n, self.deg = len(deg), int(deg.max())
         self.regular = bool(np.all(deg == self.deg))
-        self.ptr = np.concatenate([[0], np.cumsum(deg)[:-1]])
-        self.rep = np.repeat(np.arange(self.n), deg)
+        if not self.regular:
+            self.ptr = np.concatenate([[0], np.cumsum(deg)[:-1]])
+            self.rep = np.repeat(np.arange(self.n), deg)
 
     def order(self, node_major):
         """This side's order of an edge array given node-major."""
@@ -232,6 +234,19 @@ class _Side:
         np.minimum(a[1:d - 1], b[1:d - 1], out=a[1:d - 1])
         a[0] = b[0]
         return a
+
+
+def _lookup(table, ufunc, x, y, out, idx):
+    """out = table[ufunc(x, y)] on views of one side, x a view or a spread, the
+    indices formed in the flat intp buffer idx a slab of as many leading rows
+    as it holds at a time (a row of out may be a row of x: it is read first)."""
+    rows = idx.size // y[0].size
+    slab = idx[:rows * y[0].size].reshape(rows, *y.shape[1:])
+    for k in range(0, len(y), rows):
+        part = slab[:len(y[k:k + rows])]
+        ufunc(x[k:k + rows] if len(x) > 1 else x, y[k:k + rows], out=part)
+        np.take(table, part, out=out[k:k + rows], mode="clip")
+    return out
 
 
 class DecoderState:
@@ -288,6 +303,8 @@ class DecoderState:
         if np.any(deg_v == 0):
             raise ValidationError("every variable node needs at least one edge")
         self.checks, self.vars = _Side(deg_c), _Side(deg_v)
+        # intp index entries per frame: a row of the larger side, or every edge's
+        self.slab = max(s.n if s.regular else E for s in (self.checks, self.vars))
         self.edge_var = self.checks.order(flat)
         # a stable sort by variable: the keys var * E + edge are distinct
         edges = np.arange(E)
@@ -350,11 +367,13 @@ class DecoderState:
                         encode(cn_in, vn_out))
                        for (ch, _, cn_out, vn_out), cn_in in zip(raw, next_in)]
 
-    def _scratch(self, size):
-        """The loop's intp index buffer and two message buffers, each of at
-        least ``size`` entries, kept on the state across decode calls."""
-        if self._buffers is None or self._buffers[0].size < size:
-            self._buffers = [np.empty(size, dtype=t) for t in (np.intp, self.dtype, self.dtype)]
+    def _scratch(self, frames):
+        """The loop's two message buffers of edges x ``frames`` entries and its
+        intp index buffer of slab x ``frames``, kept across decode calls."""
+        E = self.edge_var.size
+        if self._buffers is None or self._buffers[0].size < E * frames:
+            self._buffers = [np.empty(n * frames, dtype=t) for n, t in
+                             ((E, self.dtype), (E, self.dtype), (self.slab, np.intp))]
         return self._buffers
 
     def _parity_ok(self, hard):
@@ -384,10 +403,10 @@ def _integer_messages(channel_msgs):
 def _flood(state, channel_msgs, max_iter):
     """The one flooding loop of every decoder variant.
 
-    Each iteration writes both lookup indices, the check side's by the
-    arithmetic of the module doc, into one intp buffer of edges x frames x
-    8 bytes, and its lookups into two message buffers and v2c; the three
-    buffers are the state's (:meth:`DecoderState._scratch`).  A
+    Each iteration forms both sides' lookup indices, the check side's by the
+    arithmetic of the module doc, slab by slab in one intp buffer
+    (:func:`_lookup`), and writes its lookups into two message buffers and
+    v2c; the two buffers and the index buffer are the state's.  A
     frame's bits, iteration count and ``ok`` are recorded at its first
     syndrome success; it is decoded on but never recorded again until
     _COMPACT_SHARE of the working set has finished and the set is compacted.
@@ -400,9 +419,8 @@ def _flood(state, channel_msgs, max_iter):
     if (not omsq and np.any(ch == 0)) or np.any(ch < -limit) or np.any(ch > limit):
         raise ValidationError(f"channel messages must be {'' if omsq else 'nonzero '}"
                               f"{state.w}-bit values")
-    ch = ch.astype(np.int64, copy=False)
     checks, vars_, tables = state.checks, state.vars, state.tables
-    bits = (ch < 0).astype(np.uint8)
+    bits = (ch < 0).view(np.uint8)
     iters_used = np.zeros(len(ch), dtype=np.int64)
     ok = state.syndrome_ok(bits)
     if max_iter == 0 or ok.all():
@@ -412,38 +430,38 @@ def _flood(state, channel_msgs, max_iter):
 
     active = np.flatnonzero(~ok)
     live = np.ones(len(active), dtype=bool)
-    u_ch = np.ascontiguousarray((ch[active] + state.half).astype(np.intp, copy=False).T)
+    u_ch = np.empty((ch.shape[1], len(active)), dtype=np.intp)
+    np.add(ch[active].T, state.half, out=u_ch, dtype=np.intp)
     v2c = np.take(np.take(state.forward, u_ch), state.edge_var, axis=0)
-    # the state's index buffer and two message buffers, viewed at the working set's size
-    bufs = state._scratch(v2c.size)
+    # the state's two message buffers and index buffer, viewed at the working set's size
+    bufs = state._scratch(len(active))
     ch_tab = psi_ch = None
     for it in range(max_iter):
         tab_ch, cn_out, vn_out = tables[min(it, len(tables) - 1)]  # last one reused
         if ch_tab is None or not np.array_equal(tab_ch, ch_tab):
             ch_tab, psi_ch = tab_ch, np.take(tab_ch, u_ch)   # once per distinct table
-        idx, a, b = (buf[:v2c.size].reshape(v2c.shape) for buf in bufs)
-        # --- check nodes: extrinsic sum or minimum, then sign ---------------
-        v, cidx = checks.view(v2c), checks.view(idx)
+        a, b = (buf[:v2c.size].reshape(v2c.shape) for buf in bufs[:2])
+        idx = bufs[2][:state.slab * v2c.shape[1]]
+        # --- check nodes: extrinsic sum or minimum, then sign, c2v into a ---
+        v = checks.view(v2c)
         par = checks.reduce(np.bitwise_xor, v)
         par &= 1
         if state.sum_cn:
             top = 2 * checks.reduce(np.add, np.right_shift(v, 1, out=checks.view(a))) + 1
             np.bitwise_xor(v, checks.spread(par), out=v)
-            np.subtract(checks.spread(top), v, out=cidx)
+            _lookup(cn_out, np.subtract, checks.spread(top), v, checks.view(a), idx)
         else:
             m = checks.min_others(v, checks.view(a), checks.view(b))
             m |= 1
             np.bitwise_xor(v, checks.spread(par), out=v)
             v &= 1
-            np.bitwise_xor(m, v, out=cidx)
-        c2v = np.take(cn_out, idx, out=a, mode="clip")
+            _lookup(cn_out, np.bitwise_xor, m, v, checks.view(a), idx)
         # --- variable nodes -------------------------------------------------
-        psi = vars_.view(np.take(c2v, state.vn_perm, axis=0, out=b, mode="clip"))
+        psi = vars_.view(np.take(a, state.vn_perm, axis=0, out=b, mode="clip"))
         app = vars_.reduce(np.add, psi)
         app += psi_ch
-        np.subtract(vars_.spread(app + state.vn_base), psi, out=vars_.view(idx))
-        np.take(np.take(vn_out, idx, out=a, mode="clip"), state.vn_inv, axis=0,
-                out=v2c, mode="clip")
+        _lookup(vn_out, np.subtract, vars_.spread(app + state.vn_base), psi, vars_.view(a), idx)
+        np.take(a, state.vn_inv, axis=0, out=v2c, mode="clip")
 
         hard = (app < 0).view(np.uint8)
         done = state._parity_ok(hard)
@@ -460,7 +478,8 @@ def _flood(state, channel_msgs, max_iter):
         if np.count_nonzero(~live) >= _COMPACT_SHARE * len(live):
             keep = np.flatnonzero(live)
             active, live = active[keep], live[keep]
-            u_ch, psi_ch, v2c = (np.take(x, keep, axis=1) for x in (u_ch, psi_ch, v2c))
+            u_ch, psi_ch = (np.take(x, keep, axis=1) for x in (u_ch, psi_ch))
+            v2c = np.take(v2c, keep, axis=1)    # after them: their old copies are freed first
     return bits, iters_used, ok
 
 

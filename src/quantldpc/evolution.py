@@ -147,9 +147,8 @@ class OmsqChannelQuantizer:
 
     def map_llr(self, llr):
         llr = np.asarray(llr, dtype=np.float64)
-        mags = np.floor(np.abs(llr) / self.step + 0.5)
-        t = np.sign(llr) * np.minimum(mags, self.levels)
-        return t.astype(np.int64)
+        mags = np.minimum(np.floor(np.abs(llr) / self.step + 0.5), self.levels)
+        return np.copysign(mags, llr, out=mags if mags.ndim else None).astype(np.int64)
 
 
 @dataclass

@@ -7,8 +7,8 @@ each chunk split across worker processes (see :func:`simulate_point`).
 
 Each process streams its frame range through noise, channel quantizer and
 flooding kernel in blocks of :data:`_BLOCK` frames, so its working set is
-bounded by the block, not the chunk: per frame at most 17 bytes per edge
-and 44 per variable with int16 messages.  No tally depends on the block size.
+bounded by the block, not the chunk: per frame at most 9 bytes per edge
+and 36 per variable with int16 messages.  No tally depends on the block size.
 """
 
 from __future__ import annotations
@@ -97,16 +97,20 @@ def _quantize_channel(llr, artifact):
     """Real LLRs to integer channel messages per the designed quantizer.
 
     The cell of |L| is one plus the number of cell boundaries at or below
-    it; an LLR exactly on a boundary falls in the upper cell.
+    it; an LLR exactly on a boundary falls in the upper cell.  The cells are
+    counted in int16 (wider only past 2^15 - 1 cells), and the float64
+    array ``llr`` is overwritten by |L|.
     """
     q = artifact.channel_quantizer
     if isinstance(q, OmsqChannelQuantizer):
         return q.map_llr(llr)
-    mag = np.abs(llr)
-    cells = np.ones(mag.shape, dtype=np.int64)
-    for e in artifact.channel_edges_llr:
+    edges = artifact.channel_edges_llr
+    neg = llr < 0                       # LLR exactly 0: boundary, take +
+    mag = np.abs(llr, out=llr)
+    cells = np.ones(mag.shape, dtype=np.int16 if len(edges) < 2 ** 15 - 1 else np.int64)
+    for e in edges:
         cells += mag >= e
-    np.negative(cells, out=cells, where=llr < 0)    # LLR exactly 0: boundary, take +
+    np.negative(cells, out=cells, where=neg)
     return cells
 
 

@@ -13,6 +13,7 @@ rather do the work itself there asks :func:`can_fork` first.
 """
 
 import os
+import sys
 import time
 import warnings
 from contextlib import contextmanager, suppress
@@ -37,14 +38,18 @@ class Report:
 
 
 def recorded(fn, *args):
-    """The :class:`Report` of ``fn(*args)``, each warning with its place."""
+    """The :class:`Report` of ``fn(*args)``, each warning with its place and the
+    first loaded module of its file, the name a module-scoped filter matches."""
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         try:
             value = fn(*args)
         except Exception as exc:
             value = exc
-    return Report(value, tuple((w.message, w.category, w.filename, w.lineno) for w in log))
+    names = log and {getattr(m, "__file__", None): name
+                     for name, m in reversed(list(sys.modules.items()))}
+    return Report(value, tuple((w.message, w.category, w.filename, w.lineno,
+                                names.get(w.filename)) for w in log))
 
 
 def replayed(reports):

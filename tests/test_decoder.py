@@ -686,7 +686,7 @@ def codes(draw):
     kind = draw(st.sampled_from(["regular", "rows", "columns", "irregular"]))
     if kind == "regular":
         n, dv, dc = draw(st.sampled_from([(12, 2, 4), (12, 3, 6), (16, 2, 8),
-                                          (10, 1, 2), (24, 3, 4)]))
+                                          (10, 1, 2), (24, 3, 4), (64, 6, 32)]))
         return generate_regular_code(n, dv, dc, seed=draw(st.integers(0, 99)), min_girth=4)
     n = draw(st.integers(3, 12))
     m = draw(st.integers(1, 8))
@@ -967,6 +967,23 @@ def test_scratch_buffers_carry_nothing_between_calls(designed, variant):
             assert all(a is b for a, b in zip(state._buffers, kept))
         kept = list(state._buffers)
     assert kept[0].size > 40 * code.n_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(code=codes())
+def test_index_buffer_holds_a_node_row_slab_on_regular_codes(code):
+    # the intp lookup indices take one row of the larger side per frame on a
+    # code regular on both sides, and every edge's only where a side is not
+    state = DecoderState.offset_min_sum(code, 4, 1)
+    sides = (state.checks, state.vars)
+    want = max(s.n for s in sides) if all(s.regular for s in sides) else code.n_edges
+    msgs = np.full((7, code.n_vars), 3)
+    msgs[:, 0] = -3             # the checks of variable 0 fail: no frame clears at once
+    omsq_decode_batch(msgs, code, 4, 1, 3, state=state)
+    a, b, idx = state._buffers
+    assert idx.dtype == np.intp and idx.size == 7 * want
+    assert a.size == b.size == 7 * code.n_edges
+    assert all(not s.regular or not hasattr(s, "rep") for s in sides)
 
 
 def test_states_are_tied_to_their_decoder(small_setup):

@@ -182,9 +182,9 @@ def test_quantize_channel_matches_searchsorted(setup):
     special = np.concatenate([edges, -edges, np.nextafter(edges, 0), np.nextafter(edges, 99),
                               [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf]])
     llr[0, :special.size] = special
-    got = _quantize_channel(llr, artifact)
     want = ref_quantize_channel(llr, artifact)
-    assert got.dtype == want.dtype and got.shape == want.shape
+    got = _quantize_channel(llr.copy(), artifact)      # it overwrites its input
+    assert got.dtype == np.int16 and got.shape == want.shape
     assert np.array_equal(got, want)
     # |L| exactly on a boundary falls in the upper cell; +-0.0 take the weakest +1
     k = edges.size
@@ -374,6 +374,7 @@ def test_decode_working_set_is_bounded_by_the_block(monkeypatch):
     artifact, _ = design_decoder(cfg)
     state = DecoderState(code, artifact)
     edges, n, msg = state.edge_var.size, code.n_vars, np.dtype(state.dtype).itemsize
+    assert state.slab == n      # lookup indices of one variable row per frame
     del state
     monkeypatch.setattr(workers, "WORKERS", 1)
     tracemalloc.start()
@@ -384,14 +385,16 @@ def test_decode_working_set_is_bounded_by_the_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert point.frames == 256
-    # Per frame of a block, per edge: the intp index buffer, two message
-    # buffers, the messages v2c and their compacted copy, and one byte of hard
-    # decisions.  Per variable: the float64 LLRs, the int64 messages, the intp
-    # channel index and at most two 8-byte temporaries forming one of them,
+    # Per frame of a block, per edge: two message buffers, the messages v2c
+    # and their compacted copy, and one byte of hard decisions.  Per
+    # variable: the float64 LLRs, the intp channel index, the intp lookup
+    # indices of one variable row (the larger side's), the int16 channel
+    # messages, the channel addends, the VN sums and one temporary of them,
     # and a few bytes of bits and masks.  The decoder state and its
-    # construction take under 16 intp arrays per edge.  Measured: 20 MiB,
-    # where decoding the 256-frame chunk as one batch took 181 MiB.
-    per_frame = edges * (8 + 4 * msg + 1) + n * (5 * 8 + 4)
+    # construction take under 16 intp arrays per edge.  Measured: 14.5 MiB
+    # (20 MiB with an edges x frames index buffer and int64 channel copies;
+    # 181 MiB decoding the 256-frame chunk as one batch).
+    per_frame = edges * (4 * msg + 1) + n * (3 * 8 + 2 + 3 * msg + 4)
     bound = B * per_frame + 16 * 8 * edges
     assert peak < bound, f"peak {peak / 2 ** 20:.1f} MiB, bound {bound / 2 ** 20:.1f} MiB"
 

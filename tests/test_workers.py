@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from quantldpc import workers
+from quantldpc import evolution, workers
+from quantldpc.evolution import EnsembleConfig
 from support import alarm
 
 
@@ -109,9 +110,32 @@ def test_a_replayed_warning_keeps_the_place_that_gave_it(in_process):
         worker = workers._InProcess(warn_then) if in_process else team[0]
         worker.send("return", 5)
         report = worker.reply()
-    assert [where[1:] for where in report.warned] == [(UserWarning, __file__, line)]
+    assert [where[1:] for where in report.warned] == [(UserWarning, __file__, line, __name__)]
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
         assert workers.replayed([report]) == [10]
     assert [(w.category, w.filename, w.lineno, str(w.message)) for w in log] == [
         (UserWarning, __file__, line, "saw 5")]
+
+
+@pytest.mark.parametrize("in_process", [False, True])
+def test_a_filter_on_the_module_that_warned_hides_its_replayed_warning(in_process):
+    # a design at -3.0 dB warns "mi_vn decreased" at _probe's call of
+    # design_decoder (stacklevel=2), so in module quantldpc.evolution
+    lines, first = inspect.getsourcelines(evolution._probe)
+    line = first + next(i for i, text in enumerate(lines) if "design_decoder(" in text)
+    cfg = EnsembleConfig(dc=6, dv=3, w=3, wphi=6, iterations=15, cn_variant="comp",
+                         vn_variant="comp", design_ebn0_db=3.0, rate=0.5)
+    with alarm(60), workers.forked(evolution._probe, 0 if in_process else 1) as team:
+        worker = workers._InProcess(evolution._probe) if in_process else team[0]
+        worker.send(cfg, -3.0, 0.9999)
+        report = worker.reply()
+    for ignored in (False, True):
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            if ignored:
+                warnings.filterwarnings("ignore", category=RuntimeWarning,
+                                        module=r"quantldpc\.evolution\Z")
+            assert workers.replayed([report]) == [False]
+        assert [(w.category, w.filename, w.lineno) for w in log] == (
+            [] if ignored else [(RuntimeWarning, evolution.__file__, line)])
