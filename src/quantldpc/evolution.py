@@ -680,10 +680,10 @@ def design_decoder(cfg: EnsembleConfig):
     # part of the state, as they change no result
     anchors = {"cn": {}, "vn": {}}
     # workers for the stages' step scans: only where a stage scans several
-    # steps, and none inside a daemonic process (a threshold probe)
+    # steps (a daemonic process, as a threshold probe, gets none)
     kinds = {CN_VARIANTS[cfg.cn_variant], VN_VARIANTS[cfg.vn_variant]}
     scans = "uniform" in kinds or ("non_uniform" in kinds and cfg.delta_search_points > 1)
-    spare = workers.WORKERS - 1 if scans and cfg.iterations and workers.can_fork() else 0
+    spare = workers.WORKERS - 1 if scans and cfg.iterations else 0
     with workers.forked(_stage_share, spare) as team:
         for it in range(cfg.iterations):
             if cycle is None:
@@ -794,13 +794,14 @@ def _speculate(lo, hi, resolution, verdicts):
         level = deeper
 
 
-def _speculative_bisection(lo, hi, resolution, idle, ready):
-    """The bisection with its probes on the ``idle`` workers and ``ready``
-    of :mod:`quantldpc.workers`, which reply with :func:`_probe`'s report.
+def _speculative_bisection(lo, hi, resolution, probe, idle, ready):
+    """The bisection with its ``probe`` on the ``idle`` workers and ``ready``
+    of :mod:`quantldpc.workers`, which reply with the probe's report.
 
     Each idle worker takes the first SNR of :func:`_speculate` that is
     neither known nor running; a verdict off the decision path is kept but
-    never used.  With one worker the probes run in the sequential order.
+    never used.  With one worker the probes run in the sequential order;
+    with none, each probe the search needs runs here, in that same order.
     """
     reports, running = {}, {}
     while True:
@@ -808,6 +809,9 @@ def _speculative_bisection(lo, hi, resolution, idle, ready):
         path, snr, outcome = _replay(lo, hi, resolution, verdicts)
         if snr is None or snr in verdicts:
             break
+        if not idle and not running:
+            reports[snr] = workers.recorded(probe, snr)
+            continue
         for s in _speculate(lo, hi, resolution, verdicts):
             if not idle:
                 break
@@ -843,9 +847,11 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
     Probes are pure functions of the SNR, so the workers of
     :mod:`quantldpc.workers` run them ahead: while the probe the search
     needs runs, idle workers run the probes it may need next under either
-    verdict.  The result is that of the sequential search: ``probes``
-    holds the decision path only, whose reports alone are replayed here
-    (:func:`workers.replayed`), as the sequential search never ran the rest.
+    verdict.  A daemonic process gets no workers and runs each probe the
+    search needs itself.  The result is that of the sequential search:
+    ``probes`` holds the decision path only, whose reports alone are
+    replayed here (:func:`workers.replayed`), as the sequential search
+    never ran the rest.
     """
     lo, hi = float(snr_window[0]), float(snr_window[1])
     resolution = float(resolution_db)
@@ -860,7 +866,7 @@ def de_threshold(cfg: EnsembleConfig, target_mi: float, snr_window,
 
     probe = partial(_probe, cfg, target_mi=target_mi)
     with workers.forked(probe, workers.WORKERS) as team:
-        return _speculative_bisection(lo, hi, resolution, team, workers.ready)
+        return _speculative_bisection(lo, hi, resolution, probe, team, workers.ready)
 
 
 # ---------------------------------------------------------------------------

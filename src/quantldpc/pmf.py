@@ -399,7 +399,8 @@ def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:
     # local import: quantizers builds on this module
     from .quantizers import QuantizerSpec
 
-    if isinstance(quantizer, QuantizerSpec):
+    spec = isinstance(quantizer, QuantizerSpec)
+    if spec:
         n = quantizer.n_cells
         cells = quantizer.map_symbols(p)
         out_alphabet = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
@@ -417,18 +418,9 @@ def apply_quantizer(p: JointPMF, quantizer) -> JointPMF:
             if out_sym.shape != p.alphabet.shape:
                 raise ValidationError("mapping array must align with the alphabet")
         llr_order = False
-        symmetric = _mapping_output_symmetric(p, out_sym)
         out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
     out_mass = np.array([np.bincount(inverse, row, out_alphabet.size) for row in p.mass])
+    if not spec:    # a mapped output stays symmetric only where it mirrors
+        symmetric = bool(p.symmetric and np.array_equal(out_alphabet[::-1], -out_alphabet)
+                         and np.allclose(out_mass[0], out_mass[1][::-1], rtol=0.0, atol=MASS_TOL))
     return JointPMF(out_alphabet, out_mass, llr_order=llr_order, symmetric=symmetric)
-
-
-def _mapping_output_symmetric(p, out_sym):
-    """Exact check whether an explicitly mapped output is still symmetric."""
-    if not p.symmetric:
-        return False
-    out_alphabet, inverse = np.unique(out_sym, return_inverse=True)
-    if not np.array_equal(out_alphabet[::-1], -out_alphabet):
-        return False
-    m = [np.bincount(inverse, row, out_alphabet.size) for row in p.mass]
-    return bool(np.allclose(m[0], m[1][::-1], rtol=0.0, atol=MASS_TOL))

@@ -6,10 +6,10 @@ that inherit the caller's state and serve ``fn`` over one pipe each:
 :class:`Report`, and :func:`ready` waits for a busy worker's reply.
 A worker that dies reads as EOF and raises RuntimeError with its exit
 code.  On exit each worker is sent ``None``, joined within :data:`GRACE_S`
-seconds and then terminated, so none outlives the call.  A daemonic
-process may not have children and gets one in-process worker instead,
-which runs each request when its reply is read; a caller that would
-rather do the work itself there asks :func:`can_fork` first.
+seconds and then terminated, and its pipe and process handle are closed,
+so neither a worker nor one of its descriptors outlives the call.  A
+daemonic process may not have children and gets an empty team, so its
+caller does the work itself.
 """
 
 import os
@@ -18,7 +18,6 @@ import time
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import partial
 
 #: worker count of every parallel path: one per usable core, at most 8 (a
 #: bisection's decision tree rarely has more probes worth running ahead)
@@ -98,42 +97,22 @@ class _Forked:
                                f"(exit code {self.proc.exitcode})") from None
 
 
-class _InProcess:
-    conn = None
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def send(self, *args):
-        self.reply = partial(recorded, self.fn, *args)
-
-
 def ready(busy):
     """The workers of ``busy`` whose reply can be read, at least one."""
-    if busy[0].conn is None:        # in-process: the reply is made when read
-        return busy
     from multiprocessing.connection import wait
 
     done = wait([w.conn for w in busy])
     return [w for w in busy if w.conn in done]
 
 
-def can_fork():
-    """Whether this process may have children (a daemonic one may not)."""
+@contextmanager
+def forked(fn, n):
+    """Yield ``n`` workers serving ``fn`` (none in a daemonic process)."""
     # imported here: multiprocessing would add ~8 ms to every import
     import multiprocessing
 
-    return not multiprocessing.current_process().daemon
-
-
-@contextmanager
-def forked(fn, n):
-    """Yield ``n`` workers serving ``fn`` (one in-process in a daemonic process)."""
-    import multiprocessing
-
-    if n > 0 and not can_fork():
-        yield [_InProcess(fn)]
-        return
+    if multiprocessing.current_process().daemon:    # it may not have children
+        n = 0
     ctx = multiprocessing.get_context("fork")
     forks = []
     try:
@@ -151,3 +130,4 @@ def forked(fn, n):
                 w.proc.terminate()
                 w.proc.join()
             w.conn.close()
+            w.proc.close()

@@ -837,7 +837,7 @@ def fake_worker_threshold(cfg, target_mi, window, resolution, workers, pick=lamb
     of the n running probes finishes first."""
     probe = partial(evolution._probe, cfg, target_mi=target_mi)
     return evolution._speculative_bisection(
-        float(window[0]), float(window[1]), resolution,
+        float(window[0]), float(window[1]), resolution, probe,
         [FakeWorker(probe) for _ in range(workers)],
         lambda busy: [busy[pick(len(busy))]])
 
@@ -897,7 +897,7 @@ def fake_designs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(design=fake_designs(), workers=st.integers(1, 4), data=st.data(),
+@given(design=fake_designs(), workers=st.integers(0, 4), data=st.data(),
        lo=st.floats(-2.0, 2.0), width=st.floats(0.1, 4.0),
        resolution=st.sampled_from([0.01, 0.05, 0.3, 10.0]))
 def test_speculative_bisection_matches_sequential(design, workers, data, lo, width,
@@ -912,7 +912,7 @@ def test_speculative_bisection_matches_sequential(design, workers, data, lo, wid
                                                     workers, pick))
     assert got == want
     assert len(set(design.calls)) == len(design.calls)
-    if workers == 1:
+    if workers <= 1:
         assert design.calls == sequential
     else:
         assert set(design.calls) >= set(sequential)

@@ -170,6 +170,26 @@ def small_pmf_symmetric():
     return JointPMF([-3, -2, -1, 1, 2, 3], mass, llr_order=True, symmetric=True)
 
 
+@pytest.mark.parametrize("symmetric,mapping,want", [
+    (True, {-3: -1, -2: -1, -1: -1, 1: 1, 2: 1, 3: 1}, True),
+    # output alphabet -2, -1, 1 is not closed under negation
+    (True, {-3: -2, -2: -1, -1: -1, 1: 1, 2: 1, 3: 1}, False),
+    # output alphabet -2, -1, 1, 2 mirrors, but cell -2 holds input -3 and cell 2 inputs 2, 3
+    (True, {-3: -2, -2: -1, -1: -1, 1: 1, 2: 2, 3: 2}, False),
+    # a mirroring mapping of masses that mirror, but not flagged symmetric
+    (False, {-3: -1, -2: -1, -1: -1, 1: 1, 2: 1, 3: 1}, False),
+])
+def test_a_mapped_output_is_symmetric_only_where_input_and_output_mirror(
+        symmetric, mapping, want):
+    p = small_pmf_symmetric()
+    p = JointPMF(p.alphabet, p.mass, symmetric=symmetric)
+    q = apply_quantizer(p, mapping)
+    out = np.array([mapping[y] for y in p.alphabet.tolist()])
+    assert q.symmetric is want
+    assert q.alphabet.tolist() == sorted(set(out.tolist()))
+    assert q.mass.tolist() == [[row[out == y].sum() for y in q.alphabet] for row in p.mass]
+
+
 def test_apply_quantizer_missing_symbol():
     p = small_pmf_symmetric()
     with pytest.raises(ValidationError, match="missing symbol"):

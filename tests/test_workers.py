@@ -23,6 +23,16 @@ def warn_then(kind, x):
     return 2 * x
 
 
+def report_of(in_process, fn, *args):
+    """``fn(*args)``'s report from one forked worker, or, ``in_process``, the
+    report a caller with an empty team makes itself (as the bisection does)."""
+    if in_process:
+        return workers.recorded(fn, *args)
+    with workers.forked(fn, 1) as [worker]:
+        worker.send(*args)
+        return worker.reply()
+
+
 def texts(report):
     return [(type(m).__name__, str(m)) for m, *_ in report.warned]
 
@@ -51,16 +61,8 @@ def test_recorded_carries_the_value_or_the_exception_and_the_warnings():
 
 @pytest.mark.parametrize("in_process", [False, True])
 def test_reply_is_the_report_of_the_request(in_process):
-    def reply(kind, x):
-        if in_process:
-            worker = workers._InProcess(warn_then)
-            worker.send(kind, x)
-            return worker.reply()
-        with workers.forked(warn_then, 1) as [worker]:
-            worker.send(kind, x)
-            return worker.reply()
-
-    ok, bad = reply("return", 3), reply("raise", 7)
+    ok = report_of(in_process, warn_then, "return", 3)
+    bad = report_of(in_process, warn_then, "raise", 7)
     assert isinstance(ok, workers.Report) and isinstance(bad, workers.Report)
     assert ok.value == 6 and texts(ok) == [("UserWarning", "saw 3")]
     assert isinstance(bad.value, ValueError) and str(bad.value) == "bad 7"
@@ -73,6 +75,44 @@ def test_a_worker_that_dies_still_raises():
         worker.send("die", 1)
         with pytest.raises(RuntimeError, match="exit code 3"):
             worker.reply()
+    assert multiprocessing.active_children() == []
+
+
+def open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("kind", ["return", "die"])
+def test_no_descriptor_of_a_team_outlives_its_block(kind):
+    # each worker's pipe and process sentinel: the team is still held here
+    before = open_descriptors()
+    with alarm(30), workers.forked(warn_then, 2) as team:
+        assert open_descriptors() > before
+        for worker in team:
+            worker.send(kind, 1)
+        for worker in team:
+            if kind == "die":
+                with pytest.raises(RuntimeError, match="exit code 3"):
+                    worker.reply()
+            else:
+                assert worker.reply().value == 2
+    assert len(team) == 2 and open_descriptors() == before
+    assert multiprocessing.active_children() == []
+
+
+def team_in_pool_worker():
+    assert multiprocessing.current_process().daemon
+    with workers.forked(warn_then, 2) as team:
+        return team, multiprocessing.active_children()
+
+
+def test_a_daemonic_process_gets_an_empty_team():
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        team, children = pool.apply_async(team_in_pool_worker).get(timeout=30)
+        pool.close()
+        pool.join()
+    assert team == [] and children == []
     assert multiprocessing.active_children() == []
 
 
@@ -106,10 +146,8 @@ def test_a_replayed_warning_keeps_the_place_that_gave_it(in_process):
     # shown at warn_then's warnings.warn line, not at the replay site
     lines, first = inspect.getsourcelines(warn_then)
     line = first + next(i for i, text in enumerate(lines) if "warnings.warn(" in text)
-    with alarm(30), workers.forked(warn_then, 0 if in_process else 1) as team:
-        worker = workers._InProcess(warn_then) if in_process else team[0]
-        worker.send("return", 5)
-        report = worker.reply()
+    with alarm(30):
+        report = report_of(in_process, warn_then, "return", 5)
     assert [where[1:] for where in report.warned] == [(UserWarning, __file__, line, __name__)]
     with warnings.catch_warnings(record=True) as log:
         warnings.simplefilter("always")
@@ -126,10 +164,8 @@ def test_a_filter_on_the_module_that_warned_hides_its_replayed_warning(in_proces
     line = first + next(i for i, text in enumerate(lines) if "design_decoder(" in text)
     cfg = EnsembleConfig(dc=6, dv=3, w=3, wphi=6, iterations=15, cn_variant="comp",
                          vn_variant="comp", design_ebn0_db=3.0, rate=0.5)
-    with alarm(60), workers.forked(evolution._probe, 0 if in_process else 1) as team:
-        worker = workers._InProcess(evolution._probe) if in_process else team[0]
-        worker.send(cfg, -3.0, 0.9999)
-        report = worker.reply()
+    with alarm(60):
+        report = report_of(in_process, evolution._probe, cfg, -3.0, 0.9999)
     for ignored in (False, True):
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
