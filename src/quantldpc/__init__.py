@@ -2,7 +2,7 @@
 
 from .codes import ParityCheckMatrix, bundled_code, generate_regular_code, parse_alist, write_alist
 from .complexity import NodeCost, cn_cost, report, vn_cost
-from .decoder import DecoderState, cn_exact_llr, decode, decode_batch, omsq_decode, omsq_decode_batch
+from .decoder import DecoderState, cn_exact_llr, decode, decode_batch, omsq_decode_batch
 from .evolution import (
     DesignArtifact,
     EnsembleConfig,
@@ -63,7 +63,6 @@ __all__ = [
     "design_uniform",
     "generate_regular_code",
     "mutual_information",
-    "omsq_decode",
     "omsq_decode_batch",
     "parse_alist",
     "report",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pmf import ValidationError
+from .pmf import ValidationError, _integer
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,7 @@ def generate_regular_code(N, dv, dc, seed, *, min_girth=6) -> ParityCheckMatrix:
     """
     if dv < 1 or dc < 2:
         raise ValidationError("need dv >= 1 and dc >= 2")
+    seed = _integer("seed", seed)
     if (N * dv) % dc:
         raise ValidationError(f"N*dv = {N * dv} not divisible by dc = {dc}")
     if min_girth not in (4, 6):

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .pmf import ValidationError
 
 #: the node variants, for the cost model, the design configs, the artifacts
@@ -21,14 +19,6 @@ from .pmf import ValidationError
 #: (None: the variant designs none)
 CN_VARIANTS = {"comp": "non_uniform", "comp_uni": "uniform", "min": None, "omsq": None}
 VN_VARIANTS = {"comp": "non_uniform", "comp_uni": "uniform", "omsq": None}
-
-
-def omsq_beta(beta):
-    """The offset of the omsq baseline as an int; it must be a nonnegative
-    integer (a Python or numpy int, not a bool)."""
-    if isinstance(beta, bool) or not isinstance(beta, (int, np.integer)) or beta < 0:
-        raise ValidationError(f"beta must be a nonnegative integer, not {beta!r}")
-    return int(beta)
 
 
 @dataclass(frozen=True)

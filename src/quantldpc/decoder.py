@@ -4,10 +4,10 @@ Messages are signed integers in sign-magnitude semantics with no zero; a
 check or variable node works by translating message magnitudes through the
 iteration's integer tables, combining in a wide adder, and re-quantizing to
 w bits.  Scalar node updates (cn_update_comp, cn_update_min, vn_update)
-define the semantics one node at a time; decode_batch and the offset-min-sum
-baseline omsq_decode_batch run the same arithmetic over all edges and a
-batch of frames in one flooding loop.  cn_exact_llr is the high-precision
-reference used only by tests.
+define the semantics one node at a time; decode_batch, the one entry for
+every artifact (the offset-min-sum baseline omsq included), runs the same
+arithmetic over all edges and a batch of frames in one flooding loop.
+cn_exact_llr is the high-precision reference used only by tests.
 
 The loop holds every message array edge-major, as (edges, frames): edges
 are stored in check order, and the permutations to variable order and back,
@@ -54,12 +54,12 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .complexity import CN_VARIANTS, cn_input_width, omsq_beta, vn_input_width
-from .pmf import ValidationError
+from .complexity import CN_VARIANTS, cn_input_width, vn_input_width
+from .pmf import ValidationError, _integer
 from .quantizers import QuantizerSpec
 
 __all__ = ["cn_update_comp", "cn_update_min", "vn_update", "cn_exact_llr", "DecoderState",
-           "decode", "decode_batch", "omsq_decode", "omsq_decode_batch"]
+           "decode", "decode_batch", "omsq_decode_batch"]
 
 
 # ---------------------------------------------------------------------------
@@ -258,36 +258,31 @@ class DecoderState:
     encoded message of the module doc with the CN input of iteration
     min(i+1, len(tables)-1), and ``forward`` encodes the channel for
     iteration 1.  vn_type alternates with node index; ``vn_phase=1`` swaps
-    the two roles.  The offset-min-sum baseline has no artifact;
-    :meth:`offset_min_sum` builds its state.  A state also keeps the
-    flooding loop's scratch buffers, so it runs one decode call at a time.
+    the two roles.  An omsq artifact's state is that of
+    :meth:`offset_min_sum` at its config's w and beta (``beta`` is None on
+    every other variant).  A state also keeps the flooding loop's scratch
+    buffers, so it runs one decode call at a time.
     """
 
     def __init__(self, code, artifact, *, vn_phase=0):
         cfg = artifact.config
         if not artifact.per_iteration and cfg.iterations > 0:
             raise ValidationError("artifact carries no designed iterations")
-        if cfg.cn_variant == "omsq":
-            raise ValidationError("the omsq baseline runs through omsq_decode")
-        self.cn_variant = cfg.cn_variant
+        omsq = cfg.cn_variant == "omsq"
+        self.cn_variant, self.beta = cfg.cn_variant, cfg.beta if omsq else None
         recs = artifact.per_iteration
         wphi = max([cfg.w] + [t.width_wphi for r in recs
-                              for t in (r.cn_tables, *r.vn_tables.values()) if t])
+                              for t in (r.cn_tables, *(r.vn_tables or {}).values()) if t])
         self._layout(code, cfg.w, wphi, vn_phase)
-        self._fold([self._designed(r) for r in recs])
+        self._fold([self._omsq()] if omsq else [self._designed(r) for r in recs])
 
     @classmethod
     def offset_min_sum(cls, code, w, beta):
         """State of the offset-min-sum baseline on w-bit messages."""
-        beta = omsq_beta(beta)
         self = cls.__new__(cls)
-        self.cn_variant, self.beta = "omsq", beta
+        self.cn_variant, self.beta = "omsq", _integer("beta", beta)
         self._layout(code, w, w, 0)      # messages are their own VN addends
-        H, S = self.half, self.vn_range
-        t = np.arange(-H, H + 1)
-        sat = np.clip(np.arange(-S, S + 1), 1 - H, H - 1) + H
-        self._fold([(t, np.abs(t), np.maximum(np.arange(H + 1) - beta, 0),
-                     np.concatenate([sat, sat]))])
+        self._fold([self._omsq()])
         return self
 
     def _layout(self, code, w, wphi, vn_phase):
@@ -329,6 +324,13 @@ class DecoderState:
         self.cn_range, self.vn_range = 1 << cw, 1 << (vw - 1)
         base = self.vn_range + self.vn_type * (2 * self.vn_range + 1)
         self.vn_base = base.astype(self.dtype)[:, None]
+
+    def _omsq(self):
+        """(ch, cn_in, cn_out, vn_out) tables of the offset-min-sum baseline."""
+        H, S = self.half, self.vn_range
+        t = np.arange(-H, H + 1)
+        sat = np.clip(np.arange(-S, S + 1), 1 - H, H - 1) + H
+        return t, np.abs(t), np.maximum(np.arange(H + 1) - self.beta, 0), np.concatenate([sat, sat])
 
     def _designed(self, rec):
         """(ch, cn_in, cn_out, vn_out) tables of one designed iteration."""
@@ -483,20 +485,30 @@ def _flood(state, channel_msgs, max_iter):
     return bits, iters_used, ok
 
 
+def _tied(state, variant, w, beta):
+    """``state``, if it was built for the decoder (variant, w, beta); only an
+    omsq decoder has a beta."""
+    want = variant, w, beta if variant == "omsq" else None
+    if (state.cn_variant, state.w, state.beta) != want:
+        raise ValidationError("state was built for {} at w={}, beta={}, not for {} at w={}, "
+                              "beta={}".format(state.cn_variant, state.w, state.beta, *want))
+    return state
+
+
 def decode_batch(channel_msgs, code, artifact, max_iter, *, state=None):
-    """Flooding decode of a batch of frames.
+    """Flooding decode of a batch of frames by any artifact's decoder.
 
     channel_msgs: (B, N) integer array of w-bit channel messages.  Returns
     (bits (B, N) uint8, iterations_used (B,), syndrome_ok (B,)).  Frames
     whose syndrome clears drop out of the working set immediately;
     iterations_used counts the message-passing iterations actually run for
-    each frame.  max_iter=0 slices the channel signs only.
+    each frame.  max_iter=0 slices the channel signs only.  ``state``, from
+    DecoderState(code, artifact), must fit the artifact's variant, w and beta.
     """
+    cfg = artifact.config
     if state is None:
         state = DecoderState(code, artifact)
-    elif state.cn_variant == "omsq":
-        raise ValidationError("an omsq state runs through omsq_decode")
-    return _flood(state, channel_msgs, max_iter)
+    return _flood(_tied(state, cfg.cn_variant, cfg.w, cfg.beta), channel_msgs, max_iter)
 
 
 def decode(channel_msgs, code, artifact, max_iter, *, state=None):
@@ -515,20 +527,9 @@ def omsq_decode_batch(channel_msgs, code, w, beta, max_iter, *, state=None):
     Messages live on {-M..M} with M = 2^(w-1) - 1 and may be zero.  Check
     nodes take the sign product times max(extrinsic min - beta, 0);
     variable nodes form the saturating integer sum.  ``state`` comes from
-    DecoderState.offset_min_sum(code, w, beta).
+    DecoderState.offset_min_sum(code, w, beta).  decode_batch runs the same
+    decoder from an omsq artifact.
     """
     if state is None:
         state = DecoderState.offset_min_sum(code, w, beta)
-    elif (state.cn_variant, state.w, getattr(state, "beta", None)) != ("omsq", w, beta):
-        raise ValidationError("state was not built for this omsq decoder")
-    return _flood(state, channel_msgs, max_iter)
-
-
-def omsq_decode(channel_msgs, code, w, beta, max_iter, *, state=None):
-    """Single-frame wrapper around omsq_decode_batch."""
-    msgs = _integer_messages(channel_msgs)
-    if msgs.ndim != 1:
-        raise ValidationError("omsq_decode expects one frame")
-    bits, iters, ok = omsq_decode_batch(msgs[None, :], code, w, beta, max_iter,
-                                        state=state)
-    return bits[0], int(iters[0]), bool(ok[0])
+    return _flood(_tied(state, "omsq", w, _integer("beta", beta)), channel_msgs, max_iter)

@@ -30,12 +30,13 @@ from functools import partial
 import numpy as np
 
 from . import quantizers, workers
-from .complexity import CN_VARIANTS, VN_VARIANTS, omsq_beta, vn_input_width
+from .complexity import CN_VARIANTS, VN_VARIANTS, vn_input_width
 from .pmf import (
     ChannelModel,
     JointPMF,
     ValidationError,
     _aligned,
+    _integer,
     apply_quantizer,
     awgn_llr_pmf,
     mutual_information,
@@ -90,7 +91,7 @@ class EnsembleConfig:
     def __post_init__(self):
         # every int field takes a Python or numpy integer, stored as int; a
         # bool is refused, as True for dc or iterations is a mistake
-        object.__setattr__(self, "beta", omsq_beta(self.beta))
+        object.__setattr__(self, "beta", _integer("beta", self.beta))
         for f in fields(self):
             v = getattr(self, f.name)
             if f.type == "int":

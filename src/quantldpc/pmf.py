@@ -55,6 +55,16 @@ class ValidationError(ValueError):
     """A PMF, quantizer, table or configuration violates its contract."""
 
 
+def _integer(name, v, lo=0, hi=math.inf):
+    """``v`` as an int in [lo, hi], lo 0 or 1: a Python or numpy int, not a
+    float or a bool, which are refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+        top = "" if hi == math.inf else f" of at most {hi}"
+        raise ValidationError(f"{name} must be a {'positive' if lo else 'nonnegative'} "
+                              f"integer{top}, not {v!r}")
+    return int(v)
+
+
 def _horner(x, coef):
     """coef[0]*x**n + ... + coef[n], in Cephes' polevl order."""
     out = np.full_like(x, coef[0])

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import workers
-from .decoder import DecoderState, decode_batch, omsq_decode_batch
+from .decoder import DecoderState, decode_batch
 from .evolution import OmsqChannelQuantizer
-from .pmf import ValidationError
+from .pmf import ValidationError, _integer
 
 CSV_HEADER = "ebn0_db,frames,bit_errors,frame_errors,ber,fer,avg_iterations,seed"
 
@@ -75,10 +75,11 @@ def wilson_interval(errors, trials, z=1.96):
 def _frame_noise(master_seed, point_index, frame_start, count, n, sigma):
     """AWGN for frames [frame_start, frame_start+count), one stream each.
 
-    Philox keyed by (master seed, point index, frame index) makes any
-    frame reproducible on its own, in any execution order.  One bit
-    generator is re-keyed through its ``state`` for each frame, with a zero
-    counter and an empty buffer: the stream ``Philox(key=key)`` starts.
+    Philox keyed by (master seed, point index, frame index), packed into
+    64 + 24 + 40 bits of its 128-bit key, makes any frame reproducible on
+    its own, in any execution order.  One bit generator is re-keyed
+    through its ``state`` for each frame, with a zero counter and an empty
+    buffer: the stream ``Philox(key=key)`` starts.
     """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
@@ -130,22 +131,18 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
     run.
     """
     stop = dict(stop or {})
-    max_frames = int(stop.pop("max_frames", 10_000_000))
-    target_errors = int(stop.pop("target_frame_errors", 100))
+    # frame, point and seed fill the 40, 24 and 64 bits of a noise key
+    max_frames = _integer("max_frames", stop.pop("max_frames", 10_000_000), 1, 1 << 40)
+    target_errors = _integer("target_frame_errors", stop.pop("target_frame_errors", 100), 1)
     if stop:
         raise ValidationError(f"unknown stop keys {sorted(stop)}")
-    if max_frames < 1:
-        raise ValidationError("max_frames must be positive")
-    if target_errors < 1:
-        raise ValidationError("target_frame_errors must be at least 1")
+    seed = _integer("seed", seed, hi=(1 << 64) - 1)
+    point_index = _integer("point_index", point_index, hi=(1 << 24) - 1)
     if not math.isfinite(ebn0_db):
         raise ValidationError(f"ebn0_db must be finite, not {ebn0_db!r}")
 
     cfg = artifact.config
-    if max_iter is None:
-        max_iter = cfg.iterations
-    if max_iter < 0:
-        raise ValidationError("max_iter must be non-negative")
+    max_iter = _integer("max_iter", cfg.iterations if max_iter is None else max_iter)
     try:
         with np.errstate(over="raise", divide="raise", under="raise"):
             sigma = np.sqrt(1.0 / (2.0 * cfg.rate * 10.0 ** (ebn0_db / 10.0)))
@@ -153,11 +150,7 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
     except ArithmeticError:         # overflow, underflow or a zero noise level
         raise ValidationError(f"ebn0_db={ebn0_db!r} has no float noise level") from None
     n = code.n_vars
-    omsq = cfg.cn_variant == "omsq"
-    if omsq:
-        state = DecoderState.offset_min_sum(code, cfg.w, cfg.beta)
-    else:
-        state = DecoderState(code, artifact)
+    state = DecoderState(code, artifact)
 
     def decode_range(start, count):
         """Bit errors and iterations of frames [start, start+count), block by block."""
@@ -171,12 +164,7 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
                 y += 1.0
             y *= llr_scale
             msgs = _quantize_channel(y, artifact)
-            if omsq:
-                bits, iters, _ = omsq_decode_batch(msgs, code, cfg.w, cfg.beta,
-                                                   max_iter, state=state)
-            else:
-                bits, iters, _ = decode_batch(msgs, code, artifact, max_iter,
-                                              state=state)
+            bits, iters, _ = decode_batch(msgs, code, artifact, max_iter, state=state)
             parts.append((bits.sum(axis=1), iters))
         return tuple(np.concatenate(p) for p in zip(*parts))
 
@@ -200,7 +188,7 @@ def simulate_point(code, artifact, ebn0_db, stop=None, seed=0, *,
                 hist[int(used)] = hist.get(int(used), 0) + int(c)
             frames += count
     return SimPoint(float(ebn0_db), frames, bit_errors, frame_errors, hist,
-                    int(seed), time.perf_counter() - t0, n)
+                    seed, time.perf_counter() - t0, n)
 
 
 def sweep(code, artifact, ebn0_list, stop=None, seed=0, **kw):

@@ -204,3 +204,14 @@ def test_simulate_a_saved_artifact_equals_designing_in_place(tmp_path, cn, vn):
     loaded = (tmp_path / "loaded.csv").read_text()
     assert loaded == (tmp_path / "in_place.csv").read_text()
     assert len(loaded.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--gen-seed", "seed must be a nonnegative integer, not -1"),
+    ("--seed", "seed must be a nonnegative integer of at most 18446744073709551615, not -1")])
+def test_a_negative_seed_is_an_error(tmp_path, capsys, flag, message):
+    # numpy's ValueError and an OverflowError used to end in a traceback
+    assert main(["simulate", *DESIGN, "--gen-n", "96", "--snr", "3", "--frames", "16",
+                 flag, "-1", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from quantldpc.decoder import (
     cn_update_min,
     decode,
     decode_batch,
-    omsq_decode,
     omsq_decode_batch,
     vn_update,
 )
@@ -237,6 +236,16 @@ def min_setup():
     return code, artifact
 
 
+@cache
+def omsq_artifact(dc=6, dv=3, rate=0.5, w=4, beta=1):
+    """A designed offset-min-sum artifact; its decoder depends on w and beta only."""
+    cfg = EnsembleConfig(dc=dc, dv=dv, w=w, wphi=8, iterations=2, cn_variant="omsq",
+                         vn_variant="omsq", design_ebn0_db=2.8, rate=rate, beta=beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return design_decoder(cfg)[0]
+
+
 def noisy_frames(code, artifact, n_frames, sigma, seed):
     rng = np.random.default_rng(seed)
     llr = (2.0 / sigma ** 2) * (1.0 + sigma * rng.standard_normal((n_frames, code.n_vars)))
@@ -337,14 +346,15 @@ def test_omsq_decode_batch_validation():
         bad[1] = top
         with pytest.raises(ValidationError, match="4-bit"):
             omsq_decode_batch(bad[None], code, 4, 1, 4)
+    artifact = omsq_artifact()
     for msgs in (frame + 0.7, frame.astype(float), frame > 0):
         with pytest.raises(ValidationError, match="integers"):
             omsq_decode_batch(msgs[None], code, 4, 1, 4)
         with pytest.raises(ValidationError, match="integers"):
-            omsq_decode(msgs, code, 4, 1, 4)
-    want = omsq_decode(frame, code, 4, 1, 4)
+            decode(msgs, code, artifact, 4)
+    want = decode(frame, code, artifact, 4)
     for msgs in (frame.tolist(), frame.astype(np.int8)):
-        got = omsq_decode(msgs, code, 4, 1, 4)
+        got = decode(msgs, code, artifact, 4)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
@@ -363,14 +373,12 @@ def test_vn_phase_flips_tie_convention(small_setup):
     assert np.array_equal(bits0[both], bits1[both])
 
 
-def test_state_rejects_omsq_artifact():
-    cfg = EnsembleConfig(dc=6, dv=3, w=4, wphi=8, iterations=2,
-                         cn_variant="omsq", vn_variant="omsq",
-                         design_ebn0_db=2.8, rate=0.5)
-    artifact, _ = design_decoder(cfg)
-    code = generate_regular_code(96, 3, 6, seed=1)
-    with pytest.raises(ValidationError, match="omsq"):
-        DecoderState(code, artifact)
+def test_state_rejects_omsq_artifact(small_setup):
+    # an omsq artifact builds a state of its own; a designed decoder's refuses it
+    code, comp = small_setup
+    ch = np.full((2, code.n_vars), 3, dtype=np.int64)
+    with pytest.raises(ValidationError, match="built for comp .* not for omsq"):
+        decode_batch(ch, code, omsq_artifact(), 2, state=DecoderState(code, comp))
 
 
 # --- offset-min-sum baseline -------------------------------------------------
@@ -386,7 +394,7 @@ def test_omsq_noiseless_and_scalar_batch_agreement():
     msgs = rng.integers(-M, M + 1, size=(8, code.n_vars))
     bits_b, iters_b, ok_b = omsq_decode_batch(msgs, code, w=4, beta=1, max_iter=6)
     for f in range(8):
-        bits_s, iters_s, ok_s = omsq_decode(msgs[f], code, w=4, beta=1, max_iter=6)
+        bits_s, iters_s, ok_s = decode(msgs[f], code, omsq_artifact(), max_iter=6)
         assert np.array_equal(bits_s, bits_b[f])
         assert iters_s == iters_b[f]
         assert ok_s == ok_b[f]
@@ -889,15 +897,14 @@ def test_kernel_matches_references_on_designed_decoders(designed, variant):
     llr = (2.0 / 0.8 ** 2) * (1.0 + 0.8 * rng.standard_normal((40, code.n_vars)))
     if variant == "omsq":
         msgs = art.channel_quantizer.map_llr(llr)
-        got = omsq_decode_batch(msgs, code, 4, art.config.beta, 8)
         ref = ref_omsq_decode_batch(msgs, code, 4, art.config.beta, 8)
         scalar = scalar_omsq_decode(msgs, code, 4, art.config.beta, 8)
     else:
         mag = 1 + np.searchsorted(art.channel_edges_llr, np.abs(llr), side="right")
         msgs = np.where(llr >= 0, mag, -mag)
-        got = decode_batch(msgs, code, art, 8)
         ref = ref_decode_batch(msgs, code, art, 8)
         scalar = scalar_decode(msgs, code, art, 8)
+    got = decode_batch(msgs, code, art, 8)
     assert_same(got, ref, scalar)
     # frames leave the working set at many different iterations
     assert len(set(got[1].tolist())) >= 3
@@ -1000,14 +1007,54 @@ def test_states_are_tied_to_their_decoder(small_setup):
         DecoderState.offset_min_sum(code, 4, -1)
 
 
+def test_a_state_refuses_an_artifact_of_another_variant(small_setup, min_setup):
+    code, comp = small_setup
+    _, min_art = min_setup
+    ch = np.full((2, code.n_vars), 3, dtype=np.int64)
+    with pytest.raises(ValidationError, match="built for min .* not for comp"):
+        decode_batch(ch, code, comp, 2, state=DecoderState(code, min_art))
+    with pytest.raises(ValidationError, match="built for omsq at w=4, beta=1, not for omsq "
+                                              "at w=4, beta=2"):
+        decode_batch(ch, code, omsq_artifact(beta=2), 2, state=DecoderState(code, omsq_artifact()))
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("name", ["tiny", "dv6_dc32_n2048"])
+def test_an_omsq_artifact_decodes_as_the_offset_min_sum_baseline(name, beta):
+    if name == "tiny":
+        code, dc, dv, sigma = generate_regular_code(24, 3, 6, seed=1, min_girth=4), 6, 3, 0.8
+    else:
+        code, dc, dv, sigma = bundled_code(name), 32, 6, 0.49
+    art = omsq_artifact(dc, dv, 1 - dv / dc, 4, beta)
+    state = DecoderState(code, art)
+    want = DecoderState.offset_min_sum(code, 4, beta)
+    assert np.array_equal(state.forward, want.forward)
+    assert len(state.tables) == len(want.tables) == 1
+    for got, ref in zip(state.tables[0], want.tables[0]):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    rng = np.random.default_rng(beta)
+    llr = (2.0 / sigma ** 2) * (1.0 + sigma * rng.standard_normal((24, code.n_vars)))
+    msgs = art.channel_quantizer.map_llr(llr)
+    got = decode_batch(msgs, code, art, 8)
+    assert_same(got, omsq_decode_batch(msgs, code, 4, beta, 8),
+                ref_omsq_decode_batch(msgs, code, 4, beta, 8))
+    assert_same(decode_batch(msgs, code, art, 8, state=state), got)
+    for f in (0, 11, 23):
+        bits, iters, ok = decode(msgs[f], code, art, 8, state=state)
+        assert np.array_equal(bits, got[0][f]) and (iters, ok) == (got[1][f], got[2][f])
+
+
 @pytest.mark.parametrize("beta", [0.5, -1, True, np.bool_(True), 1.0])
 def test_omsq_state_rejects_a_beta_that_is_not_a_nonnegative_int(beta):
     # 0.5 used to build the table of beta = 1 without a word
     code = generate_regular_code(24, 3, 6, seed=1, min_girth=4)
     with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
         DecoderState.offset_min_sum(code, 4, beta)
-    with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
-        omsq_decode_batch(np.ones((1, code.n_vars), dtype=np.int64), code, 4, beta, 2)
+    for state in (None, DecoderState.offset_min_sum(code, 4, 1)):
+        # 1.0 and True passed the check of a given beta = 1 state
+        with pytest.raises(ValidationError, match="beta must be a nonnegative integer"):
+            omsq_decode_batch(np.ones((1, code.n_vars), dtype=np.int64), code, 4, beta, 2,
+                              state=state)
 
 
 def test_omsq_state_takes_a_numpy_int_beta():
@@ -1028,8 +1075,7 @@ def test_folded_tables_carry_the_next_cn_input_and_the_sign(designed, variant):
     code, arts = designed
     art = arts[variant]
     omsq = variant == "omsq"
-    state = (DecoderState.offset_min_sum(code, art.config.w, art.config.beta) if omsq
-             else DecoderState(code, art))
+    state = DecoderState(code, art)
     recs = [None] if omsq else art.per_iteration
     H, S = state.half, state.vn_range
     sent = [t for t in range(-H, H + 1) if (abs(t) < H if omsq else t != 0)]

@@ -513,6 +513,51 @@ def test_invalid_point_is_rejected_before_any_worker(monkeypatch, setup, kwargs)
         simulate_point(code, artifact, **call)
 
 
+# a noise key packs seed, point index and frame into 64 + 24 + 40 bits: a value
+# past its field used to alias another point's noise (or, for seed -1, raise an
+# OverflowError), so each bound is checked, and its last value still runs
+
+def test_seed_must_fit_its_64_bits_of_the_noise_key(setup):
+    code, artifact = setup
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer of at most"):
+            simulate_point(code, artifact, 3.0, stop={"max_frames": 1}, seed=seed)
+    top = (1 << 64) - 1
+    assert simulate_point(code, artifact, 3.0, stop={"max_frames": 1}, seed=top).seed == top
+
+
+def test_point_index_must_fit_its_24_bits_of_the_noise_key(setup):
+    # point 2**24 of seed s drew the noise of point 0 of seed s + 1
+    code, artifact = setup
+    for index in (-1, 1 << 24):
+        with pytest.raises(ValidationError, match="point_index must be a nonnegative integer of"):
+            simulate_point(code, artifact, 3.0, stop={"max_frames": 1}, point_index=index)
+    simulate_point(code, artifact, 3.0, stop={"max_frames": 1}, point_index=(1 << 24) - 1)
+
+
+def test_max_frames_must_fit_the_40_bits_of_a_frame_index(setup):
+    # frame 2**40 of point p drew the noise of frame 0 of point p + 1
+    code, artifact = setup
+    with pytest.raises(ValidationError, match="max_frames must be a positive integer of at most"):
+        simulate_point(code, artifact, 3.0, stop={"max_frames": (1 << 40) + 1})
+    # at -3 dB the first chunk holds a frame error: the run stops after it
+    point = simulate_point(code, artifact, -3.0,
+                           stop={"max_frames": 1 << 40, "target_frame_errors": 1})
+    assert point.frames == sim._CHUNK
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(stop={"max_frames": 2.7}), dict(stop={"max_frames": True}),
+    dict(stop={"target_frame_errors": 1.5}), dict(stop={"target_frame_errors": True}),
+    dict(max_iter=2.5), dict(max_iter=True), dict(seed=1.0), dict(point_index=False)])
+def test_stop_values_and_max_iter_must_be_integers(setup, kwargs):
+    # 2.7 frames ran 2 and 1.5 errors stopped at 1; max_iter 2.5 raised a TypeError
+    code, artifact = setup
+    call = {"stop": {"max_frames": 16}, **kwargs}
+    with pytest.raises(ValidationError, match="must be a (positive|nonnegative) integer"):
+        simulate_point(code, artifact, 3.0, **call)
+
+
 def test_package_import_leaves_multiprocessing_unloaded():
     # it is imported when workers are forked: ~8 ms off every package import
     src = os.path.dirname(os.path.dirname(sim.__file__))
